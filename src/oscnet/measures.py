@@ -8,10 +8,10 @@ to the second moments <q_j^2>.
 Quantum side: two-mode measures evaluated on 4x4 pair covariances in
 quadrature order (x_i, x_j, p_i, p_j): von Neumann mutual information,
 logarithmic negativity from the partial-transpose symplectic invariants,
-and Gaussian discord, where the conditional entropy is minimized over
-all single-mode Gaussian measurements sigma_M(s, theta).  The discord
-minimizer uses a deterministic zoomed grid over (s, theta), optionally
-polished with Nelder-Mead; a batched variant serves whole trajectories.
+and Gaussian discord, whose conditional entropy minimized over all
+single-mode Gaussian measurements comes from the closed form of Adesso &
+Datta (PRL 105, 030501, 2010).  Every two-mode measure is batched over
+leading axes, so one call serves a whole trajectory.
 
 Vacuum variance is 1/2 throughout, so a symplectic eigenvalue below 1/2
 signals an unphysical covariance.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.optimize
 from scipy.special import xlogy
 
 from . import _kernels
@@ -38,6 +37,10 @@ PHYSICALITY_TOL = 1e-8
 
 #: Negative values of discord within this tolerance are clamped to zero.
 DISCORD_CLAMP_TOL = 1e-9
+
+#: 4 det b - 1 at or below this marks a pure measured mode in the discord
+#: (see :func:`_conditional_det_infimum`).
+_PURE_MODE_TOL = 1e-8
 
 MUTUAL_INFORMATION = "mutual_information"
 DISCORD = "discord"
@@ -260,22 +263,27 @@ def _pair_nus(cov4):
 
 
 def _check_pair_physical(cov4):
-    nu_minus, _ = _pair_nus(cov4)
-    bad = nu_minus < 0.5 - PHYSICALITY_TOL
-    if np.any(bad):
+    """(nu_minus, nu_plus) of a two-mode covariance that passes the vacuum floor."""
+    nu_minus, nu_plus = _pair_nus(cov4)
+    if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
         raise UnphysicalCovariance(
             f"two-mode symplectic eigenvalue {np.min(nu_minus):.6g} below 1/2"
         )
+    return nu_minus, nu_plus
+
+
+def _local_entropy(block):
+    """Entropy of one mode from its 2x2 covariance block, batched."""
+    return _entropy_term(np.sqrt(np.maximum(_det2(block), 0.25)))
 
 
 def mutual_information(cov4) -> float | np.ndarray:
     """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
-    _check_pair_physical(cov4)
+    nu_minus, nu_plus = _check_pair_physical(cov4)
     a, b, _ = _pair_blocks(cov4)
-    nu_minus, nu_plus = _pair_nus(cov4)
     out = (
-        _entropy_term(np.sqrt(np.maximum(_det2(a), 0.25)))
-        + _entropy_term(np.sqrt(np.maximum(_det2(b), 0.25)))
+        _local_entropy(a)
+        + _local_entropy(b)
         - _entropy_term(nu_minus)
         - _entropy_term(nu_plus)
     )
@@ -299,145 +307,87 @@ def log_negativity(cov4) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _measurement_matrices(s: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sigma_M(s, theta) = R diag(e^{2s}, e^{-2s}) R^T / 2, batched."""
-    cos = np.cos(theta)
-    sin = np.sin(theta)
-    hi = 0.5 * np.exp(2.0 * s)
-    lo = 0.5 * np.exp(-2.0 * s)
-    m = np.empty(np.broadcast(s, theta).shape + (2, 2))
-    m[..., 0, 0] = hi * cos**2 + lo * sin**2
-    m[..., 1, 1] = hi * sin**2 + lo * cos**2
-    m[..., 0, 1] = (hi - lo) * cos * sin
-    m[..., 1, 0] = m[..., 0, 1]
-    return m
+def _conditional_det_infimum(a, b, c, nu_minus, nu_plus):
+    """Infimum of det(a - c (b + sigma_M)^-1 c^T) over Gaussian measurements sigma_M of B.
 
+    Closed form of Adesso & Datta, PRL 105, 030501 (2010), batched over
+    the (..., 2, 2) blocks and the symplectic pair of the whole state.
+    The paper's invariants assume vacuum variance 1: A = 4 det a,
+    B = 4 det b, C = 4 det c, D = 16 det sigma, and its E_min is 4 times
+    the determinant returned here:
 
-def _conditional_det(a, b, c, sig_m):
-    """det of A - C (B + sigma_M)^-1 C^T, batched over states x grid."""
-    m = b + sig_m
-    det_m = _det2(m)
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 1, 1] = m[..., 0, 0]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    inv = inv / det_m[..., None, None]
-    cond = a - c @ inv @ np.swapaxes(c, -1, -2)
-    return _det2(cond)
+        E_min = [(|C| + sqrt(C^2 + (B - 1)(D - A))) / (B - 1)]^2
+                if (D - AB)^2 <= (1 + B) C^2 (A + D),
 
+    and otherwise the homodyne limit of an infinitely squeezed sigma_M.
 
-_GRID_S = np.linspace(-7.0, 7.0, 29)
-_GRID_THETA = np.linspace(0.0, np.pi, 24, endpoint=False)
-_ZOOM_LEVELS = 5
-_ZOOM_POINTS = 9
-
-
-def _min_conditional_det(a, b, c):
-    """Deterministic zoomed-grid minimum of the conditional determinant.
-
-    a, b, c: batched (..., 2, 2) pair blocks.  Returns (det_min, s, theta)
-    arrays of the batch shape.
+    Rewrites that keep the digits the paper's expressions lose:
+    - the homodyne branch is det a (1 - lambda_max), lambda_max the largest
+      Rayleigh quotient of c^T a^-1 c against b, taken from the symmetric
+      matrix L^-1 c^T a^-1 c L^-T (b = L L^T) so that the degenerate
+      eigenvalues of symmetric states lose no digits;
+    - D - AB = C^2 - AB tr(b^-1 c^T a^-1 c), which does not cancel D
+      against AB for weak correlations;
+    - the general branch's radicand C^2 + (B - 1)(D - A) equals
+      (C + B - 1)^2 + (B - 1)(4 nu_-^2 - 1)(4 nu_+^2 - 1), a sum of
+      non-negative terms that stays accurate near a pure state, where the
+      paper's form cancels terms of order A B;
+    - pure states sit on the branch boundary, where both branches agree
+      and the general one never lies above the homodyne limit, so the
+      smaller is kept;
+    - a pure measured mode (B = 1) forces c = 0, so the infimum is det a,
+      which the homodyne branch gives, while the general one is 0 / 0.
+      Within _PURE_MODE_TOL of B = 1 the homodyne value, which is then
+      within O(B - 1) of the infimum, is kept as well: the general
+      branch's radicand loses digits as eps / (B - 1) there.
     """
-    batch = a.shape[:-2]
-    a_ = a.reshape((-1, 1, 2, 2))
-    b_ = b.reshape((-1, 1, 2, 2))
-    c_ = c.reshape((-1, 1, 2, 2))
-    m = a_.shape[0]
+    det_a = _det2(a)
+    chol_inv = np.linalg.inv(np.linalg.cholesky(b))
+    k = chol_inv @ np.swapaxes(c, -1, -2) @ np.linalg.solve(a, c) @ np.swapaxes(chol_inv, -1, -2)
+    homodyne = det_a * (1.0 - np.linalg.eigvalsh(k)[..., -1])
 
-    s_grid, t_grid = np.meshgrid(_GRID_S, _GRID_THETA, indexing="ij")
-    s_flat = np.broadcast_to(s_grid.ravel(), (m, s_grid.size))
-    t_flat = np.broadcast_to(t_grid.ravel(), (m, t_grid.size))
-    sig = _measurement_matrices(s_flat, t_flat)
-    dets = _conditional_det(a_, b_, c_, sig)
-    pick = np.argmin(dets, axis=1)
-    best_det = dets[np.arange(m), pick]
-    best_s = s_flat[np.arange(m), pick]
-    best_t = t_flat[np.arange(m), pick]
-    span_s = _GRID_S[1] - _GRID_S[0]
-    span_t = _GRID_THETA[1] - _GRID_THETA[0]
-
-    for _ in range(_ZOOM_LEVELS):
-        offs = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-        s_loc = best_s[:, None, None] + span_s * offs[None, :, None]
-        t_loc = best_t[:, None, None] + span_t * offs[None, None, :]
-        s_loc, t_loc = np.broadcast_arrays(s_loc, t_loc)
-        s_flat = s_loc.reshape(m, -1)
-        t_flat = t_loc.reshape(m, -1)
-        sig = _measurement_matrices(s_flat, t_flat)
-        dets = _conditional_det(a_, b_, c_, sig)
-        pick = np.argmin(dets, axis=1)
-        best_det = np.minimum(best_det, dets[np.arange(m), pick])
-        best_s = s_flat[np.arange(m), pick]
-        best_t = t_flat[np.arange(m), pick]
-        span_s *= 2.0 / (_ZOOM_POINTS - 1)
-        span_t *= 2.0 / (_ZOOM_POINTS - 1)
-
-    return best_det.reshape(batch), best_s.reshape(batch), best_t.reshape(batch)
+    big_a, big_b, big_c = 4.0 * det_a, 4.0 * _det2(b), 4.0 * _det2(c)
+    big_d = (4.0 * nu_minus * nu_plus) ** 2
+    d_minus_ab = big_c**2 - big_a * big_b * (k[..., 0, 0] + k[..., 1, 1])
+    pure_b = big_b - 1.0 <= _PURE_MODE_TOL
+    bm1 = np.where(pure_b, 1.0, big_b - 1.0)
+    # (4 nu_-^2 - 1)(4 nu_+^2 - 1), factored so that nu -> 1/2 keeps its digits
+    excess = (2.0 * nu_minus - 1.0) * (2.0 * nu_minus + 1.0)
+    excess = excess * (2.0 * nu_plus - 1.0) * (2.0 * nu_plus + 1.0)
+    root = np.sqrt(np.maximum((big_c + bm1) ** 2 + bm1 * excess, 0.0))
+    general = ((np.abs(big_c) + root) / bm1) ** 2 / 4.0
+    use_general = ~pure_b & (d_minus_ab**2 <= (1.0 + big_b) * big_c**2 * (big_a + big_d))
+    out = np.where(use_general, np.minimum(general, homodyne), homodyne)
+    return np.maximum(out, 0.25)
 
 
-def _discord_from_blocks(a, b, c):
-    """Discord of A given Gaussian measurements on B, batched."""
-    cov4 = np.zeros(a.shape[:-2] + (4, 4))
-    a_idx = np.array([0, 2])
-    b_idx = np.array([1, 3])
-    cov4[..., a_idx[:, None], a_idx[None, :]] = a
-    cov4[..., b_idx[:, None], b_idx[None, :]] = b
-    cov4[..., a_idx[:, None], b_idx[None, :]] = c
-    cov4[..., b_idx[:, None], a_idx[None, :]] = np.swapaxes(c, -1, -2)
-    info = mutual_information(cov4)
-    det_min, _, _ = _min_conditional_det(a, b, c)
-    s_a = _entropy_term(np.sqrt(np.maximum(_det2(a), 0.25)))
-    cond = _entropy_term(np.sqrt(np.maximum(det_min, 0.25)))
-    holevo = s_a - cond
-    disc = np.asarray(info - holevo)
-    if np.any(disc < -DISCORD_CLAMP_TOL):
-        raise UnphysicalCovariance(
-            f"discord came out {np.min(disc):.3g} < 0 beyond tolerance"
-        )
-    return np.maximum(disc, 0.0)
-
-
-def gaussian_discord(cov4, measured: str = "B", refine: bool = True) -> float:
-    """Gaussian quantum discord of a two-mode covariance.
+def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
+    """Gaussian quantum discord of a two-mode covariance; batched over leading axes.
 
     ``measured`` names the mode the Gaussian measurement acts on ("B",
-    the second mode, by default).  The measurement minimization runs on
-    a deterministic zoomed grid; with ``refine`` a Nelder-Mead polish is
-    applied on top.  Small negative results (roundoff) clamp to zero.
+    the second mode, by default).  The minimal conditional entropy comes
+    from the Adesso-Datta closed form.  Small negative results (roundoff)
+    clamp to zero.
     """
-    cov4 = np.asarray(cov4, dtype=float)
-    if cov4.ndim != 2:
-        raise DimensionMismatch("gaussian_discord is scalar; use pair_measure_series for batches")
-    _check_pair_physical(cov4)
+    nu_minus, nu_plus = _check_pair_physical(cov4)
     a, b, c = _pair_blocks(cov4)
     if measured == "A":
         a, b, c = b, a, np.swapaxes(c, -1, -2)
     elif measured != "B":
         raise ValueError("measured side must be 'A' or 'B'")
-
-    det_min, s0, t0 = _min_conditional_det(a, b, c)
-    if refine:
-        def objective(x):
-            sig = _measurement_matrices(np.array(x[0]), np.array(x[1]))
-            return float(_conditional_det(a, b, c, sig))
-
-        res = scipy.optimize.minimize(
-            objective,
-            np.array([s0, t0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 400},
+    # D = I(A:B) - [S(A) - S(A|B measured)] = S(B) - S(AB) + S(A|B measured)
+    disc = (
+        _local_entropy(b)
+        - _entropy_term(nu_minus)
+        - _entropy_term(nu_plus)
+        + _entropy_term(np.sqrt(_conditional_det_infimum(a, b, c, nu_minus, nu_plus)))
+    )
+    if np.any(disc < -DISCORD_CLAMP_TOL):
+        raise UnphysicalCovariance(
+            f"discord came out {np.min(disc):.3g} < 0 beyond tolerance"
         )
-        det_min = min(float(det_min), float(res.fun))
-
-    # Mutual information is symmetric in the two modes, so no swap here.
-    info = mutual_information(cov4)
-    s_a = float(_entropy_term(np.sqrt(max(float(_det2(a)), 0.25))))
-    cond = float(_entropy_term(np.sqrt(max(det_min, 0.25))))
-    disc = float(info) - (s_a - cond)
-    if disc < -DISCORD_CLAMP_TOL:
-        raise UnphysicalCovariance(f"discord came out {disc:.3g} < 0 beyond tolerance")
-    return max(disc, 0.0)
+    out = np.maximum(disc, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +415,18 @@ class AveragedSeries:
     excluded: tuple[tuple[int, int], ...]
 
 
+_PAIR_MEASURES = {
+    MUTUAL_INFORMATION: mutual_information,
+    DISCORD: gaussian_discord,
+    LOG_NEGATIVITY: log_negativity,
+}
+
+
 def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 
-def pair_measure_series(
-    traj,
-    measure: str,
-    pairs=None,
-    stride: int = 1,
-    discord_measured: str = "B",
-) -> PairSeries:
+def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> PairSeries:
     """Evaluate one two-mode measure on every (time, pair) of a trajectory.
 
     Pairs whose covariance fails the physicality floor anywhere in the
@@ -483,6 +434,8 @@ def pair_measure_series(
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if measure not in _PAIR_MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
     pair_list = _all_pairs(traj.n) if pairs is None else [tuple(p) for p in pairs]
     times = traj.times[::stride]
     covs = traj.covs[::stride]
@@ -494,17 +447,7 @@ def pair_measure_series(
         if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
             excluded.append((i, j))
             continue
-        if measure == MUTUAL_INFORMATION:
-            values[:, k] = mutual_information(cov4)
-        elif measure == LOG_NEGATIVITY:
-            values[:, k] = log_negativity(cov4)
-        elif measure == DISCORD:
-            a, b, c = _pair_blocks(cov4)
-            if discord_measured == "A":
-                a, b, c = b, a, np.swapaxes(c, -1, -2)
-            values[:, k] = _discord_from_blocks(a, b, c)
-        else:
-            raise ValueError(f"unknown measure {measure!r}")
+        values[:, k] = _PAIR_MEASURES[measure](cov4)
     return PairSeries(
         times=times.copy(),
         pairs=tuple(pair_list),
@@ -519,14 +462,13 @@ def pairwise_average(
     window: float,
     pairs=None,
     stride: int = 1,
-    discord_measured: str = "B",
 ) -> AveragedSeries:
     """Mean of a two-mode measure over node pairs, then moving-averaged.
 
     The moving average uses the same half-open window convention as the
     correlation measures, applied on the (possibly strided) grid.
     """
-    series = pair_measure_series(traj, measure, pairs, stride, discord_measured)
+    series = pair_measure_series(traj, measure, pairs, stride)
     keep = [k for k, p in enumerate(series.pairs) if p not in set(series.excluded)]
     if not keep:
         raise UnphysicalCovariance("every pair was excluded as unphysical")

@@ -748,57 +748,53 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
     return out
 
 
-def _sweep_point(args):
-    idx, cfg, value, seed = args
-    prep = prepare(cfg, seed_override=seed)
-    try:
-        net = _with_param(prep.net, cfg.sweep.param, value)
-        decomp = analyze(net, cfg.bath)
-    except NonPositiveDefinite:
-        return idx, None
-    prep2 = replace(prep, net=net, decomp=decomp)
-    traj = _run_traj(prep2)
-    prods = _analysis_products(prep2, traj)
-    rows = [
+def _sweep_point(job):
+    value, prep = job
+    prods = _analysis_products(prep, _run_traj(prep))
+    return [
         (value, prods["agg_times"][k], prods["agg_sync"][k], prods["agg_disc"][k])
         for k in range(prods["agg_times"].shape[0])
     ]
-    return idx, rows
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
               seed: int | None = None, workers: int = 1) -> str:
     """One simulation per sweep value, merged into a single map CSV.
 
-    Results are collected by grid index, so the file content does not
-    depend on worker scheduling.
+    Every swept network is analyzed before any point runs: an unstable
+    value is skipped and reported, any other rejection is a ConfigError.
+    Results keep grid order, so the file content does not depend on
+    worker scheduling.
     """
     if cfg.sweep is None:
         raise ConfigError("run_sweep needs a [sweep] section")
     prep = prepare(cfg, seed_override=seed)  # validates everything once
     out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
-    jobs = [(k, cfg, float(v), seed) for k, v in enumerate(cfg.sweep.values)]
-    results: dict[int, list | None] = {}
+    jobs = []
+    skipped = []
+    for v in cfg.sweep.values:
+        value = float(v)
+        try:
+            net = _with_param(prep.net, cfg.sweep.param, value)
+            decomp = analyze(net, cfg.bath)
+        except NonPositiveDefinite:
+            skipped.append(value)
+            continue
+        except OscnetError as exc:
+            raise ConfigError(
+                f"sweep value {csvio.fmt(value)} is rejected: {exc}"
+            ) from exc
+        jobs.append((value, replace(prep, net=net, decomp=decomp)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rows in pool.map(_sweep_point, jobs):
-                results[idx] = rows
+            results = list(pool.map(_sweep_point, jobs))
     else:
-        for job in jobs:
-            idx, rows = _sweep_point(job)
-            results[idx] = rows
+        results = [_sweep_point(job) for job in jobs]
 
-    all_rows = []
-    skipped = []
-    for k in range(len(jobs)):
-        rows = results[k]
-        if rows is None:
-            skipped.append(float(cfg.sweep.values[k]))
-            continue
-        all_rows.extend(rows)
+    all_rows = [row for rows in results for row in rows]
     param_name = "_".join(str(p) for p in cfg.sweep.param)
     csvio.write_sweep_map(os.path.join(out, "map.csv"), param_name, all_rows)
-    extra = [f"sweep: {param_name} over {len(jobs)} values"]
+    extra = [f"sweep: {param_name} over {len(cfg.sweep.values)} values"]
     if skipped:
         extra.append("skipped unstable values: " + " ".join(csvio.fmt(v) for v in skipped))
     csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep, extra))

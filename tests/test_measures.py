@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import oscnet as on
 from oscnet.dynamics import GaussianState, Trajectory
-from oscnet.errors import DimensionMismatch, UnphysicalCovariance
+from oscnet.errors import UnphysicalCovariance
 from oscnet.measures import (
     DISCORD,
     LOG_NEGATIVITY,
@@ -13,6 +15,7 @@ from oscnet.measures import (
     pair_covariance,
     symplectic_form,
 )
+from oscnet.scenarios import load_config, prepare
 
 from conftest import random_physical_cov, tmsv_cov
 
@@ -276,6 +279,9 @@ class TestTwoModeMeasures:
         info = on.mutual_information(covs)
         assert info.shape == (3,)
         assert np.all(np.diff(info) > 0.0)
+        disc = on.gaussian_discord(covs)
+        assert disc.shape == (3,)
+        assert np.array_equal(disc, [on.gaussian_discord(cov) for cov in covs])
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -295,9 +301,40 @@ class TestTwoModeMeasures:
         assert info <= s_a + s_b + 1e-9
 
 
+def _fig5_pin_cov():
+    """fig5 pair (15, 16) at t = 240, where the optimum is a homodyne limit."""
+    cfg = load_config(str(resources.files("oscnet") / "presets" / "fig5_entangle.ini"))
+    prep = prepare(cfg)
+    state = on.initial_state(prep.net, squeeze_r=cfg.initial.squeeze_r)
+    traj = on.evolve(state, prep.decomp, np.array([0.0, 240.0]), method="exact")
+    return pair_covariance(traj.covs[1], 15, 16, traj.n)
+
+
+def _random_pair_cov(seed):
+    cov, _ = random_physical_cov(np.random.default_rng(seed), 2)
+    return pair_covariance(cov, 0, 1, 2)
+
+
+#: name -> (covariance builder, pinned discord or None)
+DISCORD_CASES = {
+    "noisy_tmsv": (lambda: tmsv_cov(0.8) + 0.15 * np.eye(4), None),
+    "random_0": (lambda: _random_pair_cov(100), None),
+    "random_1": (lambda: _random_pair_cov(101), None),
+    "random_2": (lambda: _random_pair_cov(102), None),
+    "fig5_pin": (_fig5_pin_cov, 0.2545),
+    # the measured mode is vacuum, so the state is a product
+    "vacuum_measured_product": (lambda: np.diag([0.8, 0.5, 0.9, 0.5]), 0.0),
+}
+
+
 class TestDiscord:
-    def brute_force(self, cov4, s_pts=321, t_pts=180):
-        """Dense independent scan over homodyne-to-heterodyne measurements."""
+    def brute_force(self, cov4, s_pts=321, t_pts=180, homodyne_pts=3600):
+        """Dense independent scan over homodyne-to-heterodyne measurements.
+
+        The (s, theta) grid stops at |s| = 4, so the homodyne limit
+        s -> infinity is scanned separately: measuring the quadrature v of
+        B leaves A with covariance a - (c v)(c v)^T / (v^T b v).
+        """
         a = cov4[np.ix_([0, 2], [0, 2])]
         b = cov4[np.ix_([1, 3], [1, 3])]
         c = cov4[np.ix_([0, 2], [1, 3])]
@@ -309,18 +346,31 @@ class TestDiscord:
                 sig_m = 0.5 * rot @ np.diag([np.exp(2 * s), np.exp(-2 * s)]) @ rot.T
                 cond = a - c @ np.linalg.inv(b + sig_m) @ c.T
                 best = min(best, np.linalg.det(cond))
+        for theta in np.linspace(0.0, np.pi, homodyne_pts, endpoint=False):
+            v = np.array([np.cos(theta), np.sin(theta)])
+            cv = c @ v
+            best = min(best, np.linalg.det(a - np.outer(cv, cv) / (v @ b @ v)))
         info = on.mutual_information(cov4)
         s_a = entropy_of_nu(np.sqrt(np.linalg.det(a)))
         cond_ent = entropy_of_nu(np.sqrt(max(best, 0.25)))
         return info - (s_a - cond_ent)
 
-    def test_against_dense_grid(self):
-        cov4 = tmsv_cov(0.8) + 0.15 * np.eye(4)
-        got = on.gaussian_discord(cov4)
+    @pytest.mark.parametrize("case", list(DISCORD_CASES))
+    def test_against_dense_grid(self, case):
+        build, pinned = DISCORD_CASES[case]
+        cov4 = build()
         oracle = self.brute_force(cov4)
-        # the package minimizer must do at least as well as the dense scan
-        assert got <= oracle + 1e-9
-        assert got == pytest.approx(oracle, abs=1e-4)
+        # the value of the function itself and the value the pipeline
+        # ships, as one pair of a one-time trajectory
+        traj = Trajectory(times=np.zeros(1), means=np.zeros((1, 4)),
+                          covs=cov4[None], energy=np.zeros(1))
+        shipped = on.pair_measure_series(traj, DISCORD).values[0, 0]
+        for got in (on.gaussian_discord(cov4), shipped):
+            # the package minimizer must do at least as well as the dense scan
+            assert got <= oracle + 1e-9
+            assert got == pytest.approx(oracle, abs=1e-4)
+            if pinned is not None:
+                assert got == pytest.approx(pinned, abs=5e-5)
 
     def test_pure_state_discord_equals_local_entropy(self):
         # measuring half of a pure state: discord reduces to S(A)
@@ -336,18 +386,6 @@ class TestDiscord:
         assert d_b >= 0.0 and d_a >= 0.0
         with pytest.raises(ValueError):
             on.gaussian_discord(cov4, measured="C")
-
-    def test_scalar_only(self):
-        covs = np.stack([tmsv_cov(0.5), tmsv_cov(0.5)])
-        with pytest.raises(DimensionMismatch):
-            on.gaussian_discord(covs)
-
-    def test_refine_only_improves(self):
-        cov4 = tmsv_cov(0.9) + 0.2 * np.eye(4)
-        rough = on.gaussian_discord(cov4, refine=False)
-        polished = on.gaussian_discord(cov4, refine=True)
-        assert polished <= rough + 1e-12
-        assert polished == pytest.approx(rough, abs=1e-6)
 
 
 class TestPairSeries:
@@ -370,9 +408,7 @@ class TestPairSeries:
         cov4 = pair_covariance(traj.covs[0], 0, 1, 2)
         assert out.values[0, 0] == pytest.approx(on.mutual_information(cov4))
         disc = on.pair_measure_series(traj, DISCORD)
-        assert disc.values[3, 0] == pytest.approx(
-            on.gaussian_discord(cov4, refine=False), abs=1e-9
-        )
+        assert disc.values[3, 0] == pytest.approx(on.gaussian_discord(cov4), abs=1e-9)
 
     def test_stride(self):
         traj = self.make_two_node_traj(n_t=40)

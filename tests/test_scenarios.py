@@ -1,11 +1,13 @@
 import csv
 import os
 import textwrap
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import oscnet as on
+from oscnet import scenarios
 from oscnet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from oscnet.errors import ConfigError
 
@@ -361,6 +363,19 @@ class TestCli:
         path = write_ini(tmp_path, text)
         assert main(["tune", "--config", path,
                      "--out", str(tmp_path / "t")]) == EXIT_NUMERIC
+
+    def test_sweep_value_rejected_before_any_point(self, tmp_path, capsys, monkeypatch):
+        # omega 60 puts a mode above the bath cutoff of 50; omega 1.8 is fine
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        path = write_ini(tmp_path, preset + "\n[sweep]\nparameter = omega 2\nlist = 1.8 60\n")
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("a sweep point ran before every value was checked")
+
+        monkeypatch.setattr(scenarios, "evolve", no_evolve)
+        code = main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(tmp_path / "s" / "map.csv")
 
     def test_sweep_workers_flag(self, tmp_path, capsys):
         path = write_ini(tmp_path, CHAIN_INI + TestRunSweep.SWEEP_TAIL)
