@@ -68,7 +68,6 @@ from .tuning import (
     estimate_sync_times,
     find_sync_frequency,
     find_sync_parameter,
-    kappa_sigma_scan,
     motif_frozen_residual,
     motif_hub_frequency,
     parameter_scan,
@@ -106,7 +105,6 @@ __all__ = [
     "gaussian_discord",
     "hamiltonian_matrix",
     "initial_state",
-    "kappa_sigma_scan",
     "load_config",
     "load_network",
     "log_negativity",

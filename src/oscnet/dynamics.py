@@ -4,22 +4,19 @@ States are Gaussian and stay Gaussian: everything is first moments
 ``mean = (q_1..q_n, p_1..p_n)`` plus the symmetric covariance of the same
 2n quadratures, with vacuum variance 1/2 (hbar = 1, k_B = 1).
 
-The production integrator works in the normal-mode basis where the
-dynamics decouples into independently damped modes: means drift with
+:func:`evolve` works in the normal-mode basis, where the dynamics
+decouples into independently damped modes: means drift with
 ``[[-G/2, 1], [-W^2, -G/2]]`` per mode and covariance blocks obey a
-Lyapunov equation with diagonal diffusion.  Two methods are available:
+Lyapunov equation with diagonal diffusion.  The system is linear and
+time-invariant, so it is solved in closed form: a damped-rotation
+propagator plus the relaxation towards the stationary covariance,
+evaluated directly at every stored time.  There is no step and no
+accumulated stepping error, and the stored times need not be uniform.
 
-- ``rk4``: classic fixed-step RK4 on the block equations (hot kernel in
-  :mod:`oscnet._kernels`), step bounded by a fraction of the fastest
-  mode period;
-- ``exact``: closed-form damped-rotation propagator evaluated directly
-  at every stored time, with no accumulation of stepping error.  Good
-  for very long horizons and for tight conservation checks.
-
-:func:`evolve_node_reference` integrates the same physics straight in
-the node basis as one dense 2n-dimensional system.  It shares no code
-with the mode-basis path (and its ``expm`` method uses a block matrix
-exponential instead of stepping), which makes it a useful cross-check.
+:func:`evolve_node_reference` propagates the same physics straight in
+the node basis as one dense 2n-dimensional system, advancing each stored
+interval with a block matrix exponential.  It shares no code with the
+mode-basis path, which makes it the cross-check for :func:`evolve`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import _kernels, measures
+from . import measures
 from .errors import (
     DimensionMismatch,
     IntegratorStepFailure,
@@ -41,9 +38,6 @@ from .spectral import BathConfig, ModeDecomposition
 
 NODE = "node"
 MODE = "mode"
-
-#: Default cap on the RK4 step, as a fraction of the fastest mode period.
-STEP_FRACTION = 0.02
 
 #: Tolerance on the minimum symplectic eigenvalue (>= 1/2 - this).
 PHYSICALITY_TOL = 1e-8
@@ -275,37 +269,24 @@ def _evolve_exact(mq0, mp0, blocks0, decomp, times):
     return means[:, :, 0], means[:, :, 1], covs
 
 
-def _rk4_substeps(times, freqs, rk_step):
-    """Per-interval (step, count) with step <= the stability bound."""
-    bound = STEP_FRACTION * 2.0 * np.pi / np.max(freqs)
-    if rk_step is not None:
-        if rk_step <= 0.0:
-            raise ValueError("rk_step must be positive")
-        if rk_step > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"rk_step {rk_step:.6g} exceeds the stability bound {bound:.6g}"
-            )
-        bound = rk_step
-    dts = np.diff(times)
-    n_sub = np.maximum(1, np.ceil(dts / bound - 1e-12).astype(np.int64))
-    return dts / n_sub, n_sub
-
-
 def evolve(
     state: GaussianState,
     decomp: ModeDecomposition,
     times,
-    method: str = "rk4",
-    rk_step: float | None = None,
+    method: str = "exact",
     check_physical: bool = True,
 ) -> Trajectory:
     """Propagate a state over the stored time grid, reported in the node basis.
 
     times must be strictly increasing and start at the state's own epoch
-    (stored verbatim in the trajectory).  ``method`` is ``"rk4"`` or
-    ``"exact"``; rk_step only applies to rk4 and must respect the
-    stability bound.
+    (stored verbatim in the trajectory); their spacing is free.  Every
+    stored time is evaluated in closed form from the initial state, so
+    ``method`` accepts only ``"exact"``.  With ``check_physical`` the
+    whole trajectory must keep its symplectic eigenvalues at or above
+    vacuum, else PhysicalityViolation.
     """
+    if method != "exact":
+        raise ValueError(f"unknown method {method!r}; only 'exact' is available")
     _require_rates(decomp)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
@@ -323,20 +304,7 @@ def evolve(
     mp0 = mode_state.mean[n:].copy()
     blocks0 = _blocks_from_cov(mode_state.cov, n)
 
-    if method == "exact":
-        mqs, mps, covblocks = _evolve_exact(mq0, mp0, blocks0, decomp, times)
-    elif method == "rk4":
-        h_sub, n_sub = _rk4_substeps(times, decomp.freqs, rk_step)
-        d2q = decomp.diffusion / (2.0 * decomp.freqs**2)
-        d2p = decomp.diffusion / 2.0
-        mqs, mps, covblocks = _kernels.evolve_rk4(
-            mq0, mp0, blocks0,
-            decomp.damping, decomp.freqs**2, d2q, d2p,
-            h_sub, n_sub,
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    mqs, mps, covblocks = _evolve_exact(mq0, mp0, blocks0, decomp, times)
     if not (np.all(np.isfinite(mqs)) and np.all(np.isfinite(covblocks))):
         raise IntegratorStepFailure("non-finite moments produced during integration")
 
@@ -432,17 +400,19 @@ def evolve_node_reference(
     net: NetworkSpec,
     decomp: ModeDecomposition,
     times,
-    method: str = "rk4",
-    rk_step: float | None = None,
+    method: str = "expm",
 ) -> Trajectory:
-    """Dense 2n-dimensional integration in the node basis.
+    """Dense 2n-dimensional propagation in the node basis, the oracle for evolve.
 
     Slower than :func:`evolve` and kept deliberately separate from it:
     the drift uses the network Hamiltonian directly and the covariance is
-    propagated as one (2n, 2n) matrix.  ``method="expm"`` advances each
-    stored interval with a block matrix exponential (exact for this
-    linear system); ``method="rk4"`` is a plain dense RK4.
+    propagated as one (2n, 2n) matrix.  Each stored interval is advanced
+    with the exponential of the block matrix [[A, 2D], [0, -A^T]] (Van
+    Loan's construction), which is exact for this linear system; equal
+    intervals share one exponential.  ``method`` accepts only ``"expm"``.
     """
+    if method != "expm":
+        raise ValueError(f"unknown method {method!r}; only 'expm' is available")
     _require_rates(decomp)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0.0):
@@ -459,44 +429,23 @@ def evolve_node_reference(
     means[0] = mean
     covs[0] = cov
 
-    if method == "expm":
-        dts = np.diff(times)
-        cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        for i, dt in enumerate(dts):
-            key = round(float(dt), 15)
-            if key not in cache:
-                block = np.zeros((2 * n2, 2 * n2))
-                block[:n2, :n2] = drift
-                block[:n2, n2:] = 2.0 * diffusion
-                block[n2:, n2:] = -drift.T
-                full = scipy.linalg.expm(block * dt)
-                cache[key] = (full[:n2, :n2], full[:n2, n2:])
-            prop, source = cache[key]
-            mean = prop @ mean
-            cov = prop @ cov @ prop.T + source @ prop.T
-            cov = 0.5 * (cov + cov.T)
-            means[i + 1] = mean
-            covs[i + 1] = cov
-    elif method == "rk4":
-        omega_max = np.sqrt(np.max(np.linalg.eigvalsh(hamiltonian_matrix(net))))
-        h_sub, n_sub = _rk4_substeps(times, np.array([omega_max]), rk_step)
-
-        def deriv(m, c):
-            return drift @ m, drift @ c + c @ drift.T + 2.0 * diffusion
-
-        for i in range(times.shape[0] - 1):
-            h = h_sub[i]
-            for _ in range(n_sub[i]):
-                k1m, k1c = deriv(mean, cov)
-                k2m, k2c = deriv(mean + 0.5 * h * k1m, cov + 0.5 * h * k1c)
-                k3m, k3c = deriv(mean + 0.5 * h * k2m, cov + 0.5 * h * k2c)
-                k4m, k4c = deriv(mean + h * k3m, cov + h * k3c)
-                mean = mean + (h / 6.0) * ((k1m + k4m) + 2.0 * (k2m + k3m))
-                cov = cov + (h / 6.0) * ((k1c + k4c) + 2.0 * (k2c + k3c))
-            means[i + 1] = mean
-            covs[i + 1] = 0.5 * (cov + cov.T)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    dts = np.diff(times)
+    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    for i, dt in enumerate(dts):
+        key = round(float(dt), 15)
+        if key not in cache:
+            block = np.zeros((2 * n2, 2 * n2))
+            block[:n2, :n2] = drift
+            block[:n2, n2:] = 2.0 * diffusion
+            block[n2:, n2:] = -drift.T
+            full = scipy.linalg.expm(block * dt)
+            cache[key] = (full[:n2, :n2], full[:n2, n2:])
+        prop, source = cache[key]
+        mean = prop @ mean
+        cov = prop @ cov @ prop.T + source @ prop.T
+        cov = 0.5 * (cov + cov.T)
+        means[i + 1] = mean
+        covs[i + 1] = cov
 
     if not np.all(np.isfinite(covs)):
         raise IntegratorStepFailure("non-finite moments produced during integration")

@@ -25,7 +25,6 @@ from itertools import combinations
 import numpy as np
 from scipy.special import xlogy
 
-from . import _kernels
 from .errors import DimensionMismatch, UnphysicalCovariance
 from .network import NetworkSpec, hamiltonian_matrix
 
@@ -162,6 +161,35 @@ def _window_samples(times: np.ndarray, window: float) -> tuple[int, float]:
     return samples, samples * dt
 
 
+def _windowed_pearson(series, window, pairs):
+    """Correlation over sliding half-open windows of `window` samples.
+
+    series: (T, K) float array; pairs: (P, 2) int array of column indices.
+    Returns (T - window + 1, P); windows with zero variance give NaN.
+    Window sums come from prefix sums of the mean-shifted series, so all
+    windows cost O(T) per pair.
+    """
+    n_t = series.shape[0]
+    n_win = n_t - window + 1
+    shifted = series - series.mean(axis=0)  # conditioning only; C is shift-invariant
+    zeros = np.zeros((1, shifted.shape[1]))
+    cs = np.concatenate([zeros, np.cumsum(shifted, axis=0)])
+    cs2 = np.concatenate([zeros, np.cumsum(shifted * shifted, axis=0)])
+    s1 = cs[window:] - cs[:-window]
+    s2 = cs2[window:] - cs2[:-window]
+    var = s2 - s1 * s1 / window
+    out = np.full((n_win, pairs.shape[0]), np.nan)
+    for ip, (i, j) in enumerate(pairs):
+        prod = shifted[:, i] * shifted[:, j]
+        csp = np.concatenate([[0.0], np.cumsum(prod)])
+        sxy = (csp[window:] - csp[:-window]) - s1[:, i] * s1[:, j] / window
+        denom = var[:, i] * var[:, j]
+        ok = (var[:, i] > 0.0) & (var[:, j] > 0.0)
+        out[ok, ip] = sxy[ok] / np.sqrt(denom[ok])
+    np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
 def windowed_correlation(times, f, g, window: float) -> WindowedSeries:
     """Pearson C(t) of two series over sliding windows of the given length.
 
@@ -176,7 +204,7 @@ def windowed_correlation(times, f, g, window: float) -> WindowedSeries:
     samples, actual = _window_samples(times, window)
     series = np.stack([f, g], axis=1)
     pairs = np.array([[0, 1]], dtype=np.int64)
-    values = _kernels.windowed_pearson(series, samples, pairs)[:, 0]
+    values = _windowed_pearson(series, samples, pairs)[:, 0]
     degenerate = np.isnan(values)
     return WindowedSeries(
         times=times[: values.shape[0]].copy(),
@@ -201,7 +229,7 @@ def collective_sync(traj, window: float, subset=None) -> WindowedSeries:
         raise ValueError("subset contains repeated nodes")
     samples, actual = _window_samples(traj.times, window)
     pairs = np.array(list(combinations(range(nodes.shape[0]), 2)), dtype=np.int64)
-    corr = _kernels.windowed_pearson(
+    corr = _windowed_pearson(
         np.ascontiguousarray(signal[:, nodes]), samples, pairs
     )
     values = np.abs(corr).prod(axis=1)

@@ -53,7 +53,8 @@ from .tuning import (
 )
 
 _NETWORK_SOURCES = ("inline", "file", "random")
-_METHODS = ("rk4", "exact")
+#: Default [time] step, the spacing of the time grid, as a fraction of the
+#: fastest mode period.
 _STEP_FRACTION = 0.02
 
 
@@ -87,7 +88,7 @@ class TimeBlock:
     t_end: float
     step: float | None = None
     decimation: int = 1
-    method: str = "rk4"
+    method: str = "exact"
 
 
 @dataclass
@@ -274,9 +275,12 @@ def load_config(path: str) -> ScenarioConfig:
             if value is not None:
                 setattr(initial, key, value)
 
-    method = _get(parser, "time", "method", str, default="rk4")
-    if method not in _METHODS:
-        raise ConfigError(f"time method must be one of {_METHODS}")
+    method = _get(parser, "time", "method", str, default="exact")
+    if method != "exact":
+        raise ConfigError(
+            f"time method {method!r} is not available; the only method is 'exact' "
+            "(the closed-form propagator)"
+        )
     time = TimeBlock(
         t_end=_get(parser, "time", "t_end", float, required=True),
         step=_get(parser, "time", "step", float),
@@ -445,7 +449,6 @@ class PreparedScenario:
     net: NetworkSpec
     decomp: object
     times: np.ndarray
-    rk_step: float | None
     window: float | None
     pairs: tuple[tuple[int, int], ...] | None
     out_dir: str
@@ -503,15 +506,9 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
                 f"[initial] {key} has {values.shape[0]} entries; need 1 or {n}"
             )
 
-    bound = _STEP_FRACTION * 2.0 * np.pi / float(decomp.freqs.max())
     step = cfg.time.step
     if step is None:
-        step = bound
-    elif cfg.time.method == "rk4" and step > bound * (1.0 + 1e-12):
-        raise ConfigError(
-            f"step {step:.6g} violates the stability bound {bound:.6g} "
-            "(0.02 of the fastest mode period)"
-        )
+        step = _STEP_FRACTION * 2.0 * np.pi / float(decomp.freqs.max())
     spacing = step * cfg.time.decimation
     n_int = int(np.floor(cfg.time.t_end / spacing + 1e-9))
     if n_int < 1:
@@ -566,9 +563,8 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
             if not 0 <= v < n:
                 raise ConfigError(f"sweep parameter node {v} is out of range")
 
-    rk_step = step if cfg.time.method == "rk4" else None
     return PreparedScenario(
-        cfg=cfg, net=net, decomp=decomp, times=times, rk_step=rk_step,
+        cfg=cfg, net=net, decomp=decomp, times=times,
         window=window, pairs=pairs, out_dir=cfg.out_dir,
     )
 
@@ -598,10 +594,7 @@ def _run_traj(prep: PreparedScenario, net=None, decomp=None):
     net = prep.net if net is None else net
     decomp = prep.decomp if decomp is None else decomp
     state0 = _initial_state(cfg, net)
-    return evolve(
-        state0, decomp, prep.times,
-        method=cfg.time.method, rk_step=prep.rk_step,
-    )
+    return evolve(state0, decomp, prep.times, method=cfg.time.method)
 
 
 def _analysis_products(prep: PreparedScenario, traj):

@@ -131,11 +131,6 @@ def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanRes
     )
 
 
-def kappa_sigma_scan(net: NetworkSpec, node: int, values, bath: BathConfig) -> ScanResult:
-    """Scan of |kappa_sigma| against the bare frequency of one node."""
-    return parameter_scan(net, ("omega", node), values, bath)
-
-
 # ---------------------------------------------------------------------------
 # Root finding with mode tracking
 # ---------------------------------------------------------------------------

@@ -169,9 +169,9 @@ def test_04_node_vs_mode_integration(capsys):
                              node=(seed % n) if kind == "local" else None)
         dec = on.analyze(net, bath)
         state = on.initial_state(net, mean_q=alternating(n), squeeze_r=0.3)
-        fast = on.evolve(state, dec, times, method="rk4", rk_step=0.02)
+        fast = on.evolve(state, dec, times, method="exact")
         ref = on.evolve_node_reference(net=net, decomp=dec, state=state,
-                                       times=times, method="rk4", rk_step=0.02)
+                                       times=times, method="expm")
         worst = max(worst,
                     float(np.abs(fast.means - ref.means).max()),
                     float(np.abs(fast.covs - ref.covs).max()))

@@ -146,52 +146,6 @@ class TestExactPropagator:
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-12 * traj.energy[0]
 
 
-class TestRk4:
-    def test_converges_to_exact(self, chain3, common_bath):
-        dec = on.analyze(chain3, common_bath)
-        st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0])
-        times = np.linspace(0.0, 20.0, 11)
-        exact = on.evolve(st, dec, times, method="exact")
-        # default step (2% of the fastest period) carries a few 1e-4 of
-        # global error over this horizon; a finer step cuts it as h^4
-        rk = on.evolve(st, dec, times, method="rk4")
-        assert np.max(np.abs(rk.covs - exact.covs)) < 5e-3
-        fine = on.evolve(st, dec, times, method="rk4", rk_step=0.005)
-        assert np.max(np.abs(fine.covs - exact.covs)) < 1e-7
-
-    def test_fourth_order_step_scaling(self, chain3, common_bath):
-        dec = on.analyze(chain3, common_bath)
-        st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0])
-        times = np.array([0.0, 5.0])
-        exact = on.evolve(st, dec, times, method="exact")
-
-        def err(h):
-            traj = on.evolve(st, dec, times, method="rk4", rk_step=h)
-            return np.max(np.abs(traj.covs[-1] - exact.covs[-1]))
-
-        e1, e2 = err(0.05), err(0.025)
-        assert 10.0 < e1 / e2 < 22.0
-
-    def test_rk_step_bound_enforced(self, chain3, common_bath):
-        dec = on.analyze(chain3, common_bath)
-        st = on.initial_state(chain3)
-        with pytest.raises(ValueError):
-            on.evolve(st, dec, [0.0, 1.0], method="rk4", rk_step=1.0)
-        with pytest.raises(ValueError):
-            on.evolve(st, dec, [0.0, 1.0], method="rk4", rk_step=-0.01)
-
-    def test_matches_node_reference_rk4(self, chain3, common_bath):
-        # same scheme, same steps, different state layout and drift assembly
-        dec = on.analyze(chain3, common_bath)
-        st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0], squeeze_r=0.15)
-        times = np.linspace(0.0, 10.0, 6)
-        h = 0.005
-        a = on.evolve(st, dec, times, method="rk4", rk_step=h)
-        b = on.evolve_node_reference(st, chain3, dec, times, method="rk4", rk_step=h)
-        assert np.max(np.abs(a.covs - b.covs)) < 1e-11
-        assert np.max(np.abs(a.means - b.means)) < 1e-11
-
-
 class TestGuards:
     def test_unphysical_state_rejected(self, chain3):
         st = on.GaussianState(np.zeros(6), 0.1 * np.eye(6))
@@ -217,6 +171,14 @@ class TestGuards:
         st = on.initial_state(chain3)
         with pytest.raises(DimensionMismatch):
             on.evolve(st, dec, [0.0, 1.0])
+
+    def test_only_closed_form_methods(self, chain3, common_bath):
+        dec = on.analyze(chain3, common_bath)
+        st = on.initial_state(chain3)
+        with pytest.raises(ValueError):
+            on.evolve(st, dec, [0.0, 1.0], method="rk4")
+        with pytest.raises(ValueError):
+            on.evolve_node_reference(st, chain3, dec, [0.0, 1.0], method="rk4")
 
     def test_rates_required(self, chain3, common_bath):
         dec = on.diagonalize(chain3)

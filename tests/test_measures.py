@@ -12,6 +12,7 @@ from oscnet.measures import (
     DISCORD,
     LOG_NEGATIVITY,
     MUTUAL_INFORMATION,
+    _windowed_pearson,
     pair_covariance,
     symplectic_form,
 )
@@ -38,6 +39,25 @@ def corrcoef_window(f, g):
     if denom == 0.0:
         return np.nan
     return float(np.clip(fc @ gc / denom, -1.0, 1.0))
+
+
+def pearson_two_pass(series, window, pairs):
+    """Windowed Pearson the slow way: per window, subtract its mean, then sum.
+
+    Same contract as the kernel: (T - window + 1, P), NaN where either
+    column is constant over the window.  No sums carry across windows.
+    """
+    n_win = series.shape[0] - window + 1
+    out = np.full((n_win, len(pairs)), np.nan)
+    for t0 in range(n_win):
+        block = series[t0:t0 + window]
+        dev = block - block.mean(axis=0)
+        for ip, (i, j) in enumerate(pairs):
+            sxx = dev[:, i] @ dev[:, i]
+            syy = dev[:, j] @ dev[:, j]
+            if sxx > 0.0 and syy > 0.0:
+                out[t0, ip] = np.clip(dev[:, i] @ dev[:, j] / np.sqrt(sxx * syy), -1.0, 1.0)
+    return out
 
 
 class TestSymplecticSpectrum:
@@ -168,6 +188,32 @@ class TestWindowedCorrelation:
         out = on.windowed_correlation(times, f, g, window=16.0)
         finite = out.values[~out.degenerate]
         assert np.all(np.abs(finite) <= 1.0)
+
+
+class TestPearsonKernel:
+    def test_prefix_sums_vs_two_pass(self):
+        rng = np.random.default_rng(3)
+        series = rng.normal(size=(120, 6))
+        series[:, 5] = 2.5  # constant column: degenerate windows -> NaN
+        pairs = np.array([[0, 1], [2, 4], [3, 3], [1, 5]])
+        got = _windowed_pearson(series, 20, pairs)
+        ref = pearson_two_pass(series, 20, pairs)
+        assert np.all(np.isnan(got[:, 3])) and np.all(np.isnan(ref[:, 3]))
+        assert np.allclose(got, ref, atol=1e-12, equal_nan=True)
+
+    def test_drifting_series(self):
+        # a large level plus a drift is where running sums lose digits
+        t = np.arange(100_000) * 0.01
+        series = np.stack([
+            1e3 + 0.5 * t + np.sin(2.0 * np.pi * t / 1.3),
+            1e3 + 0.3 * t + np.sin(2.0 * np.pi * t / 1.3 + 0.4)
+            + 0.5 * np.cos(2.0 * np.pi * t / 0.7),
+        ], axis=1)
+        pairs = np.array([[0, 1]])
+        got = _windowed_pearson(series, 500, pairs)
+        ref = pearson_two_pass(series, 500, pairs)
+        assert got.shape == (99_501, 1)
+        assert np.max(np.abs(got - ref)) < 1e-5
 
 
 class TestCollectiveSync:

@@ -30,7 +30,7 @@ mean_q = -1.0 0.0 1.0
 
 [time]
 t_end = 20.0
-method = rk4
+method = exact
 
 [analysis]
 window = 2.0
@@ -109,9 +109,10 @@ class TestLoadConfig:
         lambda t: t.replace("kind = common", "kind = common\nflavor = salty"),
         lambda t: t.replace("kind = common", "kind = tepid"),
         lambda t: t.replace("t_end = 20.0", "t_end = -3"),
-        lambda t: t.replace("[time]\nt_end = 20.0\nmethod = rk4\n", ""),
+        lambda t: t.replace("[time]\nt_end = 20.0\nmethod = exact\n", ""),
         lambda t: t.replace("omega = 1.2 1.0 1.8", "omega = 1.2 fish 1.8"),
         lambda t: t.replace("window = 2.0", "window = -1"),
+        lambda t: t.replace("method = exact", "method = rk4"),
     ])
     def test_rejects_bad_configs(self, tmp_path, mangle):
         with pytest.raises(ConfigError):
@@ -141,12 +142,6 @@ class TestPrepareValidation:
 
     def test_initial_length(self, tmp_path):
         text = CHAIN_INI.replace("mean_q = -1.0 0.0 1.0", "mean_q = 1.0 2.0")
-        cfg = self.base_cfg(tmp_path, text)
-        with pytest.raises(ConfigError):
-            on.run_simulate(cfg, out_dir=str(tmp_path / "o"))
-
-    def test_step_bound(self, tmp_path):
-        text = CHAIN_INI.replace("method = rk4", "step = 0.5\nmethod = rk4")
         cfg = self.base_cfg(tmp_path, text)
         with pytest.raises(ConfigError):
             on.run_simulate(cfg, out_dir=str(tmp_path / "o"))
@@ -192,9 +187,7 @@ class TestRunSimulate:
         iq = header.index("mean_q_0")
         assert data[0, iq] == -1.0
 
-        # trajectory matches a direct evolve; rebuild the exact stored grid
-        # (CSV times are rounded to 12 digits, which would perturb the
-        # substep count if fed back in)
+        # trajectory matches a direct evolve on the default stored grid
         net = on.build_network(
             np.array([1.2, 1.0, 1.8]),
             np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]]),
@@ -349,6 +342,13 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = write_ini(tmp_path, CHAIN_INI.replace("[bath]", "[soup]"))
         assert main(["simulate", "--config", path]) == EXIT_CONFIG
+
+    def test_rk4_method_exit_code(self, tmp_path, capsys):
+        path = write_ini(tmp_path, CHAIN_INI.replace("method = exact", "method = rk4"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "'exact'" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--config",

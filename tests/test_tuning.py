@@ -54,7 +54,7 @@ class TestParameterScan:
     def test_swap_flag(self, common_bath):
         net = detuned_pair_network(omega_b=1.0)
         values = np.linspace(0.85, 1.2, 36)
-        out = on.kappa_sigma_scan(net, 3, values, common_bath)
+        out = on.parameter_scan(net, ("omega", 3), values, common_bath)
         # the identity of the least-coupled mode changes across the scan
         assert np.any(out.swapped)
         changes = np.flatnonzero(np.diff(out.sigma_index) != 0) + 1
