@@ -223,8 +223,7 @@ squeeze_r = 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 2.0 2.0
 
 [time]
 t_end = 10000.0
-step = 0.5
-decimation = 4
+step = 2.0
 method = exact
 
 [analysis]

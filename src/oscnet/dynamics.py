@@ -4,19 +4,22 @@ States are Gaussian and stay Gaussian: everything is first moments
 ``mean = (q_1..q_n, p_1..p_n)`` plus the symmetric covariance of the same
 2n quadratures, with vacuum variance 1/2 (hbar = 1, k_B = 1).
 
-:func:`evolve` works in the normal-mode basis, where the dynamics
-decouples into independently damped modes: means drift with
-``[[-G/2, 1], [-W^2, -G/2]]`` per mode and covariance blocks obey a
+:func:`evolve` rests on the normal-mode decomposition, where the
+dynamics decouples into independently damped modes: means drift with
+``[[-G/2, 1], [-W^2, -G/2]]`` per mode and the covariance obeys a
 Lyapunov equation with diagonal diffusion.  The system is linear and
-time-invariant, so it is solved in closed form: a damped-rotation
-propagator plus the relaxation towards the stationary covariance,
-evaluated directly at every stored time.  There is no step and no
-accumulated stepping error, and the stored times need not be uniform.
+time-invariant, so it is solved in closed form and reported straight in
+the node basis: the propagator M(t) = U E(t), with U = blockdiag(F, F)
+the normal-mode transform and E(t) each mode's damped rotation, is built
+for every stored time at once, and the moments are one batched congruence
+of the initial state plus the relaxation towards the stationary
+covariance.  There is no step and no accumulated stepping error, and the
+stored times need not be uniform.
 
 :func:`evolve_node_reference` propagates the same physics straight in
 the node basis as one dense 2n-dimensional system, advancing each stored
 interval with a block matrix exponential.  It shares no code with the
-mode-basis path, which makes it the cross-check for :func:`evolve`.
+closed-form path, which makes it the cross-check for :func:`evolve`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ MODE = "mode"
 
 #: Tolerance on the minimum symplectic eigenvalue (>= 1/2 - this).
 PHYSICALITY_TOL = 1e-8
+
+#: Most covariance entries the physicality gate hands to one spectrum call.
+_GATE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -206,67 +212,25 @@ def _require_rates(decomp: ModeDecomposition) -> None:
         raise ValueError("decomposition carries no bath rates; run spectral.analyze first")
 
 
-def _blocks_from_cov(cov: np.ndarray, n: int) -> np.ndarray:
-    """(2n, 2n) covariance -> (n, n, 2, 2) per-mode-pair blocks."""
-    blocks = np.empty((n, n, 2, 2))
-    blocks[:, :, 0, 0] = cov[:n, :n]
-    blocks[:, :, 0, 1] = cov[:n, n:]
-    blocks[:, :, 1, 0] = cov[n:, :n]
-    blocks[:, :, 1, 1] = cov[n:, n:]
-    return blocks
+def _node_propagators(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
+    """Node-from-mode propagator M(t) = U E(t), shape (T, 2n, 2n).
 
-
-def _cov_from_blocks(blocks: np.ndarray) -> np.ndarray:
-    n = blocks.shape[0]
-    cov = np.empty((2 * n, 2 * n))
-    cov[:n, :n] = blocks[:, :, 0, 0]
-    cov[:n, n:] = blocks[:, :, 0, 1]
-    cov[n:, :n] = blocks[:, :, 1, 0]
-    cov[n:, n:] = blocks[:, :, 1, 1]
-    return cov
-
-
-def _mode_propagators(freqs, damping, times):
-    """Damped rotation E(t) per mode, shape (T, n, 2, 2)."""
-    wt = times[:, None] * freqs[None, :]
-    decay = np.exp(-0.5 * times[:, None] * damping[None, :])
-    cos = np.cos(wt) * decay
-    sin = np.sin(wt) * decay
-    e = np.empty(times.shape + freqs.shape + (2, 2))
-    e[..., 0, 0] = cos
-    e[..., 0, 1] = sin / freqs[None, :]
-    e[..., 1, 0] = -freqs[None, :] * sin
-    e[..., 1, 1] = cos
-    return e
-
-
-def _stationary_blocks(freqs, damping, diffusion):
-    """Per-mode stationary covariance diag(D/(2 G W^2), D/(2 G)); zeros for frozen modes."""
-    n = freqs.shape[0]
-    out = np.zeros((n, 2, 2))
-    live = damping > 0.0
-    out[live, 0, 0] = diffusion[live] / (2.0 * damping[live] * freqs[live] ** 2)
-    out[live, 1, 1] = diffusion[live] / (2.0 * damping[live])
-    return out
-
-
-def _evolve_exact(mq0, mp0, blocks0, decomp, times):
-    rel = times - times[0]
-    e = _mode_propagators(decomp.freqs, decomp.damping, rel)
-    means0 = np.stack([mq0, mp0], axis=-1)
-    means = np.einsum("tmij,mj->tmi", e, means0)
-    covs = np.einsum("tmij,mnjk,tnlk->tmnil", e, blocks0, e)
-    # The stationary covariance is invariant under the rotational part of
-    # E(t), so the driven term collapses to sigma_inf (1 - e^{-G t}); with
-    # D = G W coth(W/2T) the prefactors below stay finite as G -> 0.
-    g = decomp.damping[None, :]
-    gt = g * rel[:, None]
-    g_safe = np.where(g > 0.0, g, 1.0)
-    phi = np.where(g > 0.0, -np.expm1(-gt) / (2.0 * g_safe), 0.5 * rel[:, None])
-    idx = np.arange(decomp.n)
-    covs[:, idx, idx, 0, 0] += (decomp.diffusion / decomp.freqs**2)[None, :] * phi
-    covs[:, idx, idx, 1, 1] += decomp.diffusion[None, :] * phi
-    return means[:, :, 0], means[:, :, 1], covs
+    U = blockdiag(F, F) and E(t) is each mode's damped rotation
+    [[cos, sin / W], [-W sin, cos]] e^{-G t / 2}; scaling the columns of F
+    by those entries gives the four (n, n) blocks of U E(t).
+    """
+    f = decomp.modes
+    w = decomp.freqs
+    n = decomp.n
+    decay = np.exp(-0.5 * times[:, None] * decomp.damping[None, :])
+    cos = (np.cos(times[:, None] * w[None, :]) * decay)[:, None, :]
+    sin = (np.sin(times[:, None] * w[None, :]) * decay)[:, None, :]
+    m = np.empty((times.shape[0], 2 * n, 2 * n))
+    m[:, :n, :n] = f * cos
+    m[:, :n, n:] = f * (sin / w)
+    m[:, n:, :n] = f * (-w * sin)
+    m[:, n:, n:] = f * cos
+    return m
 
 
 def evolve(
@@ -276,14 +240,18 @@ def evolve(
     method: str = "exact",
     check_physical: bool = True,
 ) -> Trajectory:
-    """Propagate a state over the stored time grid, reported in the node basis.
+    """Propagate a node-basis state over the stored time grid.
 
     times must be strictly increasing and start at the state's own epoch
     (stored verbatim in the trajectory); their spacing is free.  Every
     stored time is evaluated in closed form from the initial state, so
-    ``method`` accepts only ``"exact"``.  With ``check_physical`` the
-    whole trajectory must keep its symplectic eigenvalues at or above
-    vacuum, else PhysicalityViolation.
+    ``method`` accepts only ``"exact"``: with the initial moments m0, S0
+    rotated into the normal-mode basis and M(t) = U E(t) the node-from-mode
+    propagator, the means are M m0 and the covariances M S0 M^T plus the
+    relaxation towards the stationary covariance, F diag(D phi / W^2) F^T
+    in the q block and F diag(D phi) F^T in the p block.  With
+    ``check_physical`` the whole trajectory must keep its symplectic
+    eigenvalues at or above vacuum, else PhysicalityViolation.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -298,43 +266,54 @@ def evolve(
             f"state has {state.n} oscillators, decomposition has {decomp.n}"
         )
 
-    mode_state = state if state.basis == MODE else change_basis(state, decomp, MODE)
     n = decomp.n
-    mq0 = mode_state.mean[:n].copy()
-    mp0 = mode_state.mean[n:].copy()
-    blocks0 = _blocks_from_cov(mode_state.cov, n)
-
-    mqs, mps, covblocks = _evolve_exact(mq0, mp0, blocks0, decomp, times)
-    if not (np.all(np.isfinite(mqs)) and np.all(np.isfinite(covblocks))):
+    f = decomp.modes
+    mode_state = change_basis(state, decomp, MODE)
+    rel = times - times[0]
+    prop = _node_propagators(decomp, rel)
+    means = prop @ mode_state.mean
+    covs = (prop @ mode_state.cov) @ np.swapaxes(prop, 1, 2)
+    del prop  # one (T, 2n, 2n) stack fewer alive through the physicality gate
+    # The stationary covariance is invariant under the rotational part of
+    # E(t), so the driven term collapses to sigma_inf (1 - e^{-G t}); with
+    # D = G W coth(W/2T) the prefactors below stay finite as G -> 0.
+    g = decomp.damping[None, :]
+    gt = g * rel[:, None]
+    g_safe = np.where(g > 0.0, g, 1.0)
+    phi = np.where(g > 0.0, -np.expm1(-gt) / (2.0 * g_safe), 0.5 * rel[:, None])
+    driven = (decomp.diffusion * phi)[:, None, :]
+    covs[:, :n, :n] += (f * (driven / decomp.freqs**2)) @ f.T
+    covs[:, n:, n:] += (f * driven) @ f.T
+    covs += np.swapaxes(covs, 1, 2)
+    covs *= 0.5
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
         raise IntegratorStepFailure("non-finite moments produced during integration")
 
-    # Energy is basis-independent; in the mode basis it is a plain sum.
-    w2 = decomp.freqs**2
-    idx = np.arange(n)
-    var_q = covblocks[:, idx, idx, 0, 0]
-    var_p = covblocks[:, idx, idx, 1, 1]
-    energy = 0.5 * ((var_p + mps**2).sum(axis=1) + (w2 * (var_q + mqs**2)).sum(axis=1))
-
-    # Back to the node basis: congruence with U = blockdiag(F, F).
-    f = decomp.modes
-    means_node = np.concatenate(
-        [np.einsum("jm,tm->tj", f, mqs), np.einsum("jm,tm->tj", f, mps)], axis=1
+    # <H> = (tr S_pp + |p|^2 + q^T H q + tr(H S_qq)) / 2 with H = F diag(W^2) F^T.
+    ham = (f * decomp.freqs**2) @ f.T
+    mq = means[:, :n]
+    mp = means[:, n:]
+    energy = 0.5 * (
+        np.trace(covs[:, n:, n:], axis1=1, axis2=2)
+        + (mp**2).sum(axis=1)
+        + ((mq @ ham) * mq).sum(axis=1)
+        + np.einsum("jk,tjk->t", ham, covs[:, :n, :n])
     )
-    covs_node = np.empty((times.shape[0], 2 * n, 2 * n))
-    covs_node[:, :n, :n] = np.einsum("im,tmn,jn->tij", f, covblocks[:, :, :, 0, 0], f)
-    covs_node[:, :n, n:] = np.einsum("im,tmn,jn->tij", f, covblocks[:, :, :, 0, 1], f)
-    covs_node[:, n:, :n] = np.einsum("im,tmn,jn->tij", f, covblocks[:, :, :, 1, 0], f)
-    covs_node[:, n:, n:] = np.einsum("im,tmn,jn->tij", f, covblocks[:, :, :, 1, 1], f)
-    covs_node = 0.5 * (covs_node + np.transpose(covs_node, (0, 2, 1)))
 
     if check_physical:
-        nu_min = measures.symplectic_spectrum(covs_node)[..., 0].min()
+        # Block by block, so the spectrum's temporaries (Cholesky factor and
+        # two products per time) stay small next to the trajectory itself.
+        block = max(1, _GATE_BLOCK_ELEMENTS // (2 * n) ** 2)
+        nu_min = min(
+            measures.symplectic_spectrum(covs[start : start + block])[..., 0].min()
+            for start in range(0, covs.shape[0], block)
+        )
         if nu_min < 0.5 - PHYSICALITY_TOL:
             raise PhysicalityViolation(
                 f"trajectory dips to symplectic eigenvalue {nu_min:.6g} (< 1/2)"
             )
 
-    return Trajectory(times=times.copy(), means=means_node, covs=covs_node, energy=energy)
+    return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy)
 
 
 @dataclass(frozen=True)
@@ -349,15 +328,14 @@ def steady_state(decomp: ModeDecomposition, basis: str = NODE) -> SteadyState:
     """Stationary Gaussian state; frozen modes are reported and left at vacuum."""
     _require_rates(decomp)
     n = decomp.n
-    frozen = tuple(int(m) for m in np.flatnonzero(decomp.damping == 0.0))
-    sinf = _stationary_blocks(decomp.freqs, decomp.damping, decomp.diffusion)
-    blocks = np.zeros((n, n, 2, 2))
-    idx = np.arange(n)
-    blocks[idx, idx] = sinf
-    for m in frozen:
-        blocks[m, m, 0, 0] = 0.5 / decomp.freqs[m]
-        blocks[m, m, 1, 1] = 0.5 * decomp.freqs[m]
-    state = GaussianState(np.zeros(2 * n), _cov_from_blocks(blocks), basis=MODE)
+    w = decomp.freqs
+    frozen_mask = decomp.damping == 0.0
+    frozen = tuple(int(m) for m in np.flatnonzero(frozen_mask))
+    # Damped modes relax to diag(D / (2 G W^2), D / (2 G)) per mode.
+    g_safe = np.where(frozen_mask, 1.0, decomp.damping)
+    var_q = np.where(frozen_mask, 0.5 / w, decomp.diffusion / (2.0 * g_safe * w**2))
+    var_p = np.where(frozen_mask, 0.5 * w, decomp.diffusion / (2.0 * g_safe))
+    state = GaussianState(np.zeros(2 * n), np.diag(np.concatenate([var_q, var_p])), basis=MODE)
     if basis == MODE:
         return SteadyState(state=state, frozen_modes=frozen)
     return SteadyState(state=change_basis(state, decomp, NODE), frozen_modes=frozen)
@@ -457,7 +435,7 @@ def evolve_node_reference(
     energy = 0.5 * (
         covs[:, n + np.arange(n), n + np.arange(n)].sum(axis=1)
         + (mean_p**2).sum(axis=1)
-        + np.einsum("jk,tj,tk->t", ham, mean_q, mean_q)
+        + ((mean_q @ ham) * mean_q).sum(axis=1)
         + np.einsum("jk,tjk->t", ham, covs[:, :n, :n])
     )
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy)

@@ -31,6 +31,9 @@ from .network import NetworkSpec, hamiltonian_matrix
 #: Minimum number of samples a correlation window must span.
 MIN_WINDOW_SAMPLES = 10
 
+#: Most centred samples one block of windows holds in the windowed Pearson.
+_PEARSON_BLOCK_ELEMENTS = 1 << 18
+
 #: Slack on the vacuum bound when validating covariances.
 PHYSICALITY_TOL = 1e-8
 
@@ -166,26 +169,27 @@ def _windowed_pearson(series, window, pairs):
 
     series: (T, K) float array; pairs: (P, 2) int array of column indices.
     Returns (T - window + 1, P); windows with zero variance give NaN.
-    Window sums come from prefix sums of the mean-shifted series, so all
-    windows cost O(T) per pair.
+    Each window is centred on its own mean before its sums are taken (a
+    window-local two-pass), so no sum carries digits lost to an earlier
+    transient into a later window.  Windows are processed in blocks of at
+    most _PEARSON_BLOCK_ELEMENTS centred samples to bound memory.  The
+    input is first copied to one fixed layout, so the result does not
+    depend on how the caller's array is laid out in memory.
     """
-    n_t = series.shape[0]
-    n_win = n_t - window + 1
-    shifted = series - series.mean(axis=0)  # conditioning only; C is shift-invariant
-    zeros = np.zeros((1, shifted.shape[1]))
-    cs = np.concatenate([zeros, np.cumsum(shifted, axis=0)])
-    cs2 = np.concatenate([zeros, np.cumsum(shifted * shifted, axis=0)])
-    s1 = cs[window:] - cs[:-window]
-    s2 = cs2[window:] - cs2[:-window]
-    var = s2 - s1 * s1 / window
+    cols = np.ascontiguousarray(np.asarray(series, dtype=float).T)
+    n_win = cols.shape[1] - window + 1
+    windows = np.lib.stride_tricks.sliding_window_view(cols, window, axis=1)
+    block = max(1, _PEARSON_BLOCK_ELEMENTS // (cols.shape[0] * window))
     out = np.full((n_win, pairs.shape[0]), np.nan)
-    for ip, (i, j) in enumerate(pairs):
-        prod = shifted[:, i] * shifted[:, j]
-        csp = np.concatenate([[0.0], np.cumsum(prod)])
-        sxy = (csp[window:] - csp[:-window]) - s1[:, i] * s1[:, j] / window
-        denom = var[:, i] * var[:, j]
-        ok = (var[:, i] > 0.0) & (var[:, j] > 0.0)
-        out[ok, ip] = sxy[ok] / np.sqrt(denom[ok])
+    for start in range(0, n_win, block):
+        win = windows[:, start : start + block]
+        dev = win - win.mean(axis=2, keepdims=True)
+        var = np.einsum("kbw,kbw->kb", dev, dev)
+        rows = out[start : start + block]
+        for ip, (i, j) in enumerate(pairs):
+            ok = (var[i] > 0.0) & (var[j] > 0.0)
+            sxy = np.einsum("bw,bw->b", dev[i], dev[j])
+            rows[ok, ip] = sxy[ok] / np.sqrt(var[i, ok] * var[j, ok])
     np.clip(out, -1.0, 1.0, out=out)
     return out
 
@@ -229,9 +233,7 @@ def collective_sync(traj, window: float, subset=None) -> WindowedSeries:
         raise ValueError("subset contains repeated nodes")
     samples, actual = _window_samples(traj.times, window)
     pairs = np.array(list(combinations(range(nodes.shape[0]), 2)), dtype=np.int64)
-    corr = _windowed_pearson(
-        np.ascontiguousarray(signal[:, nodes]), samples, pairs
-    )
+    corr = _windowed_pearson(signal[:, nodes], samples, pairs)
     values = np.abs(corr).prod(axis=1)
     degenerate = np.isnan(corr).any(axis=1)
     return WindowedSeries(
@@ -305,9 +307,7 @@ def _local_entropy(block):
     return _entropy_term(np.sqrt(np.maximum(_det2(block), 0.25)))
 
 
-def mutual_information(cov4) -> float | np.ndarray:
-    """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
-    nu_minus, nu_plus = _check_pair_physical(cov4)
+def _mutual_information(cov4, nu_minus, nu_plus):
     a, b, _ = _pair_blocks(cov4)
     out = (
         _local_entropy(a)
@@ -315,8 +315,22 @@ def mutual_information(cov4) -> float | np.ndarray:
         - _entropy_term(nu_minus)
         - _entropy_term(nu_plus)
     )
-    out = np.maximum(out, 0.0)
+    return np.maximum(out, 0.0)
+
+
+def mutual_information(cov4) -> float | np.ndarray:
+    """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
+    out = _mutual_information(cov4, *_check_pair_physical(cov4))
     return float(out) if out.ndim == 0 else out
+
+
+def _log_negativity(cov4, nu_minus, nu_plus):
+    # The pair's own spectrum is unused: E_N reads the partial transpose's.
+    flipped = np.array(cov4, dtype=float, copy=True)
+    flipped[..., 3, :] *= -1.0
+    flipped[..., :, 3] *= -1.0
+    nu_t = symplectic_spectrum(flipped)[..., 0]
+    return np.maximum(-np.log(2.0 * nu_t), 0.0)
 
 
 def log_negativity(cov4) -> float | np.ndarray:
@@ -326,12 +340,7 @@ def log_negativity(cov4) -> float | np.ndarray:
     smallest symplectic eigenvalue of the flipped covariance then sets
     the entanglement (same stability argument as :func:`_pair_nus`).
     """
-    _check_pair_physical(cov4)
-    flipped = np.array(cov4, dtype=float, copy=True)
-    flipped[..., 3, :] *= -1.0
-    flipped[..., :, 3] *= -1.0
-    nu_t = symplectic_spectrum(flipped)[..., 0]
-    out = np.maximum(-np.log(2.0 * nu_t), 0.0)
+    out = _log_negativity(cov4, *_check_pair_physical(cov4))
     return float(out) if out.ndim == 0 else out
 
 
@@ -389,15 +398,7 @@ def _conditional_det_infimum(a, b, c, nu_minus, nu_plus):
     return np.maximum(out, 0.25)
 
 
-def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
-    """Gaussian quantum discord of a two-mode covariance; batched over leading axes.
-
-    ``measured`` names the mode the Gaussian measurement acts on ("B",
-    the second mode, by default).  The minimal conditional entropy comes
-    from the Adesso-Datta closed form.  Small negative results (roundoff)
-    clamp to zero.
-    """
-    nu_minus, nu_plus = _check_pair_physical(cov4)
+def _gaussian_discord(cov4, nu_minus, nu_plus, measured="B"):
     a, b, c = _pair_blocks(cov4)
     if measured == "A":
         a, b, c = b, a, np.swapaxes(c, -1, -2)
@@ -414,7 +415,18 @@ def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
         raise UnphysicalCovariance(
             f"discord came out {np.min(disc):.3g} < 0 beyond tolerance"
         )
-    out = np.maximum(disc, 0.0)
+    return np.maximum(disc, 0.0)
+
+
+def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
+    """Gaussian quantum discord of a two-mode covariance; batched over leading axes.
+
+    ``measured`` names the mode the Gaussian measurement acts on ("B",
+    the second mode, by default).  The minimal conditional entropy comes
+    from the Adesso-Datta closed form.  Small negative results (roundoff)
+    clamp to zero.
+    """
+    out = _gaussian_discord(cov4, *_check_pair_physical(cov4), measured=measured)
     return float(out) if out.ndim == 0 else out
 
 
@@ -443,10 +455,11 @@ class AveragedSeries:
     excluded: tuple[tuple[int, int], ...]
 
 
+#: Each takes (cov4, nu_minus, nu_plus) of a pair already checked physical.
 _PAIR_MEASURES = {
-    MUTUAL_INFORMATION: mutual_information,
-    DISCORD: gaussian_discord,
-    LOG_NEGATIVITY: log_negativity,
+    MUTUAL_INFORMATION: _mutual_information,
+    DISCORD: _gaussian_discord,
+    LOG_NEGATIVITY: _log_negativity,
 }
 
 
@@ -459,6 +472,8 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
 
     Pairs whose covariance fails the physicality floor anywhere in the
     series are dropped and reported in ``excluded`` (NaN-filled columns).
+    The symplectic pair computed for that check is handed to the measure,
+    so each (time, pair) costs one spectrum (two for log-negativity).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -471,11 +486,11 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
     excluded = []
     for k, (i, j) in enumerate(pair_list):
         cov4 = pair_covariance(covs, i, j, traj.n)
-        nu_minus, _ = _pair_nus(cov4)
+        nu_minus, nu_plus = _pair_nus(cov4)
         if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
             excluded.append((i, j))
             continue
-        values[:, k] = _PAIR_MEASURES[measure](cov4)
+        values[:, k] = _PAIR_MEASURES[measure](cov4, nu_minus, nu_plus)
     return PairSeries(
         times=times.copy(),
         pairs=tuple(pair_list),

@@ -87,7 +87,6 @@ class InitialBlock:
 class TimeBlock:
     t_end: float
     step: float | None = None
-    decimation: int = 1
     method: str = "exact"
 
 
@@ -201,7 +200,7 @@ _KNOWN_KEYS = {
     },
     "bath": {"kind", "gamma", "temperature", "cutoff", "node"},
     "initial": {"mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"},
-    "time": {"t_end", "step", "decimation", "method"},
+    "time": {"t_end", "step", "method"},
     "analysis": {"enabled", "window", "pairs", "sync_subset", "stride"},
     "tuning": {"parameter", "bracket", "tol", "grid"},
     "sweep": {"parameter", "values", "list"},
@@ -284,15 +283,12 @@ def load_config(path: str) -> ScenarioConfig:
     time = TimeBlock(
         t_end=_get(parser, "time", "t_end", float, required=True),
         step=_get(parser, "time", "step", float),
-        decimation=_get(parser, "time", "decimation", int, default=1),
         method=method,
     )
     if time.t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     if time.step is not None and time.step <= 0.0:
         raise ConfigError("step must be positive")
-    if time.decimation < 1:
-        raise ConfigError("decimation must be >= 1")
 
     analysis = AnalysisBlock()
     if parser.has_section("analysis"):
@@ -402,7 +398,6 @@ def save_config(cfg: ScenarioConfig, path: str) -> None:
     lines.append(f"t_end = {cfg.time.t_end!r}")
     if cfg.time.step is not None:
         lines.append(f"step = {cfg.time.step!r}")
-    lines.append(f"decimation = {cfg.time.decimation}")
     lines.append(f"method = {cfg.time.method}")
     lines.append("")
     lines.append("[analysis]")
@@ -506,10 +501,9 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
                 f"[initial] {key} has {values.shape[0]} entries; need 1 or {n}"
             )
 
-    step = cfg.time.step
-    if step is None:
-        step = _STEP_FRACTION * 2.0 * np.pi / float(decomp.freqs.max())
-    spacing = step * cfg.time.decimation
+    spacing = cfg.time.step
+    if spacing is None:
+        spacing = _STEP_FRACTION * 2.0 * np.pi / float(decomp.freqs.max())
     n_int = int(np.floor(cfg.time.t_end / spacing + 1e-9))
     if n_int < 1:
         raise ConfigError("t_end is shorter than one stored step")

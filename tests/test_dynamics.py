@@ -172,6 +172,33 @@ class TestGuards:
         with pytest.raises(DimensionMismatch):
             on.evolve(st, dec, [0.0, 1.0])
 
+    def test_gate_checks_every_time_in_blocks(self, chain3, common_bath, monkeypatch):
+        from oscnet import dynamics, measures
+
+        # Blocks of three 6x6 covariances: 11 times go to the spectrum as 3+3+3+2.
+        monkeypatch.setattr(dynamics, "_GATE_BLOCK_ELEMENTS", 3 * 36)
+        batches = []
+        spectrum = measures.symplectic_spectrum
+
+        def counting(cov):
+            batches.append(cov.shape[0])
+            return spectrum(cov)
+
+        monkeypatch.setattr(measures, "symplectic_spectrum", counting)
+        dec = on.analyze(chain3, common_bath)
+        times = np.linspace(0.0, 10.0, 11)
+        on.evolve(on.initial_state(chain3), dec, times)
+        assert batches == [3, 3, 3, 2]
+        bad = on.GaussianState(np.zeros(6), 0.1 * np.eye(6))
+        with pytest.raises(PhysicalityViolation):
+            on.evolve(bad, dec, times)
+
+    def test_mode_basis_state_rejected(self, chain3, common_bath):
+        dec = on.analyze(chain3, common_bath)
+        st = on.change_basis(on.initial_state(chain3), dec, MODE)
+        with pytest.raises(ValueError):
+            on.evolve(st, dec, [0.0, 1.0])
+
     def test_only_closed_form_methods(self, chain3, common_bath):
         dec = on.analyze(chain3, common_bath)
         st = on.initial_state(chain3)

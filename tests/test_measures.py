@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscnet as on
+from oscnet import measures
 from oscnet.dynamics import GaussianState, Trajectory
 from oscnet.errors import UnphysicalCovariance
 from oscnet.measures import (
@@ -214,6 +215,34 @@ class TestPearsonKernel:
         ref = pearson_two_pass(series, 500, pairs)
         assert got.shape == (99_501, 1)
         assert np.max(np.abs(got - ref)) < 1e-5
+
+    def test_fig2_sb_signals_match_two_pass(self):
+        # the early transient of the preset's <q^2> dominates any running
+        # sum; window-local sums must still give every digit
+        cfg = load_config(str(resources.files("oscnet") / "presets" / "fig2_sb.ini"))
+        prep = prepare(cfg)
+        state = on.initial_state(prep.net, mean_q=cfg.initial.mean_q)
+        traj = on.evolve(state, prep.decomp, prep.times)
+        signal = traj.second_moment_q
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        sync = on.collective_sync(traj, prep.window)
+        ref = pearson_two_pass(signal, sync.samples, pairs)
+        for k, (i, j) in enumerate(pairs):
+            got = on.windowed_correlation(traj.times, signal[:, i], signal[:, j], prep.window)
+            assert np.allclose(got.values, ref[:, k], rtol=0.0, atol=1e-12)
+        assert np.allclose(sync.values, np.abs(ref).prod(axis=1), rtol=0.0, atol=1e-12)
+
+    def test_independent_of_memory_layout(self):
+        rng = np.random.default_rng(11)
+        wide = rng.normal(size=(300, 7)) + np.linspace(0.0, 50.0, 300)[:, None]
+        c_order = np.ascontiguousarray(wide[:, 1:5])
+        f_order = np.asfortranarray(c_order)
+        view = wide[:, 1:5]
+        pairs = np.array([[0, 1], [0, 3], [1, 2], [2, 3]])
+        expected = _windowed_pearson(c_order, 40, pairs)
+        for series in (f_order, view):
+            assert np.array_equal(_windowed_pearson(series, 40, pairs), expected,
+                                  equal_nan=True)
 
 
 class TestCollectiveSync:
@@ -475,6 +504,23 @@ class TestPairSeries:
         assert np.all(np.isnan(out.values[:, k]))
         good = out.pairs.index((0, 1))
         assert np.all(np.isfinite(out.values[:, good]))
+
+    @pytest.mark.parametrize("measure, spectra", [
+        (MUTUAL_INFORMATION, 1), (DISCORD, 1), (LOG_NEGATIVITY, 2),
+    ])
+    def test_one_spectrum_per_pair_check(self, monkeypatch, measure, spectra):
+        # the exclusion check's (nu_-, nu_+) feeds the measure; only E_N
+        # needs a second spectrum, of the partial transpose
+        calls = []
+        real = measures.symplectic_spectrum
+
+        def counting(cov):
+            calls.append(np.shape(cov))
+            return real(cov)
+
+        monkeypatch.setattr(measures, "symplectic_spectrum", counting)
+        on.pair_measure_series(self.make_two_node_traj(), measure)
+        assert len(calls) == spectra
 
     def test_explicit_pairs_and_errors(self):
         traj = self.make_two_node_traj()

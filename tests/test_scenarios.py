@@ -113,6 +113,7 @@ class TestLoadConfig:
         lambda t: t.replace("omega = 1.2 1.0 1.8", "omega = 1.2 fish 1.8"),
         lambda t: t.replace("window = 2.0", "window = -1"),
         lambda t: t.replace("method = exact", "method = rk4"),
+        lambda t: t.replace("method = exact", "decimation = 4\nmethod = exact"),
     ])
     def test_rejects_bad_configs(self, tmp_path, mangle):
         with pytest.raises(ConfigError):
@@ -131,6 +132,12 @@ class TestLoadConfig:
 class TestPrepareValidation:
     def base_cfg(self, tmp_path, text=CHAIN_INI):
         return on.load_config(write_ini(tmp_path, text))
+
+    def test_fig5_preset_grid(self):
+        # step 2.0 gives the same stored grid the preset has always had
+        path = str(resources.files("oscnet") / "presets" / "fig5_entangle.ini")
+        prep = scenarios.prepare(on.load_config(path))
+        assert np.array_equal(prep.times, np.linspace(0.0, 10000.0, 5001))
 
     def test_local_node_range(self, tmp_path):
         text = CHAIN_INI.replace(
