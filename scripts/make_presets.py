@@ -65,7 +65,7 @@ def motif_constants():
 def build_fig3():
     bath = on.BathConfig(**CB)
     net = on.random_network(10, 0.6, 0.9, 1.2, -0.1, 0.05, FIG3_SEED)
-    res = on.find_sync_frequency(net, FIG3_NODE, FIG3_BRACKET, bath)
+    res = on.find_sync_parameter(net, ("omega", FIG3_NODE), FIG3_BRACKET, bath)
     return net.with_omega(FIG3_NODE, res.value), res.value
 
 

@@ -18,7 +18,6 @@ from .dynamics import (
     initial_state,
     steady_state,
     thermal_variances,
-    validate_state,
 )
 from .errors import ConfigError, OscnetError, UnphysicalSpec
 from .measures import (
@@ -66,7 +65,6 @@ from .tuning import (
     balance_pair_couplings,
     embedding_residuals,
     estimate_sync_times,
-    find_sync_frequency,
     find_sync_parameter,
     motif_frozen_residual,
     motif_hub_frequency,
@@ -99,7 +97,6 @@ __all__ = [
     "estimate_sync_times",
     "evolve",
     "evolve_node_reference",
-    "find_sync_frequency",
     "find_sync_parameter",
     "frozen_mode_report",
     "gaussian_discord",
@@ -127,7 +124,6 @@ __all__ = [
     "steady_state",
     "symplectic_spectrum",
     "thermal_variances",
-    "validate_state",
     "von_neumann_entropy",
     "windowed_correlation",
 ]

@@ -1,8 +1,9 @@
 """CSV writers for simulation artifacts.
 
-All floats are rendered with 12 significant digits ("%.12g"), missing
-values as ``nan``, and rows in a fixed deterministic order, so repeated
-runs of the same scenario produce byte-identical files.
+Every cell is rendered with 12 significant digits ("%.12g"): indices and
+0/1 flags print as plain integers, missing values as ``nan``, and rows
+come in a fixed deterministic order, so repeated runs of the same
+scenario produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,43 +12,44 @@ import os
 
 import numpy as np
 
+_FORMAT = "%.12g"
+
 
 def fmt(x) -> str:
     """12-significant-digit rendering used by every writer."""
-    return f"{float(x):.12g}"
+    return _FORMAT % float(x)
 
 
-def _write_lines(path, header, rows):
+def _open(path):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    return open(path, "w", newline="\n")
+
+
+def _write_table(path, header, columns) -> None:
+    """Header line, then one "%.12g" row per row of the stacked columns."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join([_FORMAT] * table.shape[1]) + "\n"
+    with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_trajectory(path, traj) -> None:
     """Per-time moments: t, then per node (mean_q, mean_p, var_q, var_p,
     cov_qp), then total_energy."""
-    n = traj.n
     header = ["t"]
-    for j in range(n):
+    for j in range(traj.n):
         header += [
             f"mean_q_{j}", f"mean_p_{j}", f"var_q_{j}", f"var_p_{j}", f"cov_qp_{j}",
         ]
     header.append("total_energy")
-    mq, mp = traj.mean_q, traj.mean_p
-    vq, vp, cqp = traj.var_q, traj.var_p, traj.cov_qp
-
-    def rows():
-        for k in range(traj.times.shape[0]):
-            row = [fmt(traj.times[k])]
-            for j in range(n):
-                row += [fmt(mq[k, j]), fmt(mp[k, j]), fmt(vq[k, j]),
-                        fmt(vp[k, j]), fmt(cqp[k, j])]
-            row.append(fmt(traj.energy[k]))
-            yield row
-
-    _write_lines(path, header, rows())
+    per_node = np.stack(
+        [traj.mean_q, traj.mean_p, traj.var_q, traj.var_p, traj.cov_qp], axis=2
+    )
+    _write_table(path, header, [
+        traj.times, per_node.reshape(traj.times.shape[0], -1), traj.energy,
+    ])
 
 
 def write_pair_measures(path, times, pairs, corr, info, discord, logneg) -> None:
@@ -57,85 +59,49 @@ def write_pair_measures(path, times, pairs, corr, info, discord, logneg) -> None
     or points where a quantity is undefined.
     """
     header = ["t", "pair_i", "pair_j", "C", "I", "discord", "logneg"]
-
-    def rows():
-        for k in range(len(times)):
-            for p, (i, j) in enumerate(pairs):
-                yield [
-                    fmt(times[k]), str(i), str(j),
-                    fmt(corr[k, p]), fmt(info[k, p]),
-                    fmt(discord[k, p]), fmt(logneg[k, p]),
-                ]
-
-    _write_lines(path, header, rows())
+    ij = np.tile(np.asarray(pairs, dtype=float).reshape(-1, 2), (len(times), 1))
+    _write_table(path, header, [
+        np.repeat(times, len(pairs)), ij,
+        *(np.ravel(v) for v in (corr, info, discord, logneg)),
+    ])
 
 
 def write_aggregate(path, times, sync, avg_discord, avg_info, avg_logneg) -> None:
     """Collective series: t, S, avg_discord, avg_I, avg_logneg."""
     header = ["t", "S", "avg_discord", "avg_I", "avg_logneg"]
-
-    def rows():
-        for k in range(len(times)):
-            yield [fmt(times[k]), fmt(sync[k]), fmt(avg_discord[k]),
-                   fmt(avg_info[k]), fmt(avg_logneg[k])]
-
-    _write_lines(path, header, rows())
+    _write_table(path, header, [times, sync, avg_discord, avg_info, avg_logneg])
 
 
 def write_modes(path, decomp) -> None:
-    """Mode table: mode, Omega, kappa, Gamma, D (rates blank if absent)."""
+    """Mode table: mode, Omega, kappa, Gamma, D (rates nan if absent)."""
     header = ["mode", "Omega", "kappa", "Gamma", "D"]
-
-    def rows():
-        for m in range(decomp.n):
-            kappa = fmt(decomp.eff_coupling[m]) if decomp.eff_coupling is not None else "nan"
-            gamma = fmt(decomp.damping[m]) if decomp.damping is not None else "nan"
-            diff = fmt(decomp.diffusion[m]) if decomp.diffusion is not None else "nan"
-            yield [str(m), fmt(decomp.freqs[m]), kappa, gamma, diff]
-
-    _write_lines(path, header, rows())
+    rates = [
+        np.full(decomp.n, np.nan) if r is None else r
+        for r in (decomp.eff_coupling, decomp.damping, decomp.diffusion)
+    ]
+    _write_table(path, header, [np.arange(decomp.n), decomp.freqs, *rates])
 
 
 def write_transform(path, decomp) -> None:
     """The node-to-mode matrix F, one node per row, one mode per column."""
-    header = [f"mode_{m}" for m in range(decomp.n)]
-
-    def rows():
-        for j in range(decomp.n):
-            yield [fmt(v) for v in decomp.modes[j]]
-
-    _write_lines(path, header, rows())
+    _write_table(path, [f"mode_{m}" for m in range(decomp.n)], [decomp.modes])
 
 
 def write_scan(path, scan) -> None:
     """Tuning scan: value, kappa_sigma, sigma_index, stable, swapped."""
     name = "_".join(str(p) for p in scan.param)
     header = [name, "kappa_sigma", "sigma_index", "stable", "swapped"]
-
-    def rows():
-        for k in range(scan.values.shape[0]):
-            yield [
-                fmt(scan.values[k]), fmt(scan.kappa_sigma[k]),
-                str(int(scan.sigma_index[k])),
-                "1" if scan.stable[k] else "0",
-                "1" if scan.swapped[k] else "0",
-            ]
-
-    _write_lines(path, header, rows())
+    _write_table(path, header, [
+        scan.values, scan.kappa_sigma, scan.sigma_index, scan.stable, scan.swapped,
+    ])
 
 
-def write_sweep_map(path, param_name, rows_in) -> None:
-    """Sweep map rows (value, t, S, avg_discord), already ordered."""
-    header = [param_name, "t", "S", "avg_discord"]
-
-    def rows():
-        for value, t, sync, disc in rows_in:
-            yield [fmt(value), fmt(t), fmt(sync), fmt(disc)]
-
-    _write_lines(path, header, rows())
+def write_sweep_map(path, param_name, table) -> None:
+    """Sweep map, an already ordered (rows, 4) table of value, t, S,
+    avg_discord."""
+    _write_table(path, [param_name, "t", "S", "avg_discord"], [table])
 
 
 def write_text(path, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(text)

@@ -90,17 +90,6 @@ class GaussianState:
         return self.mean[self.n :]
 
 
-def validate_state(state: GaussianState, tol: float = PHYSICALITY_TOL) -> None:
-    """Raise PhysicalityViolation unless cov is symmetric and physical."""
-    if not np.allclose(state.cov, state.cov.T, rtol=0.0, atol=1e-10):
-        raise PhysicalityViolation("covariance is not symmetric")
-    nu_min = measures.symplectic_spectrum(state.cov)[0]
-    if nu_min < 0.5 - tol:
-        raise PhysicalityViolation(
-            f"minimum symplectic eigenvalue {nu_min:.6g} is below vacuum 1/2"
-        )
-
-
 def initial_state(
     net: NetworkSpec,
     mean_q=0.0,
@@ -238,7 +227,6 @@ def evolve(
     decomp: ModeDecomposition,
     times,
     method: str = "exact",
-    check_physical: bool = True,
 ) -> Trajectory:
     """Propagate a node-basis state over the stored time grid.
 
@@ -249,9 +237,9 @@ def evolve(
     rotated into the normal-mode basis and M(t) = U E(t) the node-from-mode
     propagator, the means are M m0 and the covariances M S0 M^T plus the
     relaxation towards the stationary covariance, F diag(D phi / W^2) F^T
-    in the q block and F diag(D phi) F^T in the p block.  With
-    ``check_physical`` the whole trajectory must keep its symplectic
-    eigenvalues at or above vacuum, else PhysicalityViolation.
+    in the q block and F diag(D phi) F^T in the p block.  The whole
+    trajectory must keep its symplectic eigenvalues at or above vacuum,
+    else PhysicalityViolation.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -300,18 +288,17 @@ def evolve(
         + np.einsum("jk,tjk->t", ham, covs[:, :n, :n])
     )
 
-    if check_physical:
-        # Block by block, so the spectrum's temporaries (Cholesky factor and
-        # two products per time) stay small next to the trajectory itself.
-        block = max(1, _GATE_BLOCK_ELEMENTS // (2 * n) ** 2)
-        nu_min = min(
-            measures.symplectic_spectrum(covs[start : start + block])[..., 0].min()
-            for start in range(0, covs.shape[0], block)
+    # Block by block, so the spectrum's temporaries (Cholesky factor and
+    # two products per time) stay small next to the trajectory itself.
+    block = max(1, _GATE_BLOCK_ELEMENTS // (2 * n) ** 2)
+    nu_min = min(
+        measures.symplectic_spectrum(covs[start : start + block])[..., 0].min()
+        for start in range(0, covs.shape[0], block)
+    )
+    if nu_min < 0.5 - PHYSICALITY_TOL:
+        raise PhysicalityViolation(
+            f"trajectory dips to symplectic eigenvalue {nu_min:.6g} (< 1/2)"
         )
-        if nu_min < 0.5 - PHYSICALITY_TOL:
-            raise PhysicalityViolation(
-                f"trajectory dips to symplectic eigenvalue {nu_min:.6g} (< 1/2)"
-            )
 
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy)
 

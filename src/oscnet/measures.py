@@ -499,6 +499,15 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
     )
 
 
+def _smoothed_pair_mean(values, keep, samples: int) -> np.ndarray:
+    """Mean over the kept pair columns, then a cumsum moving average over
+    ``samples`` consecutive rows; all NaN when no pair is kept."""
+    if not keep:
+        return np.full(max(values.shape[0] - samples + 1, 0), np.nan)
+    csum = np.concatenate([[0.0], np.cumsum(values[:, keep].mean(axis=1))])
+    return (csum[samples:] - csum[:-samples]) / samples
+
+
 def pairwise_average(
     traj,
     measure: str,
@@ -515,16 +524,14 @@ def pairwise_average(
     keep = [k for k, p in enumerate(series.pairs) if p not in set(series.excluded)]
     if not keep:
         raise UnphysicalCovariance("every pair was excluded as unphysical")
-    avg = series.values[:, keep].mean(axis=1)
     dts = np.diff(series.times)
     dt = dts[0]
     if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
         raise ValueError("moving average needs a uniform time grid")
     samples = max(1, int(round(window / dt)))
-    if samples > avg.shape[0]:
+    if samples > series.values.shape[0]:
         raise ValueError("window is longer than the sampled series")
-    csum = np.concatenate([[0.0], np.cumsum(avg)])
-    smoothed = (csum[samples:] - csum[:-samples]) / samples
+    smoothed = _smoothed_pair_mean(series.values, keep, samples)
     return AveragedSeries(
         times=series.times[: smoothed.shape[0]].copy(),
         values=smoothed,

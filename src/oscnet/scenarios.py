@@ -624,23 +624,15 @@ def _analysis_products(prep: PreparedScenario, traj):
     m_dt = m_times[1] - m_times[0] if m_times.shape[0] > 1 else window
     m_samples = max(1, int(round(window / m_dt)))
 
-    def smooth(values):
-        if not keep:
-            return np.full(max(values.shape[0] - m_samples + 1, 0), np.nan)
-        avg = values[:, keep].mean(axis=1)
-        csum = np.concatenate([[0.0], np.cumsum(avg)])
-        return (csum[m_samples:] - csum[:-m_samples]) / m_samples
-
-    avg_disc = smooth(disc.values)
-    avg_info = smooth(info.values)
-    avg_logneg = smooth(logneg.values)
+    avg_disc, avg_info, avg_logneg = (
+        measures._smoothed_pair_mean(series.values, keep, m_samples)
+        for series in (disc, info, logneg)
+    )
     agg_len = avg_disc.shape[0]
     agg_times = m_times[:agg_len]
     sync_on_grid = np.full(agg_len, np.nan)
-    for k in range(agg_len):
-        idx = k * stride
-        if idx < sync.values.shape[0]:
-            sync_on_grid[k] = sync.values[idx]
+    sync_sampled = sync.values[::stride][:agg_len]
+    sync_on_grid[: sync_sampled.shape[0]] = sync_sampled
 
     return {
         "pairs": pair_list,
@@ -738,10 +730,10 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
 def _sweep_point(job):
     value, prep = job
     prods = _analysis_products(prep, _run_traj(prep))
-    return [
-        (value, prods["agg_times"][k], prods["agg_sync"][k], prods["agg_disc"][k])
-        for k in range(prods["agg_times"].shape[0])
-    ]
+    times = prods["agg_times"]
+    return np.column_stack([
+        np.full(times.shape[0], value), times, prods["agg_sync"], prods["agg_disc"],
+    ])
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
@@ -778,9 +770,11 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
     else:
         results = [_sweep_point(job) for job in jobs]
 
-    all_rows = [row for rows in results for row in rows]
     param_name = "_".join(str(p) for p in cfg.sweep.param)
-    csvio.write_sweep_map(os.path.join(out, "map.csv"), param_name, all_rows)
+    csvio.write_sweep_map(
+        os.path.join(out, "map.csv"), param_name,
+        np.concatenate([np.empty((0, 4)), *results]),
+    )
     extra = [f"sweep: {param_name} over {len(cfg.sweep.values)} values"]
     if skipped:
         extra.append("skipped unstable values: " + " ".join(csvio.fmt(v) for v in skipped))

@@ -149,10 +149,11 @@ class TuneResult:
 
 
 def _tracked_march(net, param, grid, bath):
-    """Signed kappa per mode lineage along the grid, orientation-continued."""
+    """Signed kappa per mode lineage along the grid, orientation-continued,
+    and the oriented modes (lineages as columns) at every grid value."""
     n = net.n
     kappas = np.empty((grid.shape[0], n))
-    prev = None
+    lineages = np.empty((grid.shape[0], n, n))
     for k, val in enumerate(grid):
         try:
             decomp = diagonalize(_with_param(net, param, val))
@@ -161,8 +162,8 @@ def _tracked_march(net, param, grid, bath):
                 f"network unstable at {param} = {val:.6g}; shrink the bracket"
             ) from exc
         modes = decomp.modes
-        if prev is not None:
-            overlap = prev.T @ modes
+        if k > 0:
+            overlap = lineages[k - 1].T @ modes
             order = np.full(n, -1, dtype=np.int64)
             taken = np.zeros(n, dtype=bool)
             # Greedy assignment, strongest overlaps first.
@@ -185,8 +186,8 @@ def _tracked_march(net, param, grid, bath):
                 )
             modes = modes[:, order] * signs[None, :]
         kappas[k] = _raw_kappa(modes, bath)
-        prev = modes
-    return kappas, prev
+        lineages[k] = modes
+    return kappas, lineages
 
 
 def _bisect_tracked(net, param, lo, hi, vec_lo, k_lo, k_hi, bath, tol):
@@ -241,7 +242,7 @@ def find_sync_parameter(
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     grid = np.linspace(lo, hi, max(int(grid_points), 3))
-    kappas, _ = _tracked_march(net, param, grid, bath)
+    kappas, lineages = _tracked_march(net, param, grid, bath)
 
     crossings = []
     for m in range(net.n):
@@ -259,10 +260,8 @@ def find_sync_parameter(
     crossings.sort()
     _, seg, _ = crossings[0]
 
-    seg_grid = grid[: seg + 1]
-    _, vec_left = _tracked_march(net, param, seg_grid, bath)
-    # vec_left columns are oriented lineages at grid[seg]; bisect each
-    # crossing lineage found on [grid[seg], grid[seg+1]].
+    # Bisect each crossing lineage found on [grid[seg], grid[seg+1]],
+    # starting from its oriented mode at grid[seg].
     value = None
     for _, k, m in crossings:
         if k != seg:
@@ -270,7 +269,7 @@ def find_sync_parameter(
         try:
             value = _bisect_tracked(
                 net, param, grid[seg], grid[seg + 1],
-                vec_left[:, m], kappas[seg, m], kappas[seg + 1, m],
+                lineages[seg, :, m], kappas[seg, m], kappas[seg + 1, m],
                 bath, tol,
             )
             break
@@ -298,18 +297,6 @@ def find_sync_parameter(
         report=report,
         bracket=(lo, hi),
     )
-
-
-def find_sync_frequency(
-    net: NetworkSpec,
-    node: int,
-    bracket,
-    bath: BathConfig,
-    tol: float = 1e-10,
-    grid_points: int = 33,
-) -> TuneResult:
-    """Tune the bare frequency of one node to freeze the slow mode."""
-    return find_sync_parameter(net, ("omega", node), bracket, bath, tol, grid_points)
 
 
 # ---------------------------------------------------------------------------

@@ -147,10 +147,13 @@ class TestExactPropagator:
 
 
 class TestGuards:
-    def test_unphysical_state_rejected(self, chain3):
+    def test_unphysical_state_rejected(self, chain3, common_bath):
+        # 0.1 I stays 0.1 I in any orthogonal basis, so the gate must report
+        # exactly that symplectic eigenvalue at the initial time
+        dec = on.analyze(chain3, common_bath)
         st = on.GaussianState(np.zeros(6), 0.1 * np.eye(6))
-        with pytest.raises(PhysicalityViolation):
-            on.validate_state(st)
+        with pytest.raises(PhysicalityViolation, match=r"eigenvalue 0\.1 "):
+            on.evolve(st, dec, [0.0, 1.0, 2.0])
 
     def test_evolve_flags_unphysical_input(self, chain3, common_bath):
         dec = on.analyze(chain3, common_bath)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -70,7 +72,7 @@ class TestFindSyncFrequency:
         # equal links means the antisymmetric mode decouples exactly when
         # the pair frequencies match: the zero must land on 1.0
         net = detuned_pair_network(omega_b=1.05)
-        res = on.find_sync_frequency(net, 3, (0.9, 1.15), common_bath)
+        res = on.find_sync_parameter(net, ("omega", 3), (0.9, 1.15), common_bath)
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert res.residual <= 1e-10
         assert res.param == ("omega", 3)
@@ -78,7 +80,7 @@ class TestFindSyncFrequency:
 
     def test_result_verified_against_fresh_decomposition(self, common_bath):
         net = detuned_pair_network()
-        res = on.find_sync_frequency(net, 3, (0.9, 1.15), common_bath)
+        res = on.find_sync_parameter(net, ("omega", 3), (0.9, 1.15), common_bath)
         dec = on.effective_couplings(
             on.diagonalize(net.with_omega(3, res.value)), common_bath
         )
@@ -89,7 +91,7 @@ class TestFindSyncFrequency:
     def test_matches_fine_grid_minimum(self, er10, common_bath):
         # independent route: brute-force the |kappa| dip location
         bracket = (0.95, 1.15)
-        res = on.find_sync_frequency(er10, 4, bracket, common_bath, tol=1e-9)
+        res = on.find_sync_parameter(er10, ("omega", 4), bracket, common_bath, tol=1e-9)
         grid = np.linspace(*bracket, 4001)
         kmin = np.empty(grid.shape)
         for k, v in enumerate(grid):
@@ -103,18 +105,18 @@ class TestFindSyncFrequency:
         net = detuned_pair_network()
         bath = BathConfig(kind="local", gamma=0.01, temperature=10.0,
                           cutoff=50.0, node=0)
-        res = on.find_sync_frequency(net, 3, (0.9, 1.15), bath)
+        res = on.find_sync_parameter(net, ("omega", 3), (0.9, 1.15), bath)
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_no_zero_in_bracket(self, common_bath):
         # (1.6, 2.0) was grid-checked: |kappa| stays above 0.5 throughout
         net = detuned_pair_network()
         with pytest.raises(NoZeroInBracket):
-            on.find_sync_frequency(net, 3, (1.6, 2.0), common_bath)
+            on.find_sync_parameter(net, ("omega", 3), (1.6, 2.0), common_bath)
 
     def test_bad_bracket(self, chain3, common_bath):
         with pytest.raises(ValueError):
-            on.find_sync_frequency(chain3, 0, (1.5, 1.5), common_bath)
+            on.find_sync_parameter(chain3, ("omega", 0), (1.5, 1.5), common_bath)
 
 
 class TestFindSyncParameter:
@@ -133,6 +135,27 @@ class TestFindSyncParameter:
                                      common_bath)
         assert res.value == pytest.approx(-0.12, abs=1e-9)
         assert res.residual <= 1e-10
+
+    def test_grid_is_diagonalized_once(self, common_bath, monkeypatch):
+        # the march keeps the oriented modes of every grid value, so the
+        # bisection starts without marching the bracket a second time
+        from oscnet import tuning
+
+        net = on.load_network(
+            str(resources.files("oscnet") / "presets" / "fig3_network.txt")
+        )
+        grid = np.linspace(0.8, 1.4, 33)
+        seen = []
+
+        def counting(spec):
+            seen.append(float(spec.omega[6]))
+            return on.diagonalize(spec)
+
+        monkeypatch.setattr(tuning, "diagonalize", counting)
+        res = on.find_sync_parameter(net, ("omega", 6), (0.8, 1.4), common_bath)
+        assert res.value == pytest.approx(1.2306500187, abs=1e-9)
+        on_grid = [v for v in seen if v in set(grid.tolist())]
+        assert sorted(on_grid) == grid.tolist()
 
 
 class TestEstimateSyncTimes:
