@@ -14,7 +14,9 @@ the normal-mode transform and E(t) each mode's damped rotation, is built
 for every stored time at once, and the moments are one batched congruence
 of the initial state plus the relaxation towards the stationary
 covariance.  There is no step and no accumulated stepping error, and the
-stored times need not be uniform.
+stored times need not be uniform.  Each mode's map is a thermal attenuator,
+completely positive when D >= G W (Heinosaari, Holevo & Wolf, QIC 10, 619
+(2010)), so a physical initial state stays physical at every stored time.
 
 :func:`evolve_node_reference` propagates the same physics straight in
 the node basis as one dense 2n-dimensional system, advancing each stored
@@ -37,16 +39,10 @@ from .errors import (
     UnphysicalSpec,
 )
 from .network import NetworkSpec, hamiltonian_matrix
-from .spectral import BathConfig, ModeDecomposition
+from .spectral import BathConfig, ModeDecomposition, _frozen_mask
 
 NODE = "node"
 MODE = "mode"
-
-#: Tolerance on the minimum symplectic eigenvalue (>= 1/2 - this).
-PHYSICALITY_TOL = 1e-8
-
-#: Most covariance entries the physicality gate hands to one spectrum call.
-_GATE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,6 +197,19 @@ def _require_rates(decomp: ModeDecomposition) -> None:
         raise ValueError("decomposition carries no bath rates; run spectral.analyze first")
 
 
+def _check_physical(cov0: np.ndarray, decomp: ModeDecomposition) -> None:
+    """The initial state, and complete positivity (G >= 0, D >= G W) per mode."""
+    tol = measures.PHYSICALITY_TOL
+    g = decomp.damping
+    if not (np.all(g >= 0.0) and np.all(decomp.diffusion >= g * decomp.freqs * (1.0 - tol))):
+        raise PhysicalityViolation("mode channel is not completely positive (G < 0 or D < G W)")
+    if np.linalg.eigvalsh(cov0)[0] <= 0.0:
+        raise PhysicalityViolation("initial covariance is not positive definite")
+    nu_min = measures.symplectic_spectrum(cov0)[0]
+    if nu_min < 0.5 - tol:
+        raise PhysicalityViolation(f"initial state has symplectic eigenvalue {nu_min:.6g} (< 1/2)")
+
+
 def _node_propagators(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
     """Node-from-mode propagator M(t) = U E(t), shape (T, 2n, 2n).
 
@@ -237,9 +246,9 @@ def evolve(
     rotated into the normal-mode basis and M(t) = U E(t) the node-from-mode
     propagator, the means are M m0 and the covariances M S0 M^T plus the
     relaxation towards the stationary covariance, F diag(D phi / W^2) F^T
-    in the q block and F diag(D phi) F^T in the p block.  The whole
-    trajectory must keep its symplectic eigenvalues at or above vacuum,
-    else PhysicalityViolation.
+    in the q block and F diag(D phi) F^T in the p block.  Only the initial
+    state and the mode channel are checked, once (PhysicalityViolation);
+    complete positivity then keeps every stored covariance physical.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -257,11 +266,12 @@ def evolve(
     n = decomp.n
     f = decomp.modes
     mode_state = change_basis(state, decomp, MODE)
+    _check_physical(mode_state.cov, decomp)
     rel = times - times[0]
     prop = _node_propagators(decomp, rel)
     means = prop @ mode_state.mean
     covs = (prop @ mode_state.cov) @ np.swapaxes(prop, 1, 2)
-    del prop  # one (T, 2n, 2n) stack fewer alive through the physicality gate
+    del prop  # one (T, 2n, 2n) stack fewer alive through the symmetrization
     # The stationary covariance is invariant under the rotational part of
     # E(t), so the driven term collapses to sigma_inf (1 - e^{-G t}); with
     # D = G W coth(W/2T) the prefactors below stay finite as G -> 0.
@@ -288,18 +298,6 @@ def evolve(
         + np.einsum("jk,tjk->t", ham, covs[:, :n, :n])
     )
 
-    # Block by block, so the spectrum's temporaries (Cholesky factor and
-    # two products per time) stay small next to the trajectory itself.
-    block = max(1, _GATE_BLOCK_ELEMENTS // (2 * n) ** 2)
-    nu_min = min(
-        measures.symplectic_spectrum(covs[start : start + block])[..., 0].min()
-        for start in range(0, covs.shape[0], block)
-    )
-    if nu_min < 0.5 - PHYSICALITY_TOL:
-        raise PhysicalityViolation(
-            f"trajectory dips to symplectic eigenvalue {nu_min:.6g} (< 1/2)"
-        )
-
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy)
 
 
@@ -312,20 +310,19 @@ class SteadyState:
 
 
 def steady_state(decomp: ModeDecomposition, basis: str = NODE) -> SteadyState:
-    """Stationary Gaussian state; frozen modes are reported and left at vacuum."""
+    """Stationary Gaussian state; frozen modes are reported and left at vacuum.
+
+    Frozen means ``spectral._frozen_mask`` or no damping at all.
+    """
     _require_rates(decomp)
-    n = decomp.n
     w = decomp.freqs
-    frozen_mask = decomp.damping == 0.0
-    frozen = tuple(int(m) for m in np.flatnonzero(frozen_mask))
-    # Damped modes relax to diag(D / (2 G W^2), D / (2 G)) per mode.
-    g_safe = np.where(frozen_mask, 1.0, decomp.damping)
-    var_q = np.where(frozen_mask, 0.5 / w, decomp.diffusion / (2.0 * g_safe * w**2))
-    var_p = np.where(frozen_mask, 0.5 * w, decomp.diffusion / (2.0 * g_safe))
-    state = GaussianState(np.zeros(2 * n), np.diag(np.concatenate([var_q, var_p])), basis=MODE)
-    if basis == MODE:
-        return SteadyState(state=state, frozen_modes=frozen)
-    return SteadyState(state=change_basis(state, decomp, NODE), frozen_modes=frozen)
+    frozen = _frozen_mask(decomp) | (decomp.damping == 0.0)
+    # Damped modes relax to nu = D / (2 G W) per mode, i.e. diag(nu / W, nu W).
+    nu = np.where(frozen, 0.5, decomp.diffusion / (2.0 * np.where(frozen, 1.0, decomp.damping) * w))
+    state = GaussianState(np.zeros(2 * w.shape[0]), np.diag(np.concatenate([nu / w, nu * w])), MODE)
+    if basis == NODE:
+        state = change_basis(state, decomp, NODE)
+    return SteadyState(state=state, frozen_modes=tuple(int(m) for m in np.flatnonzero(frozen)))
 
 
 def thermal_variances(decomp: ModeDecomposition, bath: BathConfig) -> np.ndarray:

@@ -57,6 +57,10 @@ _KINDS = (SEPARATE, COMMON, LOCAL)
 # eigenvalues are treated as one degenerate group.
 _DEGENERACY_RTOL = 1e-10
 
+# Relative scale (vs the largest |F| entry) below which a mode's effective
+# coupling counts as zero, i.e. the mode is frozen.
+_FROZEN_KAPPA_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BathConfig:
@@ -264,6 +268,11 @@ def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
     return mode_rates(effective_couplings(diagonalize(net), bath), bath)
 
 
+def _frozen_mask(decomp: ModeDecomposition, tol_kappa: float = _FROZEN_KAPPA_RTOL) -> np.ndarray:
+    """True for the frozen modes: |effective coupling| < tol_kappa * max |F|."""
+    return np.abs(decomp.eff_coupling) < tol_kappa * float(np.max(np.abs(decomp.modes)))
+
+
 @dataclass(frozen=True)
 class FrozenModeReport:
     """Which modes are dissipation-free and which nodes take part in them.
@@ -288,24 +297,23 @@ class FrozenModeReport:
 def frozen_mode_report(
     decomp: ModeDecomposition,
     bath: BathConfig,
-    tol_kappa: float = 1e-8,
+    tol_kappa: float = _FROZEN_KAPPA_RTOL,
     tol_overlap: float = 1e-6,
 ) -> FrozenModeReport:
     """Detect frozen modes and node participation; evaluate sync conditions.
 
     A mode is frozen when its effective coupling magnitude falls below
-    ``tol_kappa``; node k participates in mode m when ``|F[k, m]|`` exceeds
-    ``tol_overlap``.  Both tolerances are relative to the largest
-    magnitude entry of the transform.
+    ``tol_kappa`` (``_frozen_mask``); node k participates in mode m
+    when ``|F[k, m]|`` exceeds ``tol_overlap``.  Both tolerances are
+    relative to the largest magnitude entry of the transform.
     """
     if decomp.eff_coupling is None:
         decomp = effective_couplings(decomp, bath)
     scale = float(np.max(np.abs(decomp.modes)))
     thr_kappa = tol_kappa * scale
     thr_overlap = tol_overlap * scale
-    kappa = decomp.eff_coupling
     participation = np.abs(decomp.modes) > thr_overlap
-    frozen = tuple(int(m) for m in np.nonzero(np.abs(kappa) < thr_kappa)[0])
+    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(decomp, tol_kappa)))
 
     global_sync = False
     cluster_sync = False

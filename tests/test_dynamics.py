@@ -1,10 +1,23 @@
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscnet as on
+from oscnet.cli import preset_names
 from oscnet.dynamics import MODE, NODE, thermal_variances
 from oscnet.errors import DimensionMismatch, PhysicalityViolation
+from oscnet.scenarios import _run_traj, load_config, prepare
 from oscnet.spectral import BathConfig
+
+PRESETS = resources.files("oscnet") / "presets"
+
+
+def min_symplectic_eigenvalue(covs):
+    return float(on.symplectic_spectrum(covs)[..., 0].min())
 
 
 def single_mode_rhs(sigma, gamma, w2, diff):
@@ -107,6 +120,22 @@ class TestThermalFixedPoint:
         assert ss.frozen_modes == ()
         assert np.allclose(traj.state(-1).cov, ss.state.cov, atol=1e-8)
 
+    @pytest.mark.parametrize("preset", ["fig3_sweep", "fig4_motif", "fig5_entangle"])
+    def test_steady_state_frozen_modes_match_report(self, preset):
+        # the shipped frozen modes keep Gamma ~ 1e-32 from eigh roundoff,
+        # so only the relative |kappa| test finds them
+        cfg = load_config(str(PRESETS / f"{preset}.ini"))
+        dec = prepare(cfg).decomp
+        frozen = on.steady_state(dec).frozen_modes
+        assert frozen == on.frozen_mode_report(dec, cfg.bath).frozen
+        assert len(frozen) == 1
+
+    def test_steady_state_without_damping_keeps_every_mode_frozen(self, chain3):
+        closed = BathConfig(kind="common", gamma=0.0, temperature=10.0, cutoff=50.0)
+        ss = on.steady_state(on.analyze(chain3, closed), basis=MODE)
+        assert ss.frozen_modes == (0, 1, 2)
+        assert np.all(np.isfinite(ss.state.cov))
+
 
 class TestExactPropagator:
     def test_against_node_reference(self, chain3, common_bath):
@@ -175,26 +204,47 @@ class TestGuards:
         with pytest.raises(DimensionMismatch):
             on.evolve(st, dec, [0.0, 1.0])
 
-    def test_gate_checks_every_time_in_blocks(self, chain3, common_bath, monkeypatch):
-        from oscnet import dynamics, measures
+    def test_indefinite_initial_state_rejected(self, chain3, common_bath):
+        # -0.6 I has symplectic eigenvalues 0.6 but is no covariance at all;
+        # with gamma = 0 nothing would ever relax it towards a physical state
+        closed = BathConfig(kind="common", gamma=0.0, temperature=10.0, cutoff=50.0)
+        bad = on.GaussianState(np.zeros(6), -0.6 * np.eye(6))
+        for bath in (closed, common_bath):
+            with pytest.raises(PhysicalityViolation, match="positive definite"):
+                on.evolve(bad, on.analyze(chain3, bath), [0.0, 1.0])
 
-        # Blocks of three 6x6 covariances: 11 times go to the spectrum as 3+3+3+2.
-        monkeypatch.setattr(dynamics, "_GATE_BLOCK_ELEMENTS", 3 * 36)
-        batches = []
+    def test_asymmetric_initial_state_checked_as_propagated(self, chain3, common_bath):
+        # the lower triangle is I (physical), but evolve propagates the
+        # symmetric part, whose (q0, p0) block [[1, 1], [1, 1]] is singular
+        cov = np.eye(6)
+        cov[0, 3] = 2.0
+        bad = on.GaussianState(np.zeros(6), cov)
+        with pytest.raises(PhysicalityViolation):
+            on.evolve(bad, on.analyze(chain3, common_bath), [0.0, 1.0])
+
+    def test_initial_state_checked_once(self, chain3, common_bath, monkeypatch):
+        from oscnet import measures
+
+        shapes = []
         spectrum = measures.symplectic_spectrum
 
         def counting(cov):
-            batches.append(cov.shape[0])
+            shapes.append(np.shape(cov))
             return spectrum(cov)
 
         monkeypatch.setattr(measures, "symplectic_spectrum", counting)
         dec = on.analyze(chain3, common_bath)
-        times = np.linspace(0.0, 10.0, 11)
-        on.evolve(on.initial_state(chain3), dec, times)
-        assert batches == [3, 3, 3, 2]
-        bad = on.GaussianState(np.zeros(6), 0.1 * np.eye(6))
-        with pytest.raises(PhysicalityViolation):
-            on.evolve(bad, dec, times)
+        on.evolve(on.initial_state(chain3), dec, np.linspace(0.0, 10.0, 11))
+        assert shapes == [(6, 6)]
+
+    def test_channel_must_be_completely_positive(self, chain3, common_bath):
+        dec = on.analyze(chain3, common_bath)
+        st = on.initial_state(chain3)
+        weak = replace(dec, diffusion=0.5 * dec.damping * dec.freqs)
+        negative = replace(dec, damping=-dec.damping)
+        for bad in (weak, negative):
+            with pytest.raises(PhysicalityViolation, match="completely positive"):
+                on.evolve(st, bad, [0.0, 1.0])
 
     def test_mode_basis_state_rejected(self, chain3, common_bath):
         dec = on.analyze(chain3, common_bath)
@@ -231,3 +281,38 @@ class TestTrajectoryViews:
         assert np.allclose(
             traj.second_moment_q, traj.var_q + traj.mean_q**2, atol=1e-14
         )
+
+
+class TestPhysicalityOracle:
+    """evolve checks only its input; these check every stored covariance."""
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_preset_trajectory_stays_physical(self, preset):
+        traj = _run_traj(prepare(load_config(str(PRESETS / f"{preset}.ini"))))
+        assert min_symplectic_eigenvalue(traj.covs) >= 0.5 - 1e-8
+
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["separate", "common", "local"]),
+        gamma=st.one_of(st.just(0.0), st.floats(1e-4, 0.2)),
+        temperature=st.floats(0.01, 20.0),
+        squeezed=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_trajectory_stays_physical(self, n, seed, kind, gamma, temperature,
+                                              squeezed):
+        net = on.random_network(n, 0.6, 0.8, 1.5, -0.1, 0.05, seed=seed)
+        rng = np.random.default_rng(seed)
+        node = int(rng.integers(n)) if kind == "local" else None
+        bath = BathConfig(kind=kind, gamma=gamma, temperature=temperature,
+                          cutoff=50.0, node=node)
+        if squeezed:
+            state = on.initial_state(net, mean_q=rng.normal(size=n),
+                                     squeeze_r=rng.uniform(0.0, 1.2, size=n),
+                                     squeeze_angle=rng.uniform(0.0, np.pi, size=n))
+        else:
+            state = on.initial_state(net, thermal_n=rng.uniform(0.0, 3.0, size=n))
+        times = np.linspace(0.0, rng.uniform(1.0, 500.0), 201)
+        traj = on.evolve(state, on.analyze(net, bath), times)
+        assert min_symplectic_eigenvalue(traj.covs) >= 0.5 - 1e-8
