@@ -69,17 +69,13 @@ class IntegratorStepFailure(OscnetError):
 
 
 class PhysicalityViolation(OscnetError):
-    """A trajectory point violates the symplectic uncertainty bound."""
+    """The initial state or the mode channel of an evolution is unphysical."""
 
 
 # --- tuning -----------------------------------------------------------------
 
 class NoZeroInBracket(OscnetError):
-    """Scanned coupling never changes sign or dips below threshold in bracket."""
-
-
-class ModeTrackingLost(OscnetError):
-    """Eigenvector continuation became ambiguous (degeneracy inside bracket)."""
+    """No frozen root in the bracket: no tuning there freezes a mode."""
 
 
 class NoDominantMode(OscnetError):

@@ -87,6 +87,17 @@ def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     return (0.5 * (sv[..., 0::2] + sv[..., 1::2]))[..., ::-1]
 
 
+def _require_positive_definite(cov) -> None:
+    """Raise UnphysicalCovariance unless every covariance of the batch is
+    positive definite.  The indefinite route of :func:`symplectic_spectrum`
+    can land above the vacuum floor (it reads -0.6 I as 0.6), so the floor
+    alone does not catch such input."""
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise UnphysicalCovariance("covariance is not positive definite") from exc
+
+
 def _entropy_term(nu: np.ndarray) -> np.ndarray:
     nu = np.maximum(nu, 0.5)
     return xlogy(nu + 0.5, nu + 0.5) - xlogy(nu - 0.5, nu - 0.5)
@@ -95,6 +106,7 @@ def _entropy_term(nu: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(cov: np.ndarray) -> float | np.ndarray:
     """Entropy (nats) of a Gaussian state from its symplectic spectrum."""
     nus = symplectic_spectrum(cov)
+    _require_positive_definite(cov)
     if np.any(nus < 0.5 - PHYSICALITY_TOL):
         raise UnphysicalCovariance(
             f"symplectic eigenvalue {nus.min():.6g} below the vacuum floor 1/2"
@@ -320,7 +332,9 @@ def _mutual_information(cov4, nu_minus, nu_plus):
 
 def mutual_information(cov4) -> float | np.ndarray:
     """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
-    out = _mutual_information(cov4, *_check_pair_physical(cov4))
+    nus = _check_pair_physical(cov4)
+    _require_positive_definite(cov4)
+    out = _mutual_information(cov4, *nus)
     return float(out) if out.ndim == 0 else out
 
 
@@ -340,7 +354,9 @@ def log_negativity(cov4) -> float | np.ndarray:
     smallest symplectic eigenvalue of the flipped covariance then sets
     the entanglement (same stability argument as :func:`_pair_nus`).
     """
-    out = _log_negativity(cov4, *_check_pair_physical(cov4))
+    nus = _check_pair_physical(cov4)
+    _require_positive_definite(cov4)
+    out = _log_negativity(cov4, *nus)
     return float(out) if out.ndim == 0 else out
 
 
@@ -426,7 +442,9 @@ def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
     from the Adesso-Datta closed form.  Small negative results (roundoff)
     clamp to zero.
     """
-    out = _gaussian_discord(cov4, *_check_pair_physical(cov4), measured=measured)
+    nus = _check_pair_physical(cov4)
+    _require_positive_definite(cov4)
+    out = _gaussian_discord(cov4, *nus, measured=measured)
     return float(out) if out.ndim == 0 else out
 
 

@@ -104,7 +104,7 @@ class TuningBlock:
     param: tuple
     bracket: tuple[float, float]
     tol: float = 1e-10
-    grid_points: int = 33
+    grid_points: int = 33  # resolution of scan.csv; the tuning itself is closed-form
 
 
 @dataclass
@@ -321,6 +321,11 @@ def load_config(path: str) -> ScenarioConfig:
             tol=_get(parser, "tuning", "tol", float, default=1e-10),
             grid_points=_get(parser, "tuning", "grid", int, default=33),
         )
+        if tuning.param[0] != "omega":
+            raise ConfigError(
+                "tuning parameter must be 'omega <node>': a coupling is a rank-two, "
+                "indefinite update with no closed-form frozen points"
+            )
         if tuning.tol <= 0.0:
             raise ConfigError("tuning tol must be positive")
         if tuning.grid_points < 3:
@@ -542,13 +547,9 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
                     raise ConfigError(f"sync_subset node {v} is out of range")
 
     if cfg.tuning is not None:
-        kind = cfg.tuning.param[0]
-        nodes = cfg.tuning.param[1:]
-        for v in nodes:
-            if not 0 <= v < n:
-                raise ConfigError(f"tuning parameter node {v} is out of range")
-        if kind == "coupling" and nodes[0] == nodes[1]:
-            raise ConfigError("tuning coupling needs two distinct nodes")
+        node = cfg.tuning.param[1]
+        if not 0 <= node < n:
+            raise ConfigError(f"tuning parameter node {node} is out of range")
         if cfg.bath.kind == SEPARATE:
             raise ConfigError("tuning has no effect under separate baths")
     if cfg.sweep is not None:
@@ -784,7 +785,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
 
 def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
              seed: int | None = None) -> str:
-    """Bracket scan plus tuned parameter value, with artifacts."""
+    """Bracket scan, closed-form tuned frequency and its frozen roots, with artifacts."""
     if cfg.tuning is None:
         raise ConfigError("run_tune needs a [tuning] section")
     prep = prepare(cfg, seed_override=seed)
@@ -793,18 +794,19 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
     grid = np.linspace(tb.bracket[0], tb.bracket[1], max(tb.grid_points, 3))
     scan = parameter_scan(prep.net, tb.param, grid, cfg.bath)
     csvio.write_scan(os.path.join(out, "scan.csv"), scan)
-    result = find_sync_parameter(
-        prep.net, tb.param, tb.bracket, cfg.bath, tb.tol, tb.grid_points
-    )
+    result = find_sync_parameter(prep.net, tb.param, tb.bracket, cfg.bath, tb.tol)
     tuned_net = _with_param(prep.net, tb.param, result.value)
     save_network(tuned_net, os.path.join(out, "tuned_network.txt"))
     extra = [
         "",
         f"tuned {' '.join(str(p) for p in result.param)} = {csvio.fmt(result.value)}",
-        f"residual |kappa_sigma| = {csvio.fmt(result.residual)}",
+        f"residual |kappa| = {csvio.fmt(result.residual)}",
         f"frozen mode: {result.mode_index} at Omega = {csvio.fmt(result.mode_freq)}",
         "participating nodes: "
         + " ".join(str(v) for v in result.report.participants(result.mode_index)),
+        "frozen roots in bracket: " + " ".join(csvio.fmt(v) for v in result.roots),
+        "frozen at any value: "
+        + (" ".join(f"Omega = {csvio.fmt(w)}" for w in result.always_frozen) or "none"),
     ]
     csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep, extra))
     return out

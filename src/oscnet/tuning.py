@@ -2,16 +2,19 @@
 
 Under a common or local bath, each mode couples with an effective weight
 kappa built from its eigenvector (column sums of the mode matrix for a
-common bath, one row for a local one).  Driving kappa of the slowest
-mode to zero freezes that mode; every tool here is about finding and
-exploiting such zeros.
+common bath, one row for a local one).  A mode with kappa = 0 is frozen:
+it never damps.
 
-Root finding on kappa(parameter) is complicated by eigenvalue sorting:
-as the parameter moves, eigenvalue order can swap and eigenvector signs
-flip, so kappa sampled naively is neither continuous nor signed.  The
-scan and bisection below track mode identity by eigenvector overlap with
-the previous sample and orient signs along the way, which restores a
-continuous signed kappa that an ordinary bisection can handle.
+Tuning node d's frequency adds x e_d e_d^T to the Hamiltonian matrix H0.
+A mode v at mu = Omega^2 is then frozen when b^T v = 0 (b = 1 for a
+common bath, e_node for a local one), so every frozen point is a finite
+real eigenpair of the bordered pencil
+
+    [[H0, e_d], [b^T, 0]] (v; y) = mu diag(I, 0) (v; y),   x = y / v_d,
+
+the rank-one secular equation of Golub (SIAM Rev. 15, 318, 1973).  An
+eigenpair with v_d = y = 0 is a mode of H0 that node d does not touch:
+it is frozen at any omega_d and is reported, never returned as a tuning.
 
 Closed-form helpers cover the constructions that need no search: the
 frozen-mode residual of a two-branch motif, the residuals that measure
@@ -25,17 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DirectLinkForbidden,
     FrequencyMismatch,
-    ModeTrackingLost,
+    LocalBathNodeOutOfRange,
     NoDominantMode,
     NonPositiveDefinite,
     NoZeroInBracket,
     PoleAtOmega,
 )
-from .network import NetworkSpec, build_network
+from .network import NetworkSpec, build_network, hamiltonian_matrix
 from .spectral import (
     LOCAL,
     SEPARATE,
@@ -50,8 +54,9 @@ from .spectral import (
 #: Relative tolerance used to spot eigenvalue poles in residual formulas.
 POLE_RTOL = 1e-12
 
-#: Smallest |overlap| for which mode tracking is still trusted.
-OVERLAP_MIN = 0.5
+#: Relative roundoff scale of the pencil: imaginary parts and eigenvector
+#: entries below it (against |mu| and the largest |v|) count as zero.
+_PENCIL_RTOL = 1e-8
 
 
 def _check_bath_kind(bath: BathConfig) -> None:
@@ -68,13 +73,6 @@ def _with_param(net: NetworkSpec, param, value: float) -> NetworkSpec:
     if kind == "coupling":
         return net.with_coupling(int(param[1]), int(param[2]), float(value))
     raise ValueError(f"unknown parameter selector {param!r}")
-
-
-def _raw_kappa(modes: np.ndarray, bath: BathConfig) -> np.ndarray:
-    """Signed bath weight of each eigenvector column, convention-free."""
-    if bath.kind == LOCAL:
-        return modes[bath.node, :].copy()
-    return modes.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +130,18 @@ def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanRes
 
 
 # ---------------------------------------------------------------------------
-# Root finding with mode tracking
+# Closed-form frequency tuning
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TuneResult:
-    """A parameter value at which one tracked mode decouples."""
+    """Frozen points of one node frequency inside a bracket.
+
+    ``roots`` lists the verified ones, ascending; ``value`` is the largest,
+    and ``residual``, ``mode_index`` and ``mode_freq`` describe the mode it
+    freezes.  ``always_frozen`` holds the Omega of the modes frozen at any
+    value of that frequency.
+    """
 
     param: tuple
     value: float
@@ -146,81 +150,41 @@ class TuneResult:
     mode_freq: float
     report: FrozenModeReport
     bracket: tuple[float, float]
+    roots: tuple[float, ...]
+    always_frozen: tuple[float, ...]
 
 
-def _tracked_march(net, param, grid, bath):
-    """Signed kappa per mode lineage along the grid, orientation-continued,
-    and the oriented modes (lineages as columns) at every grid value."""
+def _pencil_roots(net: NetworkSpec, d: int, bath: BathConfig):
+    """Candidate tunings of node d from the bordered pencil.
+
+    Returns the (omega_d, mu) of each tuning that freezes a mode at
+    Omega^2 = mu, and the mu of each mode frozen at any omega_d.
+    """
     n = net.n
-    kappas = np.empty((grid.shape[0], n))
-    lineages = np.empty((grid.shape[0], n, n))
-    for k, val in enumerate(grid):
-        try:
-            decomp = diagonalize(_with_param(net, param, val))
-        except NonPositiveDefinite as exc:
-            raise NoZeroInBracket(
-                f"network unstable at {param} = {val:.6g}; shrink the bracket"
-            ) from exc
-        modes = decomp.modes
-        if k > 0:
-            overlap = lineages[k - 1].T @ modes
-            order = np.full(n, -1, dtype=np.int64)
-            taken = np.zeros(n, dtype=bool)
-            # Greedy assignment, strongest overlaps first.
-            flat = np.argsort(np.abs(overlap), axis=None)[::-1]
-            assigned = 0
-            for pos in flat:
-                row, col = divmod(int(pos), n)
-                if order[row] >= 0 or taken[col]:
-                    continue
-                order[row] = col
-                taken[col] = True
-                assigned += 1
-                if assigned == n:
-                    break
-            signs = np.sign(overlap[np.arange(n), order])
-            best = np.abs(overlap[np.arange(n), order])
-            if np.min(best) < OVERLAP_MIN:
-                raise ModeTrackingLost(
-                    f"eigenvector overlap fell to {np.min(best):.3g} at {param} = {val:.6g}"
-                )
-            modes = modes[:, order] * signs[None, :]
-        kappas[k] = _raw_kappa(modes, bath)
-        lineages[k] = modes
-    return kappas, lineages
-
-
-def _bisect_tracked(net, param, lo, hi, vec_lo, k_lo, k_hi, bath, tol):
-    sign_lo = np.sign(k_lo)
-    best_val, best_res = (lo, abs(k_lo)) if abs(k_lo) < abs(k_hi) else (hi, abs(k_hi))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        decomp = diagonalize(_with_param(net, param, mid))
-        overlap = decomp.modes.T @ vec_lo
-        idx = int(np.argmax(np.abs(overlap)))
-        if np.abs(overlap[idx]) < OVERLAP_MIN:
-            raise ModeTrackingLost(
-                f"eigenvector overlap fell to {np.abs(overlap[idx]):.3g} "
-                f"during bisection at {param} = {mid:.6g}"
-            )
-        vec_mid = decomp.modes[:, idx] * np.sign(overlap[idx])
-        k_mid = _raw_kappa(vec_mid[:, None], bath)[0]
-        if abs(k_mid) < best_res:
-            best_val, best_res = mid, abs(k_mid)
-        if abs(k_mid) == 0.0:
-            return mid
-        if np.sign(k_mid) == sign_lo:
-            lo, vec_lo = mid, vec_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    if best_res > tol:
-        raise ModeTrackingLost(
-            f"bisection converged to |kappa| = {best_res:.3g} > tol {tol:.3g}; "
-            "the tracked zero is not a smooth crossing"
-        )
-    return best_val
+    h0 = hamiltonian_matrix(net)
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = h0
+    a[d, n] = 1.0
+    if bath.kind == LOCAL:
+        if not 0 <= bath.node < n:
+            raise LocalBathNodeOutOfRange(f"node {bath.node} outside 0..{n - 1}")
+        a[n, bath.node] = 1.0
+    else:
+        a[n, :n] = 1.0
+    mus, vecs = scipy.linalg.eig(a, np.diag(np.append(np.ones(n), 0.0)))
+    roots, always = [], []
+    for mu, vec in zip(mus, vecs.T):
+        if not np.isfinite(mu) or abs(mu.imag) > _PENCIL_RTOL * abs(mu):
+            continue
+        v, y = vec[:n], vec[n]
+        zero = _PENCIL_RTOL * np.max(np.abs(v))
+        if abs(v[d]) > zero:
+            omega2 = net.omega[d] ** 2 + (y / v[d]).real
+            if omega2 > 0.0:
+                roots.append((float(np.sqrt(omega2)), mu.real))
+        elif abs(y) <= zero * np.max(np.abs(h0)):
+            always.append(mu.real)  # y != 0 would freeze only as omega_d -> inf
+    return roots, always
 
 
 def find_sync_parameter(
@@ -229,73 +193,55 @@ def find_sync_parameter(
     bracket,
     bath: BathConfig,
     tol: float = 1e-10,
-    grid_points: int = 33,
 ) -> TuneResult:
-    """Tune one scalar parameter until the tracked slow mode decouples.
+    """Tune node d's frequency, ``param = ("omega", d)``, until a mode freezes.
 
-    The bracket is first marched on a coarse grid with eigenvector
-    continuation; the sign change with the smallest |kappa| is then
-    bisected.  Raises NoZeroInBracket when no lineage changes sign.
+    Candidates come from the bordered pencil (module docstring).  One is
+    a root when it lies in the bracket, the tuned network is positive
+    definite, and a fresh decomposition gives its mode at Omega^2 = mu a
+    |kappa| of at most ``tol``.  The largest root is the tuning.
+
+    Raises ValueError for any selector other than omega (a coupling is a
+    rank-two, indefinite update) and NoZeroInBracket when no root is left.
     """
     _check_bath_kind(bath)
+    if param[0] != "omega" or len(param) != 2:
+        raise ValueError(f"only a node frequency ('omega', d) can be tuned, got {param!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    grid = np.linspace(lo, hi, max(int(grid_points), 3))
-    kappas, lineages = _tracked_march(net, param, grid, bath)
+    d = int(param[1])
+    if not 0 <= d < net.n:
+        raise ValueError(f"node {d} outside 0..{net.n - 1}")
 
-    crossings = []
-    for m in range(net.n):
-        track = kappas[:, m]
-        flips = np.flatnonzero(np.sign(track[:-1]) * np.sign(track[1:]) < 0)
-        for k in flips:
-            crossings.append((min(abs(track[k]), abs(track[k + 1])), k, m))
-        for k in np.flatnonzero(track == 0.0):
-            crossings.append((0.0, max(int(k) - 1, 0), m))
-    if not crossings:
-        raise NoZeroInBracket(
-            f"no tracked mode changes the sign of kappa over {param} in "
-            f"[{lo:.6g}, {hi:.6g}]"
-        )
-    crossings.sort()
-    _, seg, _ = crossings[0]
-
-    # Bisect each crossing lineage found on [grid[seg], grid[seg+1]],
-    # starting from its oriented mode at grid[seg].
-    value = None
-    for _, k, m in crossings:
-        if k != seg:
+    candidates, always = _pencil_roots(net, d, bath)
+    found = []
+    for value, mu in sorted(candidates):
+        if not lo <= value <= hi:
             continue
         try:
-            value = _bisect_tracked(
-                net, param, grid[seg], grid[seg + 1],
-                lineages[seg, :, m], kappas[seg, m], kappas[seg + 1, m],
-                bath, tol,
-            )
-            break
-        except ModeTrackingLost:
+            decomp = effective_couplings(diagonalize(net.with_omega(d, value)), bath)
+        except NonPositiveDefinite:
             continue
-    if value is None:
-        raise ModeTrackingLost(
-            f"all sign changes of kappa over {param} lost mode identity during bisection"
+        mode = int(np.argmin(np.abs(decomp.freqs**2 - mu)))
+        residual = float(np.abs(decomp.eff_coupling[mode]))
+        if residual <= tol:
+            found.append((value, mode, residual, decomp))
+    if not found:
+        raise NoZeroInBracket(
+            f"no frozen root of omega {d} with |kappa| <= {tol:.3g} in [{lo:.6g}, {hi:.6g}]"
         )
-
-    tuned = _with_param(net, param, value)
-    decomp = effective_couplings(diagonalize(tuned), bath)
-    residual = float(np.abs(decomp.eff_coupling[decomp.slowest]))
-    if residual > tol:
-        raise ModeTrackingLost(
-            f"tuned point has |kappa_sigma| = {residual:.3g} > tol {tol:.3g}"
-        )
-    report = frozen_mode_report(decomp, bath)
+    value, mode, residual, decomp = found[-1]
     return TuneResult(
-        param=tuple(param),
-        value=float(value),
+        param=("omega", d),
+        value=value,
         residual=residual,
-        mode_index=int(decomp.slowest),
-        mode_freq=float(decomp.freqs[decomp.slowest]),
-        report=report,
+        mode_index=mode,
+        mode_freq=float(decomp.freqs[mode]),
+        report=frozen_mode_report(decomp, bath),
         bracket=(lo, hi),
+        roots=tuple(root[0] for root in found),
+        always_frozen=tuple(sorted(float(np.sqrt(mu)) for mu in always)),
     )
 
 

@@ -347,6 +347,13 @@ class TestTwoModeMeasures:
         with pytest.raises(UnphysicalCovariance):
             on.gaussian_discord(0.1 * np.eye(4))
 
+    def test_indefinite_covariance_rejected(self):
+        # -0.6 I reads as symplectic eigenvalues 0.6 through |eig(J cov)|
+        for measure, dim in ((on.mutual_information, 4), (on.log_negativity, 4),
+                             (on.gaussian_discord, 4), (on.von_neumann_entropy, 2)):
+            with pytest.raises(UnphysicalCovariance):
+                measure(-0.6 * np.eye(dim))
+
     def test_batched_info_and_logneg(self):
         covs = np.stack([tmsv_cov(r) for r in (0.2, 0.7, 1.4)])
         out = on.log_negativity(covs)

@@ -324,6 +324,8 @@ directory = out
             text = fh.read()
         assert "tuned omega 3 =" in text
         assert "participating nodes: 2 3" in text
+        assert "frozen roots in bracket: 1\n" in text
+        assert "frozen at any value: none" in text
 
     def test_spectrum_artifacts(self, tmp_path):
         cfg = on.load_config(write_ini(tmp_path, CHAIN_INI))
@@ -356,6 +358,16 @@ class TestCli:
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert "'exact'" in capsys.readouterr().err
+
+    def test_coupling_tuning_exit_code(self, tmp_path, capsys):
+        text = TestRunTuneAndSpectrum.TUNE_INI.replace(
+            "parameter = omega 3", "parameter = coupling 3 1"
+        )
+        out = tmp_path / "t"
+        path = write_ini(tmp_path, text)
+        assert main(["tune", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "omega <node>" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--config",

@@ -119,43 +119,64 @@ class TestFindSyncFrequency:
             on.find_sync_parameter(chain3, ("omega", 0), (1.5, 1.5), common_bath)
 
 
-class TestFindSyncParameter:
-    def test_coupling_zero_at_balanced_value(self, common_bath):
-        # pair balanced except one external link; the zero sits exactly at
-        # the matching coupling
-        base = on.build_network(
-            np.array([1.3, 1.5]), np.array([[0.0, -0.05], [-0.05, 0.0]])
-        )
-        net = on.attach_pair(
-            base, 1.0, 1.0,
-            links_a={0: -0.15, 1: -0.12},
-            links_b={0: -0.15, 1: -0.07},
-        )
-        res = on.find_sync_parameter(net, ("coupling", 3, 1), (-0.2, -0.03),
-                                     common_bath)
-        assert res.value == pytest.approx(-0.12, abs=1e-9)
-        assert res.residual <= 1e-10
+def preset_network(name):
+    return on.load_network(str(resources.files("oscnet") / "presets" / name))
 
-    def test_grid_is_diagonalized_once(self, common_bath, monkeypatch):
-        # the march keeps the oriented modes of every grid value, so the
-        # bisection starts without marching the bracket a second time
-        from oscnet import tuning
 
-        net = on.load_network(
-            str(resources.files("oscnet") / "presets" / "fig3_network.txt")
-        )
-        grid = np.linspace(0.8, 1.4, 33)
-        seen = []
+class TestClosedFormRoots:
+    # Every omega_6 in (0.8, 1.4) that freezes a mode of the fig3 network.
+    FIG3_ROOTS = (0.8140636180005536, 0.9459981552461165, 0.9850094685609079,
+                  1.0156702665697543, 1.1875560805314034, 1.2053602242876165,
+                  1.230650018734387)
+    FIG3_SHIPPED = 1.230650018734386  # omega_6 of the shipped preset
 
-        def counting(spec):
-            seen.append(float(spec.omega[6]))
-            return on.diagonalize(spec)
-
-        monkeypatch.setattr(tuning, "diagonalize", counting)
+    def test_fig3_roots_against_kappa_oracle(self, common_bath):
+        net = preset_network("fig3_network.txt")
         res = on.find_sync_parameter(net, ("omega", 6), (0.8, 1.4), common_bath)
-        assert res.value == pytest.approx(1.2306500187, abs=1e-9)
-        on_grid = [v for v in seen if v in set(grid.tolist())]
-        assert sorted(on_grid) == grid.tolist()
+        assert res.roots == pytest.approx(self.FIG3_ROOTS, rel=1e-12)
+        assert res.value == res.roots[-1]
+        assert res.always_frozen == ()
+        for root in res.roots:
+            dec = on.effective_couplings(
+                on.diagonalize(net.with_omega(6, root)), common_bath
+            )
+            assert np.min(np.abs(dec.eff_coupling)) <= 1e-12
+
+    def test_fig3_tune_writes_shipped_frequency(self, tmp_path):
+        net_path = resources.files("oscnet") / "presets" / "fig3_network.txt"
+        ini = tmp_path / "tune.ini"
+        ini.write_text(
+            f"[network]\nsource = file\npath = {net_path}\n\n"
+            "[bath]\nkind = common\ngamma = 0.01\ntemperature = 10.0\ncutoff = 50.0\n\n"
+            "[time]\nt_end = 5.0\n\n[analysis]\nenabled = false\n\n"
+            "[tuning]\nparameter = omega 6\nbracket = 0.8 1.4\n"
+        )
+        on.run_tune(on.load_config(str(ini)), out_dir=str(tmp_path / "out"))
+        tuned = on.load_network(str(tmp_path / "out" / "tuned_network.txt"))
+        assert abs(tuned.omega[6] - self.FIG3_SHIPPED) <= 8 * np.spacing(self.FIG3_SHIPPED)
+
+    def test_fig5_pair_mode_frozen_at_any_value(self, common_bath):
+        # The balanced pair's antisymmetric mode (Omega = 1) is frozen for
+        # every omega_3: it must be reported, and each root must freeze a
+        # second mode on top of it.
+        net = preset_network("fig5_network.txt")
+
+        def second_smallest_kappa(omega_3):
+            dec = on.effective_couplings(
+                on.diagonalize(net.with_omega(3, omega_3)), common_bath
+            )
+            return np.sort(np.abs(dec.eff_coupling))[1]
+
+        res = on.find_sync_parameter(net, ("omega", 3), (1.0, 1.3), common_bath)
+        assert second_smallest_kappa(res.value) <= 1e-10
+        assert all(second_smallest_kappa(root) <= 1e-10 for root in res.roots)
+        assert res.always_frozen == pytest.approx((1.0,), abs=1e-12)
+        assert abs(res.mode_freq - 1.0) > 1e-6
+
+    def test_coupling_selector_rejected(self, common_bath):
+        net = detuned_pair_network(omega_b=1.0)
+        with pytest.raises(ValueError):
+            on.find_sync_parameter(net, ("coupling", 3, 1), (-0.2, -0.03), common_bath)
 
 
 class TestEstimateSyncTimes:
