@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     IntegratorStepFailure,
     PhysicalityViolation,
+    UnphysicalCovariance,
     UnphysicalSpec,
 )
 from .network import NetworkSpec, hamiltonian_matrix
@@ -203,9 +204,10 @@ def _check_physical(cov0: np.ndarray, decomp: ModeDecomposition) -> None:
     g = decomp.damping
     if not (np.all(g >= 0.0) and np.all(decomp.diffusion >= g * decomp.freqs * (1.0 - tol))):
         raise PhysicalityViolation("mode channel is not completely positive (G < 0 or D < G W)")
-    if np.linalg.eigvalsh(cov0)[0] <= 0.0:
-        raise PhysicalityViolation("initial covariance is not positive definite")
-    nu_min = measures.symplectic_spectrum(cov0)[0]
+    try:
+        nu_min = measures.symplectic_spectrum(cov0)[0]
+    except UnphysicalCovariance as exc:
+        raise PhysicalityViolation("initial covariance is not positive definite") from exc
     if nu_min < 0.5 - tol:
         raise PhysicalityViolation(f"initial state has symplectic eigenvalue {nu_min:.6g} (< 1/2)")
 

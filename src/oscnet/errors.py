@@ -57,7 +57,8 @@ class UnphysicalSpec(OscnetError):
 
 
 class UnphysicalCovariance(OscnetError):
-    """Covariance matrix has a symplectic eigenvalue below the vacuum floor."""
+    """Covariance matrix is not positive definite or has a symplectic
+    eigenvalue below the vacuum floor."""
 
 
 class DimensionMismatch(OscnetError):

@@ -64,38 +64,24 @@ def symplectic_form(n: int) -> np.ndarray:
 def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues, ascending; supports batched (..., 2n, 2n) input.
 
-    For positive-definite input the spectrum is read off the singular
-    values of L^T J L with cov = L L^T: that matrix is antisymmetric, so
-    its singular values are the moduli of its eigenvalues (each appearing
-    twice) and the SVD cannot fail to converge.  Indefinite input (seen by
-    the physicality guards) falls back to the eigenvalues of J cov; both
-    routes average the +/- pairs to suppress roundoff splitting.
+    The spectrum is read off the singular values of L^T J L with
+    cov = L L^T: that matrix is antisymmetric, so its singular values are
+    the moduli of its eigenvalues (each appearing twice) and the SVD cannot
+    fail to converge; the +/- pairs are averaged to suppress roundoff
+    splitting.  A batch holding a covariance that is not positive definite
+    has no Cholesky factor and raises UnphysicalCovariance.
     """
     cov = np.asarray(cov, dtype=float)
     n2 = cov.shape[-1]
     if n2 % 2 != 0 or cov.shape[-2] != n2:
         raise DimensionMismatch("covariance must be square with even dimension")
-    j = symplectic_form(n2 // 2)
     try:
         chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.eigvals(j @ cov)
-        mods = np.sort(np.abs(lam), axis=-1)
-        return 0.5 * (mods[..., 0::2] + mods[..., 1::2])
-    skew = np.swapaxes(chol, -1, -2) @ j @ chol
-    sv = np.linalg.svd(skew, compute_uv=False)
-    return (0.5 * (sv[..., 0::2] + sv[..., 1::2]))[..., ::-1]
-
-
-def _require_positive_definite(cov) -> None:
-    """Raise UnphysicalCovariance unless every covariance of the batch is
-    positive definite.  The indefinite route of :func:`symplectic_spectrum`
-    can land above the vacuum floor (it reads -0.6 I as 0.6), so the floor
-    alone does not catch such input."""
-    try:
-        np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise UnphysicalCovariance("covariance is not positive definite") from exc
+    skew = np.swapaxes(chol, -1, -2) @ symplectic_form(n2 // 2) @ chol
+    sv = np.linalg.svd(skew, compute_uv=False)
+    return (0.5 * (sv[..., 0::2] + sv[..., 1::2]))[..., ::-1]
 
 
 def _entropy_term(nu: np.ndarray) -> np.ndarray:
@@ -106,7 +92,6 @@ def _entropy_term(nu: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(cov: np.ndarray) -> float | np.ndarray:
     """Entropy (nats) of a Gaussian state from its symplectic spectrum."""
     nus = symplectic_spectrum(cov)
-    _require_positive_definite(cov)
     if np.any(nus < 0.5 - PHYSICALITY_TOL):
         raise UnphysicalCovariance(
             f"symplectic eigenvalue {nus.min():.6g} below the vacuum floor 1/2"
@@ -305,7 +290,8 @@ def _pair_nus(cov4):
 
 
 def _check_pair_physical(cov4):
-    """(nu_minus, nu_plus) of a two-mode covariance that passes the vacuum floor."""
+    """(nu_minus, nu_plus) of a positive-definite two-mode covariance that
+    passes the vacuum floor; UnphysicalCovariance otherwise."""
     nu_minus, nu_plus = _pair_nus(cov4)
     if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
         raise UnphysicalCovariance(
@@ -333,7 +319,6 @@ def _mutual_information(cov4, nu_minus, nu_plus):
 def mutual_information(cov4) -> float | np.ndarray:
     """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
     nus = _check_pair_physical(cov4)
-    _require_positive_definite(cov4)
     out = _mutual_information(cov4, *nus)
     return float(out) if out.ndim == 0 else out
 
@@ -355,7 +340,6 @@ def log_negativity(cov4) -> float | np.ndarray:
     the entanglement (same stability argument as :func:`_pair_nus`).
     """
     nus = _check_pair_physical(cov4)
-    _require_positive_definite(cov4)
     out = _log_negativity(cov4, *nus)
     return float(out) if out.ndim == 0 else out
 
@@ -443,7 +427,6 @@ def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
     clamp to zero.
     """
     nus = _check_pair_physical(cov4)
-    _require_positive_definite(cov4)
     out = _gaussian_discord(cov4, *nus, measured=measured)
     return float(out) if out.ndim == 0 else out
 
@@ -488,8 +471,9 @@ def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> PairSeries:
     """Evaluate one two-mode measure on every (time, pair) of a trajectory.
 
-    Pairs whose covariance fails the physicality floor anywhere in the
-    series are dropped and reported in ``excluded`` (NaN-filled columns).
+    Pairs whose covariance is not positive definite or fails the
+    physicality floor anywhere in the series are dropped and reported in
+    ``excluded`` (NaN-filled columns).
     The symplectic pair computed for that check is handed to the measure,
     so each (time, pair) costs one spectrum (two for log-negativity).
     """
@@ -504,8 +488,9 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
     excluded = []
     for k, (i, j) in enumerate(pair_list):
         cov4 = pair_covariance(covs, i, j, traj.n)
-        nu_minus, nu_plus = _pair_nus(cov4)
-        if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
+        try:
+            nu_minus, nu_plus = _check_pair_physical(cov4)
+        except UnphysicalCovariance:
             excluded.append((i, j))
             continue
         values[:, k] = _PAIR_MEASURES[measure](cov4, nu_minus, nu_plus)

@@ -10,7 +10,8 @@ Pipelines:
 
 - run_simulate: trajectory + windowed measures + aggregate series
 - run_sweep:    repeat a simulation over a parameter grid (optionally
-  across worker processes) into one map CSV
+  across worker processes) into one map CSV of S(t) and the
+  pair-averaged discord only
 - run_tune:     kappa scan over a bracket plus the tuned frequency
 - run_spectrum: mode table and transform matrix, no time evolution
 
@@ -24,7 +25,6 @@ import configparser
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -301,8 +301,7 @@ def load_config(path: str) -> ScenarioConfig:
             analysis.window = float(window)
             if analysis.window <= 0.0:
                 raise ConfigError("analysis window must be positive")
-        pairs = _get(parser, "analysis", "pairs", _parse_pairs, default=None)
-        analysis.pairs = pairs
+        analysis.pairs = _get(parser, "analysis", "pairs", _parse_pairs, default=None)
         subset = _get(parser, "analysis", "sync_subset", str, default="all")
         if subset.lower() != "all":
             analysis.sync_subset = tuple(int(t) for t in subset.split())
@@ -584,72 +583,32 @@ def _initial_state(cfg: ScenarioConfig, net: NetworkSpec):
     )
 
 
-def _run_traj(prep: PreparedScenario, net=None, decomp=None):
-    cfg = prep.cfg
-    net = prep.net if net is None else net
-    decomp = prep.decomp if decomp is None else decomp
-    state0 = _initial_state(cfg, net)
-    return evolve(state0, decomp, prep.times, method=cfg.time.method)
+def _run_traj(prep: PreparedScenario):
+    state0 = _initial_state(prep.cfg, prep.net)
+    return evolve(state0, prep.decomp, prep.times, method=prep.cfg.time.method)
 
 
-def _analysis_products(prep: PreparedScenario, traj):
-    """C per pair, S series, quantum pair series, and aggregates."""
-    cfg = prep.cfg
-    n = traj.n
-    pair_list = prep.pairs if prep.pairs is not None else tuple(combinations(range(n), 2))
-    stride = cfg.analysis.stride
+def _aggregates(prep: PreparedScenario, traj, series):
+    """Measure-grid times, S(t) on that grid, and each series' pair mean.
+
+    Every series holds one measure on the same strided grid and pairs, and
+    excludes the same pairs (one physicality check on the same pair
+    covariances), so the first series fixes the grid and the kept pairs.
+    Each mean is moving-averaged over the analysis window.
+    """
+    stride = prep.cfg.analysis.stride
     window = prep.window
-
-    sync = measures.collective_sync(traj, window, subset=cfg.analysis.sync_subset)
-
-    signal = traj.second_moment_q
-    corr_full = np.full((traj.times.shape[0], len(pair_list)), np.nan)
-    for k, (i, j) in enumerate(pair_list):
-        series = measures.windowed_correlation(
-            traj.times, signal[:, i], signal[:, j], window
-        )
-        corr_full[: series.values.shape[0], k] = series.values
-
-    m_times = traj.times[::stride]
-    corr = corr_full[::stride]
-    info = measures.pair_measure_series(
-        traj, measures.MUTUAL_INFORMATION, pair_list, stride
-    )
-    disc = measures.pair_measure_series(traj, measures.DISCORD, pair_list, stride)
-    logneg = measures.pair_measure_series(
-        traj, measures.LOG_NEGATIVITY, pair_list, stride
-    )
-
-    excluded = sorted(set(info.excluded) | set(disc.excluded) | set(logneg.excluded))
-    keep = [k for k, p in enumerate(pair_list) if p not in excluded]
+    m_times = series[0].times
+    keep = [k for k, p in enumerate(series[0].pairs) if p not in series[0].excluded]
     m_dt = m_times[1] - m_times[0] if m_times.shape[0] > 1 else window
     m_samples = max(1, int(round(window / m_dt)))
-
-    avg_disc, avg_info, avg_logneg = (
-        measures._smoothed_pair_mean(series.values, keep, m_samples)
-        for series in (disc, info, logneg)
-    )
-    agg_len = avg_disc.shape[0]
-    agg_times = m_times[:agg_len]
+    means = [measures._smoothed_pair_mean(s.values, keep, m_samples) for s in series]
+    agg_len = means[0].shape[0]
+    sync = measures.collective_sync(traj, window, subset=prep.cfg.analysis.sync_subset)
     sync_on_grid = np.full(agg_len, np.nan)
     sync_sampled = sync.values[::stride][:agg_len]
     sync_on_grid[: sync_sampled.shape[0]] = sync_sampled
-
-    return {
-        "pairs": pair_list,
-        "m_times": m_times,
-        "corr": corr,
-        "info": info.values,
-        "disc": disc.values,
-        "logneg": logneg.values,
-        "excluded": tuple(excluded),
-        "agg_times": agg_times,
-        "agg_sync": sync_on_grid,
-        "agg_disc": avg_disc,
-        "agg_info": avg_info,
-        "agg_logneg": avg_logneg,
-        "sync": sync,
-    }
+    return m_times[:agg_len], sync_on_grid, means
 
 
 def _summary_text(prep: PreparedScenario, extra_lines=()) -> str:
@@ -707,34 +666,46 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
     csvio.write_trajectory(os.path.join(out, "trajectory.csv"), traj)
     extra = []
     if cfg.analysis.enabled:
-        prods = _analysis_products(prep, traj)
-        csvio.write_pair_measures(
-            os.path.join(out, "measures.csv"),
-            prods["m_times"], prods["pairs"], prods["corr"],
-            prods["info"], prods["disc"], prods["logneg"],
+        stride = cfg.analysis.stride
+        info, disc, logneg = (
+            measures.pair_measure_series(traj, measure, prep.pairs, stride)
+            for measure in (measures.MUTUAL_INFORMATION, measures.DISCORD,
+                            measures.LOG_NEGATIVITY)
         )
-        csvio.write_aggregate(
-            os.path.join(out, "aggregate.csv"),
-            prods["agg_times"], prods["agg_sync"], prods["agg_disc"],
-            prods["agg_info"], prods["agg_logneg"],
-        )
-        extra.append(f"analysis window: {csvio.fmt(prods['sync'].window)}")
-        if prods["excluded"]:
-            extra.append(
-                "excluded pairs: "
-                + "; ".join(f"{i} {j}" for i, j in prods["excluded"])
+        signal = traj.second_moment_q
+        corr = np.full(disc.values.shape, np.nan)
+        for k, (i, j) in enumerate(disc.pairs):
+            pearson = measures.windowed_correlation(
+                traj.times, signal[:, i], signal[:, j], prep.window
             )
+            sampled = pearson.values[::stride]
+            corr[: sampled.shape[0], k] = sampled
+        csvio.write_pair_measures(
+            os.path.join(out, "measures.csv"), disc.times, disc.pairs, corr,
+            info.values, disc.values, logneg.values,
+        )
+        times, sync, (avg_info, avg_disc, avg_logneg) = _aggregates(
+            prep, traj, (info, disc, logneg)
+        )
+        csvio.write_aggregate(os.path.join(out, "aggregate.csv"),
+                              times, sync, avg_disc, avg_info, avg_logneg)
+        # each pair's window, like S(t)'s, is the window rounded to the grid
+        extra.append(f"analysis window: {csvio.fmt(pearson.window)}")
+        if disc.excluded:
+            listed = "; ".join(f"{i} {j}" for i, j in sorted(disc.excluded))
+            extra.append(f"excluded pairs: {listed}")
     csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep, extra))
     return out
 
 
 def _sweep_point(job):
     value, prep = job
-    prods = _analysis_products(prep, _run_traj(prep))
-    times = prods["agg_times"]
-    return np.column_stack([
-        np.full(times.shape[0], value), times, prods["agg_sync"], prods["agg_disc"],
-    ])
+    traj = _run_traj(prep)
+    disc = measures.pair_measure_series(
+        traj, measures.DISCORD, prep.pairs, prep.cfg.analysis.stride
+    )
+    times, sync, (avg_disc,) = _aggregates(prep, traj, (disc,))
+    return np.column_stack([np.full(times.shape[0], value), times, sync, avg_disc])
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
@@ -748,6 +719,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
     """
     if cfg.sweep is None:
         raise ConfigError("run_sweep needs a [sweep] section")
+    if not cfg.analysis.enabled:
+        raise ConfigError("run_sweep needs [analysis] enabled: map.csv is analysis output")
     prep = prepare(cfg, seed_override=seed)  # validates everything once
     out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
     jobs = []
@@ -792,9 +765,9 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
     out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
     tb = cfg.tuning
     grid = np.linspace(tb.bracket[0], tb.bracket[1], max(tb.grid_points, 3))
+    result = find_sync_parameter(prep.net, tb.param, tb.bracket, cfg.bath, tb.tol)
     scan = parameter_scan(prep.net, tb.param, grid, cfg.bath)
     csvio.write_scan(os.path.join(out, "scan.csv"), scan)
-    result = find_sync_parameter(prep.net, tb.param, tb.bracket, cfg.bath, tb.tol)
     tuned_net = _with_param(prep.net, tb.param, result.value)
     save_network(tuned_net, os.path.join(out, "tuned_network.txt"))
     extra = [

@@ -56,6 +56,7 @@ POLE_RTOL = 1e-12
 
 #: Relative roundoff scale of the pencil: imaginary parts and eigenvector
 #: entries below it (against |mu| and the largest |v|) count as zero.
+#: :func:`parameter_scan` reads mode-matrix entries on the same scale.
 _PENCIL_RTOL = 1e-8
 
 
@@ -81,7 +82,12 @@ def _with_param(net: NetworkSpec, param, value: float) -> NetworkSpec:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """kappa of the least-coupled mode along a parameter grid."""
+    """|kappa| of the least-coupled mode the parameter can move, along a grid.
+
+    A mode in which every swept node has a zero amplitude stays an
+    eigenvector at every value, so its kappa never moves; ``sigma_index``
+    ranges over the other modes only.
+    """
 
     param: tuple
     values: np.ndarray
@@ -99,11 +105,16 @@ class ScanResult:
 def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanResult:
     """|kappa_sigma| over a parameter grid, marking swaps and unstable points.
 
+    sigma is the least-coupled mode among those in which a swept node
+    (``omega d``: d; ``coupling i j``: i or j) has an amplitude above
+    _PENCIL_RTOL of the largest mode-matrix entry.
+
     Grid points where the modified network loses positive definiteness
     are kept (stable=False, NaN kappa) rather than raised, so a scan can
     sweep straight through an instability window.
     """
     _check_bath_kind(bath)
+    nodes = list(param[1:])
     values = np.asarray(values, dtype=float)
     kappa = np.full(values.shape, np.nan)
     sigma = np.full(values.shape, -1, dtype=np.int64)
@@ -114,8 +125,10 @@ def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanRes
         except NonPositiveDefinite:
             continue
         stable[k] = True
-        sigma[k] = decomp.slowest
-        kappa[k] = np.abs(decomp.eff_coupling[decomp.slowest])
+        amp = np.abs(decomp.modes)
+        movable = np.flatnonzero(amp[nodes].max(axis=0) > _PENCIL_RTOL * amp.max())
+        sigma[k] = movable[np.argmin(np.abs(decomp.eff_coupling[movable]))]
+        kappa[k] = np.abs(decomp.eff_coupling[sigma[k]])
     swapped = np.zeros(values.shape, dtype=bool)
     both = stable[1:] & stable[:-1]
     swapped[1:] = both & (sigma[1:] != sigma[:-1])

@@ -512,6 +512,20 @@ class TestPairSeries:
         good = out.pairs.index((0, 1))
         assert np.all(np.isfinite(out.values[:, good]))
 
+    @pytest.mark.parametrize("measure", [MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY])
+    def test_indefinite_pair_excluded(self, measure):
+        # nodes 0 and 1 carry -0.6 in every variance: each pair touching
+        # them has no Cholesky factor (|eig(J cov)| would read nu = 0.6)
+        n_t, n = 12, 4
+        covs = np.tile(np.diag([-0.6, -0.6, 0.5, 0.5] * 2), (n_t, 1, 1))
+        traj = Trajectory(times=np.arange(n_t) * 0.5, means=np.zeros((n_t, 2 * n)),
+                          covs=covs, energy=np.zeros(n_t))
+        out = on.pair_measure_series(traj, measure)
+        assert set(out.excluded) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+        kept = out.pairs.index((2, 3))
+        assert np.all(np.isnan(np.delete(out.values, kept, axis=1)))
+        assert np.allclose(out.values[:, kept], 0.0, atol=1e-12)  # vacuum pair
+
     @pytest.mark.parametrize("measure, spectra", [
         (MUTUAL_INFORMATION, 1), (DISCORD, 1), (LOG_NEGATIVITY, 2),
     ])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oscnet as on
-from oscnet import scenarios
+from oscnet import measures, scenarios
 from oscnet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from oscnet.errors import ConfigError
 
@@ -279,6 +279,25 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             on.run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
 
+    def test_points_request_discord_only(self, tmp_path, monkeypatch):
+        # map.csv holds S(t) and the pair-averaged discord: a point must not
+        # compute the simulate-only C, I or E_N series
+        requested = []
+        pair_series = measures.pair_measure_series
+
+        def counting(traj, measure, *args, **kwargs):
+            requested.append(measure)
+            return pair_series(traj, measure, *args, **kwargs)
+
+        def no_correlation(*args, **kwargs):
+            raise AssertionError("a sweep point computed a pair correlation C")
+
+        monkeypatch.setattr(measures, "pair_measure_series", counting)
+        monkeypatch.setattr(measures, "windowed_correlation", no_correlation)
+        cfg = on.load_config(write_ini(tmp_path, CHAIN_INI + self.SWEEP_TAIL))
+        on.run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+        assert requested == [measures.DISCORD, measures.DISCORD]
+
 
 class TestRunTuneAndSpectrum:
     TUNE_INI = """\
@@ -395,6 +414,43 @@ class TestCli:
         code = main(["sweep", "--config", path, "--out", str(tmp_path / "s")])
         assert code == EXIT_CONFIG
         assert not os.path.exists(tmp_path / "s" / "map.csv")
+
+    def test_sweep_without_analysis_exit_code(self, tmp_path, capsys):
+        text = CHAIN_INI.replace("window = 2.0", "enabled = false")
+        path = write_ini(tmp_path, text + TestRunSweep.SWEEP_TAIL)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "[analysis]" in capsys.readouterr().err
+
+    def test_failed_tune_writes_nothing(self, tmp_path, capsys):
+        # no frozen root of omega 6 in (1.6, 1.7) on the fig3 network
+        net_path = resources.files("oscnet") / "presets" / "fig3_network.txt"
+        path = write_ini(tmp_path, textwrap.dedent(f"""\
+            [network]
+            source = file
+            path = {net_path}
+
+            [bath]
+            kind = common
+            gamma = 0.01
+            temperature = 10.0
+            cutoff = 50.0
+
+            [time]
+            t_end = 5.0
+
+            [analysis]
+            enabled = false
+
+            [tuning]
+            parameter = omega 6
+            bracket = 1.6 1.7
+            """))
+        out = tmp_path / "t"
+        assert main(["tune", "--config", path, "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert "NoZeroInBracket" in capsys.readouterr().err
 
     def test_sweep_workers_flag(self, tmp_path, capsys):
         path = write_ini(tmp_path, CHAIN_INI + TestRunSweep.SWEEP_TAIL)

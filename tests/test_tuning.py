@@ -66,6 +66,23 @@ class TestParameterScan:
         with pytest.raises(ValueError):
             on.parameter_scan(chain3, ("omega", 0), [1.0, 1.1], separate_bath)
 
+    def test_fig5_skips_mode_the_parameter_cannot_move(self, common_bath):
+        # The pair mode at Omega = 1 has no amplitude on node 3 and is
+        # frozen at any omega_3; the scan must follow the modes node 3
+        # moves, whose kappa vanishes only at the closed-form roots.
+        net = preset_network("fig5_network.txt")
+        roots = on.find_sync_parameter(net, ("omega", 3), (1.0, 1.3), common_bath).roots
+        values = np.array([1.0, 1.1, 1.2, *roots])
+        out = on.parameter_scan(net, ("omega", 3), values, common_bath)
+        for k, v in enumerate(values):
+            dec = on.effective_couplings(on.diagonalize(net.with_omega(3, v)), common_bath)
+            movable = np.abs(dec.modes[3]) > 1e-8 * np.abs(dec.modes).max()
+            assert movable[out.sigma_index[k]]
+            assert abs(dec.freqs[out.sigma_index[k]] - 1.0) > 1e-6
+            assert out.kappa_sigma[k] == np.min(np.abs(dec.eff_coupling[movable]))
+        assert np.all(out.kappa_sigma[:3] > 0.1)
+        assert np.all(out.kappa_sigma[3:] <= 1e-10)
+
 
 class TestFindSyncFrequency:
     def test_recovers_exact_pair_resonance(self, common_bath):
