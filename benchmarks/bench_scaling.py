@@ -19,8 +19,11 @@ The results go into ``BENCH_scaling.json`` at the repository root (or
 To record a second source tree, copy this file into that checkout and run
 it there with ``--out`` pointing at the same JSON file.
 
-Memory grows with the (T, 2n, 2n) covariance stack: n = 80 peaks at about
-3 GB.
+Peak memory grows as T n: ``evolve`` works through time chunks and keeps
+only the means, the node blocks and the energy, and the pair measures read
+the covariances of every ``stride``-th time.  n = 80 peaks at about
+190 MB; while ``evolve`` held the whole (T, 2n, 2n) covariance stack it
+peaked at 3.0 GB.
 """
 
 from __future__ import annotations

@@ -11,12 +11,16 @@ Lyapunov equation with diagonal diffusion.  The system is linear and
 time-invariant, so it is solved in closed form and reported straight in
 the node basis: the propagator M(t) = U E(t), with U = blockdiag(F, F)
 the normal-mode transform and E(t) each mode's damped rotation, is built
-for every stored time at once, and the moments are one batched congruence
-of the initial state plus the relaxation towards the stationary
-covariance.  There is no step and no accumulated stepping error, and the
-stored times need not be uniform.  Each mode's map is a thermal attenuator,
-completely positive when D >= G W (Heinosaari, Holevo & Wolf, QIC 10, 619
-(2010)), so a physical initial state stays physical at every stored time.
+for a chunk of stored times at a time, and the moments are one batched
+congruence of the initial state plus the relaxation towards the
+stationary covariance.  There is no step and no accumulated stepping
+error, and the stored times need not be uniform.  A trajectory keeps the
+means, each node's 2x2 block and the energy, all O(T n); its (2n, 2n)
+covariances are recomputed, by the same routine, for the times a caller
+indexes, so memory does not grow as T n^2.  Each mode's map is a thermal
+attenuator, completely positive when D >= G W (Heinosaari, Holevo & Wolf,
+QIC 10, 619 (2010)), so a physical initial state stays physical at every
+stored time.
 
 :func:`evolve_node_reference` propagates the same physics straight in
 the node basis as one dense 2n-dimensional system, advancing each stored
@@ -44,6 +48,11 @@ from .spectral import BathConfig, ModeDecomposition, _frozen_mask
 
 NODE = "node"
 MODE = "mode"
+
+#: Most covariance entries one time chunk of the moments holds.  A chunk's
+#: propagator, product and covariances then stay near the CPU caches, and
+#: no (T, 2n, 2n) stack is allocated at any T.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -145,17 +154,33 @@ def change_basis(state: GaussianState, decomp: ModeDecomposition, target: str) -
     return GaussianState(mean, cov, basis=target)
 
 
+def _node_blocks(covs) -> np.ndarray:
+    """Per-node (var_q, var_p, cov_qp) of (T, 2n, 2n) covariances, shape (T, n, 3)."""
+    n = covs.shape[-1] // 2
+    idx = np.arange(n)
+    return np.stack([covs[:, idx, idx], covs[:, n + idx, n + idx], covs[:, idx, n + idx]], axis=-1)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Stored moments along a simulation, in the node basis.
 
-    times: (T,); means: (T, 2n); covs: (T, 2n, 2n); energy: (T,).
+    times: (T,); means: (T, 2n); covs: (T, 2n, 2n); energy: (T,); blocks:
+    (T, n, 3), each node's (var_q, var_p, cov_qp), derived from covs when
+    not given.  covs is an array, or from :func:`evolve` a view that
+    computes the covariances of the times it is indexed with and returns
+    them as a fresh array (``np.asarray`` gives all of them).
     """
 
     times: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     energy: np.ndarray
+    blocks: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", _node_blocks(np.asarray(self.covs)))
 
     @property
     def n(self) -> int:
@@ -174,18 +199,15 @@ class Trajectory:
 
     @property
     def var_q(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        return self.covs[:, idx, idx]
+        return self.blocks[:, :, 0]
 
     @property
     def var_p(self) -> np.ndarray:
-        idx = self.n + np.arange(self.n)
-        return self.covs[:, idx, idx]
+        return self.blocks[:, :, 1]
 
     @property
     def cov_qp(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        return self.covs[:, idx, self.n + idx]
+        return self.blocks[:, :, 2]
 
     @property
     def second_moment_q(self) -> np.ndarray:
@@ -233,6 +255,75 @@ def _node_propagators(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarra
     return m
 
 
+def _moments(decomp: ModeDecomposition, mean0, cov0, rel: np.ndarray):
+    """Node-basis means (T, 2n) and covariances (T, 2n, 2n) at relative times rel.
+
+    mean0 and cov0 are the initial moments in the normal-mode basis: the
+    means are M mean0 and the covariances M cov0 M^T plus the relaxation
+    towards the stationary covariance, symmetrized.
+    """
+    n = decomp.n
+    f = decomp.modes
+    prop = _node_propagators(decomp, rel)
+    means = prop @ mean0
+    covs = (prop @ cov0) @ np.swapaxes(prop, 1, 2)
+    # The stationary covariance is invariant under the rotational part of
+    # E(t), so the driven term collapses to sigma_inf (1 - e^{-G t}); with
+    # D = G W coth(W/2T) the prefactors below stay finite as G -> 0.
+    g = decomp.damping[None, :]
+    gt = g * rel[:, None]
+    g_safe = np.where(g > 0.0, g, 1.0)
+    phi = np.where(g > 0.0, -np.expm1(-gt) / (2.0 * g_safe), 0.5 * rel[:, None])
+    driven = (decomp.diffusion * phi)[:, None, :]
+    covs[:, :n, :n] += (f * (driven / decomp.freqs**2)) @ f.T
+    covs[:, n:, n:] += (f * driven) @ f.T
+    covs += np.swapaxes(covs, 1, 2)
+    covs *= 0.5
+    return means, covs
+
+
+def _time_chunks(count: int, n: int):
+    """Consecutive slices over count times, each holding at most
+    _CHUNK_ELEMENTS entries of (2n, 2n) covariances."""
+    step = max(1, _CHUNK_ELEMENTS // (2 * n) ** 2)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+class _CovarianceView:
+    """The (T, 2n, 2n) covariances of an evolved trajectory, computed on access.
+
+    The first index picks times (an int, a slice, or an int or bool
+    array); those are evaluated with :func:`_moments`, chunk by chunk,
+    into a fresh array, and any further indices apply to it.
+    ``np.asarray(view)`` evaluates every time.  Nothing is cached, so
+    memory holds only what the caller asked for.
+    """
+
+    def __init__(self, decomp: ModeDecomposition, mean0, cov0, rel: np.ndarray):
+        self._decomp = decomp
+        self._mean0 = mean0
+        self._cov0 = cov0
+        self._rel = rel
+        self.shape = (rel.shape[0], 2 * decomp.n, 2 * decomp.n)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        picked = np.arange(self.shape[0])[first]
+        rel = self._rel[picked.ravel()]
+        out = np.empty((rel.shape[0],) + self.shape[1:])
+        for chunk in _time_chunks(rel.shape[0], self._decomp.n):
+            out[chunk] = _moments(self._decomp, self._mean0, self._cov0, rel[chunk])[1]
+        out = out.reshape(picked.shape + self.shape[1:])
+        return out[(slice(None),) * picked.ndim + rest]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self[:]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 def evolve(
     state: GaussianState,
     decomp: ModeDecomposition,
@@ -251,6 +342,12 @@ def evolve(
     in the q block and F diag(D phi) F^T in the p block.  Only the initial
     state and the mode channel are checked, once (PhysicalityViolation);
     complete positivity then keeps every stored covariance physical.
+
+    The times are worked through in chunks of at most _CHUNK_ELEMENTS
+    covariance entries; each chunk's means, node blocks and energy are
+    kept, and a non-finite moment raises IntegratorStepFailure.  No
+    (T, 2n, 2n) stack is held: the trajectory's ``covs`` recomputes the
+    covariances of the times it is indexed with.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -270,37 +367,28 @@ def evolve(
     mode_state = change_basis(state, decomp, MODE)
     _check_physical(mode_state.cov, decomp)
     rel = times - times[0]
-    prop = _node_propagators(decomp, rel)
-    means = prop @ mode_state.mean
-    covs = (prop @ mode_state.cov) @ np.swapaxes(prop, 1, 2)
-    del prop  # one (T, 2n, 2n) stack fewer alive through the symmetrization
-    # The stationary covariance is invariant under the rotational part of
-    # E(t), so the driven term collapses to sigma_inf (1 - e^{-G t}); with
-    # D = G W coth(W/2T) the prefactors below stay finite as G -> 0.
-    g = decomp.damping[None, :]
-    gt = g * rel[:, None]
-    g_safe = np.where(g > 0.0, g, 1.0)
-    phi = np.where(g > 0.0, -np.expm1(-gt) / (2.0 * g_safe), 0.5 * rel[:, None])
-    driven = (decomp.diffusion * phi)[:, None, :]
-    covs[:, :n, :n] += (f * (driven / decomp.freqs**2)) @ f.T
-    covs[:, n:, n:] += (f * driven) @ f.T
-    covs += np.swapaxes(covs, 1, 2)
-    covs *= 0.5
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
-        raise IntegratorStepFailure("non-finite moments produced during integration")
-
     # <H> = (tr S_pp + |p|^2 + q^T H q + tr(H S_qq)) / 2 with H = F diag(W^2) F^T.
     ham = (f * decomp.freqs**2) @ f.T
-    mq = means[:, :n]
-    mp = means[:, n:]
-    energy = 0.5 * (
-        np.trace(covs[:, n:, n:], axis1=1, axis2=2)
-        + (mp**2).sum(axis=1)
-        + ((mq @ ham) * mq).sum(axis=1)
-        + np.einsum("jk,tjk->t", ham, covs[:, :n, :n])
-    )
+    means = np.empty((times.shape[0], 2 * n))
+    blocks = np.empty((times.shape[0], n, 3))
+    energy = np.empty(times.shape[0])
+    for chunk in _time_chunks(times.shape[0], n):
+        mean, cov = _moments(decomp, mode_state.mean, mode_state.cov, rel[chunk])
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise IntegratorStepFailure("non-finite moments produced during integration")
+        mq = mean[:, :n]
+        mp = mean[:, n:]
+        means[chunk] = mean
+        blocks[chunk] = _node_blocks(cov)
+        energy[chunk] = 0.5 * (
+            np.trace(cov[:, n:, n:], axis1=1, axis2=2)
+            + (mp**2).sum(axis=1)
+            + ((mq @ ham) * mq).sum(axis=1)
+            + np.einsum("jk,tjk->t", ham, cov[:, :n, :n])
+        )
 
-    return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy)
+    covs = _CovarianceView(decomp, mode_state.mean, mode_state.cov, rel)
+    return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)
 
 
 @dataclass(frozen=True)

@@ -161,34 +161,38 @@ def _window_samples(times: np.ndarray, window: float) -> tuple[int, float]:
     return samples, samples * dt
 
 
-def _windowed_pearson(series, window, pairs):
-    """Correlation over sliding half-open windows of `window` samples.
+def _pearson_blocks(series, window, pairs):
+    """Correlation over sliding half-open windows of `window` samples,
+    yielded as consecutive (b, P) blocks of windows.
 
     series: (T, K) float array; pairs: (P, 2) int array of column indices.
-    Returns (T - window + 1, P); windows with zero variance give NaN.
-    Each window is centred on its own mean before its sums are taken (a
-    window-local two-pass), so no sum carries digits lost to an earlier
-    transient into a later window.  Windows are processed in blocks of at
-    most _PEARSON_BLOCK_ELEMENTS centred samples to bound memory.  The
-    input is first copied to one fixed layout, so the result does not
+    The blocks cover the T - window + 1 windows in order; windows with
+    zero variance give NaN.  Each window is centred on its own mean before
+    its sums are taken (a window-local two-pass), so no sum carries digits
+    lost to an earlier transient into a later window.  A block holds at
+    most _PEARSON_BLOCK_ELEMENTS centred samples, which bounds memory.
+    The input is first copied to one fixed layout, so the result does not
     depend on how the caller's array is laid out in memory.
     """
     cols = np.ascontiguousarray(np.asarray(series, dtype=float).T)
     n_win = cols.shape[1] - window + 1
     windows = np.lib.stride_tricks.sliding_window_view(cols, window, axis=1)
     block = max(1, _PEARSON_BLOCK_ELEMENTS // (cols.shape[0] * window))
-    out = np.full((n_win, pairs.shape[0]), np.nan)
     for start in range(0, n_win, block):
         win = windows[:, start : start + block]
         dev = win - win.mean(axis=2, keepdims=True)
         var = np.einsum("kbw,kbw->kb", dev, dev)
-        rows = out[start : start + block]
+        rows = np.full((win.shape[1], pairs.shape[0]), np.nan)
         for ip, (i, j) in enumerate(pairs):
             ok = (var[i] > 0.0) & (var[j] > 0.0)
             sxy = np.einsum("bw,bw->b", dev[i], dev[j])
             rows[ok, ip] = sxy[ok] / np.sqrt(var[i, ok] * var[j, ok])
-    np.clip(out, -1.0, 1.0, out=out)
-    return out
+        yield np.clip(rows, -1.0, 1.0, out=rows)
+
+
+def _windowed_pearson(series, window, pairs):
+    """The blocks of :func:`_pearson_blocks` as one (T - window + 1, P) array."""
+    return np.concatenate(list(_pearson_blocks(series, window, pairs)))
 
 
 def windowed_correlation(times, f, g, window: float) -> WindowedSeries:
@@ -230,9 +234,14 @@ def collective_sync(traj, window: float, subset=None) -> WindowedSeries:
         raise ValueError("subset contains repeated nodes")
     samples, actual = _window_samples(traj.times, window)
     pairs = np.array(list(combinations(range(nodes.shape[0]), 2)), dtype=np.int64)
-    corr = _windowed_pearson(signal[:, nodes], samples, pairs)
-    values = np.abs(corr).prod(axis=1)
-    degenerate = np.isnan(corr).any(axis=1)
+    # Reduced block by block: the (windows, pairs) correlations are never
+    # held whole, since they grow as n^2 T.
+    values, degenerate = [], []
+    for corr in _pearson_blocks(signal[:, nodes], samples, pairs):
+        values.append(np.abs(corr).prod(axis=1))
+        degenerate.append(np.isnan(corr).any(axis=1))
+    values = np.concatenate(values)
+    degenerate = np.concatenate(degenerate)
     return WindowedSeries(
         times=traj.times[: values.shape[0]].copy(),
         values=values,

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscnet as on
+from oscnet import dynamics
 from oscnet.cli import preset_names
 from oscnet.dynamics import MODE, NODE, thermal_variances
-from oscnet.errors import DimensionMismatch, PhysicalityViolation
+from oscnet.errors import DimensionMismatch, IntegratorStepFailure, PhysicalityViolation
 from oscnet.scenarios import _run_traj, load_config, prepare
 from oscnet.spectral import BathConfig
 
@@ -281,6 +283,101 @@ class TestTrajectoryViews:
         assert np.allclose(
             traj.second_moment_q, traj.var_q + traj.mean_q**2, atol=1e-14
         )
+
+
+class TestMomentsOnDemand:
+    """evolve works through time chunks, and covs computes what it is asked for."""
+
+    TIMES = np.linspace(0.0, 40.0, 53)
+    CHUNK = 7  # 53 = 7 * 7 + 4: the last chunk is short
+
+    @pytest.fixture
+    def trajs(self, chain3, common_bath, monkeypatch):
+        """(one-chunk trajectory, its whole covariance stack, chunked trajectory)."""
+        dec = on.analyze(chain3, common_bath)
+        st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0], mean_p=0.3,
+                              squeeze_r=[0.4, 0.0, 0.2], squeeze_angle=0.3)
+        assert dynamics._CHUNK_ELEMENTS >= self.TIMES.shape[0] * 36
+        whole = on.evolve(st, dec, self.TIMES)
+        stack = np.asarray(whole.covs)
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", self.CHUNK * 36)
+        return whole, stack, on.evolve(st, dec, self.TIMES)
+
+    def test_chunked_pass_is_bitwise_one_chunk(self, trajs):
+        whole, stack, chunked = trajs
+        for name in ("times", "means", "blocks", "energy"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+        assert np.array_equal(np.asarray(chunked.covs), stack)
+
+    @pytest.mark.parametrize("key", [
+        0, 17, -1,
+        slice(None), slice(3, 50, 6), slice(None, None, -4), slice(10, 10),
+        np.array([52, 0, 7, 7, 30]), np.arange(53) % 3 == 0,
+        (slice(None), slice(0, 3), slice(0, 3)), (5, 1, 4), (np.array([2, 9]), 0),
+    ], ids=["int", "int17", "negative", "all", "strided", "reversed", "empty",
+            "int_array", "bool_mask", "tuple_block", "tuple_entry", "tuple_array"])
+    def test_view_keys_match_stack(self, trajs, key):
+        _, stack, chunked = trajs
+        got = chunked.covs[key]
+        assert type(got) is type(stack[key])
+        assert np.shape(got) == stack[key].shape
+        assert np.array_equal(got, stack[key])
+
+    def test_view_is_array_like_and_uncached(self, trajs):
+        _, stack, chunked = trajs
+        view = chunked.covs
+        assert view.shape == stack.shape and len(view) == stack.shape[0]
+        first = view[4]
+        first[:] = 0.0  # a fresh array: writing to it reaches nothing else
+        assert np.array_equal(view[4], stack[4])
+        assert np.array_equal(np.asarray(view), stack)
+        assert np.array_equal(on.symplectic_spectrum(view), on.symplectic_spectrum(stack))
+
+    def test_state_reads_view(self, trajs):
+        _, stack, chunked = trajs
+        for k in (0, 8, -1):
+            state = chunked.state(k)
+            assert np.array_equal(state.cov, stack[k])
+            assert np.array_equal(state.mean, chunked.means[k])
+
+    def test_blocks_derived_from_plain_covs(self, trajs):
+        whole, stack, _ = trajs
+        plain = on.Trajectory(times=whole.times, means=whole.means, covs=stack,
+                              energy=whole.energy)
+        assert np.array_equal(plain.blocks, whole.blocks)
+        n = whole.n
+        idx = np.arange(n)
+        assert np.array_equal(whole.var_q, stack[:, idx, idx])
+        assert np.array_equal(whole.var_p, stack[:, n + idx, n + idx])
+        assert np.array_equal(whole.cov_qp, stack[:, idx, n + idx])
+
+    def test_non_finite_mean_raises(self, chain3, common_bath, monkeypatch):
+        # the exit-3 path of the CLI: IntegratorStepFailure from the chunked pass
+        monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", self.CHUNK * 36)
+        dec = on.analyze(chain3, common_bath)
+        st = on.initial_state(chain3, mean_q=[0.0, np.nan, 0.0])
+        with pytest.raises(IntegratorStepFailure, match="non-finite"):
+            on.evolve(st, dec, self.TIMES)
+
+    def test_fig5_evolve_memory(self):
+        # Whole (T, 2n, 2n) propagator, product and covariance stacks
+        # (T = 5001, 2n = 34) peak at 140 MB; chunked, about 12 MB: the
+        # outputs plus one chunk's temporaries.  tracemalloc sees numpy's
+        # buffers and none of the RSS noise.
+        cfg = load_config(str(PRESETS / "fig5_entangle.ini"))
+        prep = prepare(cfg)
+        ib = cfg.initial
+        state = on.initial_state(prep.net, mean_q=ib.mean_q, mean_p=ib.mean_p,
+                                 squeeze_r=ib.squeeze_r, squeeze_angle=ib.squeeze_angle,
+                                 thermal_n=ib.thermal_n)
+        tracemalloc.start()
+        try:
+            traj = on.evolve(state, prep.decomp, prep.times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.shape[0] == 5001
+        assert peak < 25e6, f"evolve peaked at {peak / 1e6:.1f} MB"
 
 
 class TestPhysicalityOracle:

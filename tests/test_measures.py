@@ -1,3 +1,4 @@
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -290,6 +291,38 @@ class TestCollectiveSync:
         )
         assert np.allclose(sub.values, np.abs(pairwise.values), atol=1e-12)
         assert not np.allclose(sub.values, full.values)
+
+    def test_streamed_blocks_match_whole_correlation(self, monkeypatch):
+        # S(t) is reduced block by block; over many short blocks it must
+        # equal the reduction of the whole correlation array, bit for bit
+        rng = np.random.default_rng(9)
+        sig = rng.normal(size=(90, 4)) + 2.0
+        sig[30:45, 3] = 1.0  # a constant stretch: degenerate windows
+        pairs = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+        corr = _windowed_pearson(sig, 12, pairs)
+        monkeypatch.setattr(measures, "_PEARSON_BLOCK_ELEMENTS", 4 * 12 * 5)
+        out = on.collective_sync(self.make_traj(sig), window=1.2)
+        assert out.samples == 12
+        assert np.array_equal(out.values, np.abs(corr).prod(axis=1), equal_nan=True)
+        assert np.array_equal(out.degenerate, np.isnan(corr).any(axis=1))
+        assert out.degenerate.any()
+
+    def test_memory_does_not_hold_every_pair(self):
+        # n = 40 gives 780 pairs.  Holding the whole (windows, pairs)
+        # correlation and its |C| copy peaked at 24.7 MB here (T = 2001);
+        # reduced block by block, 6.2 MB.
+        net = on.random_network(40, 0.3, 0.9, 1.2, 0.0, 0.05, seed=7)
+        bath = on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
+        traj = on.evolve(on.initial_state(net, mean_q=0.5, squeeze_r=0.5),
+                         on.analyze(net, bath), np.linspace(0.0, 1000.0, 2001))
+        tracemalloc.start()
+        try:
+            sync = on.collective_sync(traj, 40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sync.values.shape == (2001 - 80 + 1,)
+        assert peak < 12e6, f"collective_sync peaked at {peak / 1e6:.1f} MB"
 
     def test_subset_validation(self):
         traj = self.make_traj(np.random.default_rng(8).normal(size=(30, 3)))
