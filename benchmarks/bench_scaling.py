@@ -21,9 +21,9 @@ it there with ``--out`` pointing at the same JSON file.
 
 Peak memory grows as T n: ``evolve`` works through time chunks and keeps
 only the means, the node blocks and the energy, and the pair measures read
-the covariances of every ``stride``-th time.  n = 80 peaks at about
-190 MB; while ``evolve`` held the whole (T, 2n, 2n) covariance stack it
-peaked at 3.0 GB.
+only their pairs' quadrature rows of every ``stride``-th time.  n = 80
+peaks at about 125 MB; while ``evolve`` held the whole (T, 2n, 2n)
+covariance stack it peaked at 3.0 GB.
 """
 
 from __future__ import annotations

@@ -11,16 +11,19 @@ Lyapunov equation with diagonal diffusion.  The system is linear and
 time-invariant, so it is solved in closed form and reported straight in
 the node basis: the propagator M(t) = U E(t), with U = blockdiag(F, F)
 the normal-mode transform and E(t) each mode's damped rotation, is built
-for a chunk of stored times at a time, and the moments are one batched
-congruence of the initial state plus the relaxation towards the
-stationary covariance.  There is no step and no accumulated stepping
-error, and the stored times need not be uniform.  A trajectory keeps the
-means, each node's 2x2 block and the energy, all O(T n); its (2n, 2n)
-covariances are recomputed, by the same routine, for the times a caller
-indexes, so memory does not grow as T n^2.  Each mode's map is a thermal
-attenuator, completely positive when D >= G W (Heinosaari, Holevo & Wolf,
-QIC 10, 619 (2010)), so a physical initial state stays physical at every
-stored time.
+for a chunk of stored times at a time.  There is no step and no
+accumulated stepping error, and the stored times need not be uniform.
+The covariance is never formed as a congruence: with L the Cholesky
+factor of the mode-basis initial covariance, Z(t) = [M(t) L, U Delta(t)^{1/2}]
+is a square-root factor of it (Delta(t) the diagonal relaxation towards
+the stationary covariance), so each entry is a dot product of two rows
+of Z, and only the rows a caller reads are computed.  A trajectory keeps
+the means, each node's 2x2 block and the energy, all O(T n); its
+(2n, 2n) covariances are recomputed, from the same factor, for the times
+and rows a caller indexes, so memory does not grow as T n^2.  Each mode's
+map is a thermal attenuator, completely positive when D >= G W
+(Heinosaari, Holevo & Wolf, QIC 10, 619 (2010)), so a physical initial
+state stays physical at every stored time.
 
 :func:`evolve_node_reference` propagates the same physics straight in
 the node basis as one dense 2n-dimensional system, advancing each stored
@@ -49,10 +52,10 @@ from .spectral import BathConfig, ModeDecomposition, _frozen_mask
 NODE = "node"
 MODE = "mode"
 
-#: Most covariance entries one time chunk of the moments holds.  A chunk's
-#: propagator, product and covariances then stay near the CPU caches, and
-#: no (T, 2n, 2n) stack is allocated at any T.
-_CHUNK_ELEMENTS = 1 << 18
+#: Most propagator entries one time chunk of the moments holds.  A chunk's
+#: propagator and square-root factor (twice as wide) then stay within a
+#: core's L2 cache, and no (T, 2n, 2n) stack is allocated at any T.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,9 @@ class Trajectory:
     times: (T,); means: (T, 2n); covs: (T, 2n, 2n); energy: (T,); blocks:
     (T, n, 3), each node's (var_q, var_p, cov_qp), derived from covs when
     not given.  covs is an array, or from :func:`evolve` a view that
-    computes the covariances of the times it is indexed with and returns
-    them as a fresh array (``np.asarray`` gives all of them).
+    computes the covariances of the times (and integer-indexed rows) it is
+    indexed with and returns them as a fresh array (``np.asarray`` gives
+    all of them).
     """
 
     times: np.ndarray
@@ -234,58 +238,59 @@ def _check_physical(cov0: np.ndarray, decomp: ModeDecomposition) -> None:
         raise PhysicalityViolation(f"initial state has symplectic eigenvalue {nu_min:.6g} (< 1/2)")
 
 
-def _node_propagators(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
-    """Node-from-mode propagator M(t) = U E(t), shape (T, 2n, 2n).
+def _relaxation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
+    """phi = (1 - e^{-G t}) / 2G per time and mode, shape (T, n); t / 2 where G = 0.
 
-    U = blockdiag(F, F) and E(t) is each mode's damped rotation
-    [[cos, sin / W], [-W sin, cos]] e^{-G t / 2}; scaling the columns of F
-    by those entries gives the four (n, n) blocks of U E(t).
+    A mode's driven covariance is diag(D phi / W^2, D phi): the stationary
+    covariance is invariant under the rotational part of E(t), so the
+    relaxation towards it is sigma_inf (1 - e^{-G t}), and with
+    D = G W coth(W/2T) that prefactor stays finite as G -> 0.
     """
-    f = decomp.modes
-    w = decomp.freqs
-    n = decomp.n
-    decay = np.exp(-0.5 * times[:, None] * decomp.damping[None, :])
-    cos = (np.cos(times[:, None] * w[None, :]) * decay)[:, None, :]
-    sin = (np.sin(times[:, None] * w[None, :]) * decay)[:, None, :]
-    m = np.empty((times.shape[0], 2 * n, 2 * n))
-    m[:, :n, :n] = f * cos
-    m[:, :n, n:] = f * (sin / w)
-    m[:, n:, :n] = f * (-w * sin)
-    m[:, n:, n:] = f * cos
-    return m
-
-
-def _moments(decomp: ModeDecomposition, mean0, cov0, rel: np.ndarray):
-    """Node-basis means (T, 2n) and covariances (T, 2n, 2n) at relative times rel.
-
-    mean0 and cov0 are the initial moments in the normal-mode basis: the
-    means are M mean0 and the covariances M cov0 M^T plus the relaxation
-    towards the stationary covariance, symmetrized.
-    """
-    n = decomp.n
-    f = decomp.modes
-    prop = _node_propagators(decomp, rel)
-    means = prop @ mean0
-    covs = (prop @ cov0) @ np.swapaxes(prop, 1, 2)
-    # The stationary covariance is invariant under the rotational part of
-    # E(t), so the driven term collapses to sigma_inf (1 - e^{-G t}); with
-    # D = G W coth(W/2T) the prefactors below stay finite as G -> 0.
     g = decomp.damping[None, :]
-    gt = g * rel[:, None]
     g_safe = np.where(g > 0.0, g, 1.0)
-    phi = np.where(g > 0.0, -np.expm1(-gt) / (2.0 * g_safe), 0.5 * rel[:, None])
-    driven = (decomp.diffusion * phi)[:, None, :]
-    covs[:, :n, :n] += (f * (driven / decomp.freqs**2)) @ f.T
-    covs[:, n:, n:] += (f * driven) @ f.T
-    covs += np.swapaxes(covs, 1, 2)
-    covs *= 0.5
-    return means, covs
+    return np.where(g > 0.0, -np.expm1(-g * times[:, None]) / (2.0 * g_safe), 0.5 * times[:, None])
 
 
-def _time_chunks(count: int, n: int):
+def _square_root(decomp: ModeDecomposition, chol: np.ndarray, times: np.ndarray, rows: np.ndarray):
+    """Rows of the propagator M(t), shape (T, r, 2n), and of a square-root
+    factor Z(t) of the node covariance, shape (T, r, 4n).
+
+    rows are sorted indices of the node quadratures (q_1..q_n, p_1..p_n).
+    M(t) = U E(t), with U = blockdiag(F, F) and E(t) each mode's damped
+    rotation [[cos, sin / W], [-W sin, cos]] e^{-G t / 2}, so a q row of
+    M(t) is its row of F, twice, scaled by (cos, sin / W) and a p row by
+    (-W sin, cos).  chol is the Cholesky factor L of the mode-basis
+    initial covariance, and Z(t) = [M(t) L, U Delta(t)^{1/2}], with
+    Delta(t) the driven covariance of :func:`_relaxation`, so that the
+    covariance is Z Z^T.  Each row of Z comes from its own elementwise
+    products and one matrix product per time, so its bits do not depend
+    on the other rows or times evaluated with it.
+    """
+    n = decomp.n
+    w = decomp.freqs
+    nq = np.searchsorted(rows, n)
+    f_q = decomp.modes[rows[:nq]]
+    f_p = decomp.modes[rows[nq:] - n]
+    decay = np.exp(-0.5 * times[:, None] * decomp.damping[None, :])
+    cos = np.cos(times[:, None] * w[None, :]) * decay
+    sin = np.sin(times[:, None] * w[None, :]) * decay
+    prop = np.empty((times.shape[0], rows.shape[0], 2 * n))
+    np.multiply(np.tile(f_q, 2), np.hstack([cos, sin / w])[:, None, :], out=prop[:, :nq])
+    np.multiply(np.tile(f_p, 2), np.hstack([-w * sin, cos])[:, None, :], out=prop[:, nq:])
+    z = np.empty((times.shape[0], rows.shape[0], 4 * n))
+    np.matmul(prop, chol, out=z[..., : 2 * n])
+    root = np.sqrt(decomp.diffusion * _relaxation(decomp, times))[:, None, :]
+    np.multiply(f_q, root / w, out=z[:, :nq, 2 * n : 3 * n])
+    z[:, :nq, 3 * n :] = 0.0
+    z[:, nq:, 2 * n : 3 * n] = 0.0
+    np.multiply(f_p, root, out=z[:, nq:, 3 * n :])
+    return prop, z
+
+
+def _time_chunks(count: int, width: int):
     """Consecutive slices over count times, each holding at most
-    _CHUNK_ELEMENTS entries of (2n, 2n) covariances."""
-    step = max(1, _CHUNK_ELEMENTS // (2 * n) ** 2)
+    _CHUNK_ELEMENTS entries when a time holds width of them."""
+    step = max(1, _CHUNK_ELEMENTS // width)
     return (slice(start, start + step) for start in range(0, count, step))
 
 
@@ -293,35 +298,70 @@ class _CovarianceView:
     """The (T, 2n, 2n) covariances of an evolved trajectory, computed on access.
 
     The first index picks times (an int, a slice, or an int or bool
-    array); those are evaluated with :func:`_moments`, chunk by chunk,
-    into a fresh array, and any further indices apply to it.
-    ``np.asarray(view)`` evaluates every time.  Nothing is cached, so
-    memory holds only what the caller asked for.
+    array).  When the row and column indices after it are both integers or
+    integer arrays, only the quadrature rows they read are evaluated, so
+    ``covs[::s, r[:, None], r[None, :]]`` computes len(r) rows of the
+    factor per time instead of 2n; any other key evaluates every row.  The entries are row dot products
+    of the factor of :func:`_square_root`, worked through in time chunks
+    into a fresh array, and are bit for bit those of ``np.asarray(view)``,
+    which evaluates every time.  Nothing is cached, so memory holds only
+    what the caller asked for.
     """
 
-    def __init__(self, decomp: ModeDecomposition, mean0, cov0, rel: np.ndarray):
+    def __init__(self, decomp: ModeDecomposition, chol: np.ndarray, rel: np.ndarray):
         self._decomp = decomp
-        self._mean0 = mean0
-        self._cov0 = cov0
+        self._chol = chol
         self._rel = rel
         self.shape = (rel.shape[0], 2 * decomp.n, 2 * decomp.n)
 
     def __len__(self) -> int:
         return self.shape[0]
 
+    def _rows_read(self, rest):
+        """Rows the trailing indices read, and those indices remapped into them."""
+        every = np.arange(self.shape[-1])
+        if len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest):
+            row, col = every[rest[0]], every[rest[1]]
+            rows = np.union1d(row, col)
+            # One row would take numpy's matrix-vector product, whose
+            # rounding differs from a row of the matrix product.
+            if rows.shape[0] != 1:
+                return rows, (np.searchsorted(rows, row), np.searchsorted(rows, col))
+        return every, rest
+
     def __getitem__(self, key) -> np.ndarray:
         first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
         picked = np.arange(self.shape[0])[first]
+        rows, rest = self._rows_read(rest)
         rel = self._rel[picked.ravel()]
-        out = np.empty((rel.shape[0],) + self.shape[1:])
-        for chunk in _time_chunks(rel.shape[0], self._decomp.n):
-            out[chunk] = _moments(self._decomp, self._mean0, self._cov0, rel[chunk])[1]
-        out = out.reshape(picked.shape + self.shape[1:])
-        return out[(slice(None),) * picked.ndim + rest]
+        out = np.empty((rel.shape[0], rows.shape[0], rows.shape[0]))
+        for chunk in _time_chunks(rel.shape[0], rows.shape[0] * self.shape[-1]):
+            z = _square_root(self._decomp, self._chol, rel[chunk], rows)[1]
+            out[chunk] = np.einsum("tak,tbk->tab", z, z)
+        # An index array for the times broadcasts with the trailing ones, as
+        # it would on an array.
+        lead = slice(None) if isinstance(first, slice) else np.arange(rel.shape[0]).reshape(picked.shape)
+        return out[(lead,) + rest]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = self[:]
         return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _mode_energy(decomp: ModeDecomposition, mean0: np.ndarray, cov0: np.ndarray,
+                 rel: np.ndarray) -> np.ndarray:
+    """<H> at relative times rel from each mode's own moments, O(n) per time.
+
+    In the mode basis H = sum_m (P_m^2 + W_m^2 Q_m^2) / 2.  E(t) rotates
+    (W Q, P) and scales it by e^{-G t / 2}, so a mode's W^2 <Q^2> + <P^2>,
+    means included, is its initial value times e^{-G t}, plus 2 D phi from
+    the driven covariance diag(D phi / W^2, D phi).
+    """
+    n = decomp.n
+    w2 = decomp.freqs**2
+    initial = w2 * (np.diagonal(cov0)[:n] + mean0[:n] ** 2) + np.diagonal(cov0)[n:] + mean0[n:] ** 2
+    decay = np.exp(-rel[:, None] * decomp.damping[None, :])
+    return 0.5 * (decay * initial + 2.0 * decomp.diffusion * _relaxation(decomp, rel)).sum(axis=1)
 
 
 def evolve(
@@ -343,11 +383,14 @@ def evolve(
     state and the mode channel are checked, once (PhysicalityViolation);
     complete positivity then keeps every stored covariance physical.
 
-    The times are worked through in chunks of at most _CHUNK_ELEMENTS
-    covariance entries; each chunk's means, node blocks and energy are
-    kept, and a non-finite moment raises IntegratorStepFailure.  No
-    (T, 2n, 2n) stack is held: the trajectory's ``covs`` recomputes the
-    covariances of the times it is indexed with.
+    The covariance is never formed: with S0 = L L^T, Z(t) = [M L, U
+    Delta^{1/2}] is a square-root factor of it, and each node's block
+    (var_q, var_p, cov_qp) is three dot products of its q and p rows of Z.
+    The energy comes from each mode's own 2x2 moments.  The times are
+    worked through in chunks of at most _CHUNK_ELEMENTS propagator
+    entries, and a non-finite moment raises IntegratorStepFailure.  The
+    trajectory's ``covs`` recomputes, from the same factor, the entries
+    it is indexed with.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -363,31 +406,25 @@ def evolve(
         )
 
     n = decomp.n
-    f = decomp.modes
     mode_state = change_basis(state, decomp, MODE)
     _check_physical(mode_state.cov, decomp)
+    chol = np.linalg.cholesky(mode_state.cov)
     rel = times - times[0]
-    # <H> = (tr S_pp + |p|^2 + q^T H q + tr(H S_qq)) / 2 with H = F diag(W^2) F^T.
-    ham = (f * decomp.freqs**2) @ f.T
+    rows = np.arange(2 * n)
     means = np.empty((times.shape[0], 2 * n))
     blocks = np.empty((times.shape[0], n, 3))
-    energy = np.empty(times.shape[0])
-    for chunk in _time_chunks(times.shape[0], n):
-        mean, cov = _moments(decomp, mode_state.mean, mode_state.cov, rel[chunk])
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+    for chunk in _time_chunks(times.shape[0], (2 * n) ** 2):
+        prop, z = _square_root(decomp, chol, rel[chunk], rows)
+        zq, zp = z[:, :n], z[:, n:]
+        means[chunk] = prop @ mode_state.mean
+        blocks[chunk, :, 0] = np.einsum("tjk,tjk->tj", zq, zq)
+        blocks[chunk, :, 1] = np.einsum("tjk,tjk->tj", zp, zp)
+        blocks[chunk, :, 2] = np.einsum("tjk,tjk->tj", zq, zp)
+        if not (np.all(np.isfinite(means[chunk])) and np.all(np.isfinite(blocks[chunk]))):
             raise IntegratorStepFailure("non-finite moments produced during integration")
-        mq = mean[:, :n]
-        mp = mean[:, n:]
-        means[chunk] = mean
-        blocks[chunk] = _node_blocks(cov)
-        energy[chunk] = 0.5 * (
-            np.trace(cov[:, n:, n:], axis1=1, axis2=2)
-            + (mp**2).sum(axis=1)
-            + ((mq @ ham) * mq).sum(axis=1)
-            + np.einsum("jk,tjk->t", ham, cov[:, :n, :n])
-        )
+    energy = _mode_energy(decomp, mode_state.mean, mode_state.cov, rel)
 
-    covs = _CovarianceView(decomp, mode_state.mean, mode_state.cov, rel)
+    covs = _CovarianceView(decomp, chol, rel)
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)
 
 

@@ -169,8 +169,10 @@ def _pearson_blocks(series, window, pairs):
     The blocks cover the T - window + 1 windows in order; windows with
     zero variance give NaN.  Each window is centred on its own mean before
     its sums are taken (a window-local two-pass), so no sum carries digits
-    lost to an earlier transient into a later window.  A block holds at
-    most _PEARSON_BLOCK_ELEMENTS centred samples, which bounds memory.
+    lost to an earlier transient into a later window.  The sums of a
+    window are one (K, K) Gram product of its centred samples, one matrix
+    product per window, from which every pair is gathered.  A block holds
+    at most _PEARSON_BLOCK_ELEMENTS centred samples, which bounds memory.
     The input is first copied to one fixed layout, so the result does not
     depend on how the caller's array is laid out in memory.
     """
@@ -178,15 +180,17 @@ def _pearson_blocks(series, window, pairs):
     n_win = cols.shape[1] - window + 1
     windows = np.lib.stride_tricks.sliding_window_view(cols, window, axis=1)
     block = max(1, _PEARSON_BLOCK_ELEMENTS // (cols.shape[0] * window))
+    k = cols.shape[0]
+    i, j = pairs[:, 0], pairs[:, 1]
     for start in range(0, n_win, block):
         win = windows[:, start : start + block]
-        dev = win - win.mean(axis=2, keepdims=True)
-        var = np.einsum("kbw,kbw->kb", dev, dev)
-        rows = np.full((win.shape[1], pairs.shape[0]), np.nan)
-        for ip, (i, j) in enumerate(pairs):
-            ok = (var[i] > 0.0) & (var[j] > 0.0)
-            sxy = np.einsum("bw,bw->b", dev[i], dev[j])
-            rows[ok, ip] = sxy[ok] / np.sqrt(var[i, ok] * var[j, ok])
+        dev = np.swapaxes(win - win.mean(axis=2, keepdims=True), 0, 1)
+        # One Gram matrix per window over every series; the pairs are
+        # gathered from it.  A zero variance leaves NaN in its scale.
+        gram = (dev @ np.swapaxes(dev, 1, 2)).reshape(-1, k * k)
+        norm = np.sqrt(gram[:, :: k + 1])
+        scale = np.divide(1.0, norm, out=np.full(norm.shape, np.nan), where=norm > 0.0)
+        rows = gram[:, i * k + j] * scale[:, i] * scale[:, j]
         yield np.clip(rows, -1.0, 1.0, out=rows)
 
 
@@ -491,12 +495,20 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
     if measure not in _PAIR_MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     pair_list = _all_pairs(traj.n) if pairs is None else [tuple(p) for p in pairs]
+    if any(i == j for i, j in pair_list):
+        raise ValueError("pair needs two distinct nodes")
+    n = traj.n
+    quads = np.array([[i, j, n + i, n + j] for i, j in pair_list], dtype=np.int64).reshape(-1, 4)
+    # One read of the union of the pairs' quadrature rows: an evolved
+    # trajectory computes only those entries, an array is sliced.
+    rows = np.unique(quads)
+    covs = traj.covs[::stride, rows[:, None], rows[None, :]]
+    local = np.searchsorted(rows, quads)
     times = traj.times[::stride]
-    covs = traj.covs[::stride]
     values = np.full((times.shape[0], len(pair_list)), np.nan)
     excluded = []
     for k, (i, j) in enumerate(pair_list):
-        cov4 = pair_covariance(covs, i, j, traj.n)
+        cov4 = covs[:, local[k, :, None], local[k, None, :]]
         try:
             nu_minus, nu_plus = _check_pair_physical(cov4)
         except UnphysicalCovariance:

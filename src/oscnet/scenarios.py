@@ -130,11 +130,19 @@ class ScenarioConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _float(text: str) -> float:
+    """A finite float; nan and inf raise ValueError like any other non-number."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split()])
+        return np.array([_float(tok) for tok in text.split()])
     except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
+        raise ConfigError(f"expected finite numbers, got {text!r}") from exc
 
 
 def _get(parser, section, key, conv, default=None, required=False):
@@ -188,7 +196,7 @@ def _parse_edges(text: str) -> tuple[tuple[int, int, float], ...]:
         toks = line.split()
         if len(toks) != 3:
             raise ConfigError(f"edge entry {line!r} is not 'i j lambda'")
-        edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
+        edges.append((int(toks[0]), int(toks[1]), _float(toks[2])))
     return tuple(edges)
 
 
@@ -242,11 +250,11 @@ def load_config(path: str) -> ScenarioConfig:
         network.path = _get(parser, "network", "path", str, required=True)
     else:
         network.nodes = _get(parser, "network", "nodes", int, required=True)
-        network.connect_prob = _get(parser, "network", "connect_prob", float, required=True)
-        network.freq_low = _get(parser, "network", "freq_low", float, required=True)
-        network.freq_high = _get(parser, "network", "freq_high", float, required=True)
-        network.coupling_mean = _get(parser, "network", "coupling_mean", float, required=True)
-        network.coupling_sd = _get(parser, "network", "coupling_sd", float, required=True)
+        network.connect_prob = _get(parser, "network", "connect_prob", _float, required=True)
+        network.freq_low = _get(parser, "network", "freq_low", _float, required=True)
+        network.freq_high = _get(parser, "network", "freq_high", _float, required=True)
+        network.coupling_mean = _get(parser, "network", "coupling_mean", _float, required=True)
+        network.coupling_sd = _get(parser, "network", "coupling_sd", _float, required=True)
         network.seed = _get(parser, "network", "seed", int, required=True)
         network.max_retries = _get(parser, "network", "max_retries", int, default=100)
 
@@ -259,9 +267,9 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         bath = BathConfig(
             kind=kind,
-            gamma=_get(parser, "bath", "gamma", float, required=True),
-            temperature=_get(parser, "bath", "temperature", float, required=True),
-            cutoff=_get(parser, "bath", "cutoff", float, required=True),
+            gamma=_get(parser, "bath", "gamma", _float, required=True),
+            temperature=_get(parser, "bath", "temperature", _float, required=True),
+            cutoff=_get(parser, "bath", "cutoff", _float, required=True),
             node=node if kind == LOCAL else None,
         )
     except OscnetError as exc:
@@ -281,8 +289,8 @@ def load_config(path: str) -> ScenarioConfig:
             "(the closed-form propagator)"
         )
     time = TimeBlock(
-        t_end=_get(parser, "time", "t_end", float, required=True),
-        step=_get(parser, "time", "step", float),
+        t_end=_get(parser, "time", "t_end", _float, required=True),
+        step=_get(parser, "time", "step", _float),
         method=method,
     )
     if time.t_end <= 0.0:
@@ -298,7 +306,7 @@ def load_config(path: str) -> ScenarioConfig:
         analysis.enabled = enabled in ("true", "1", "yes")
         window = _get(parser, "analysis", "window", str, default="auto")
         if window != "auto":
-            analysis.window = float(window)
+            analysis.window = _get(parser, "analysis", "window", _float)
             if analysis.window <= 0.0:
                 raise ConfigError("analysis window must be positive")
         analysis.pairs = _get(parser, "analysis", "pairs", _parse_pairs, default=None)
@@ -317,7 +325,7 @@ def load_config(path: str) -> ScenarioConfig:
         tuning = TuningBlock(
             param=_get(parser, "tuning", "parameter", _parse_param, required=True),
             bracket=(float(bracket[0]), float(bracket[1])),
-            tol=_get(parser, "tuning", "tol", float, default=1e-10),
+            tol=_get(parser, "tuning", "tol", _float, default=1e-10),
             grid_points=_get(parser, "tuning", "grid", int, default=33),
         )
         if tuning.param[0] != "omega":

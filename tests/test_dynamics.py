@@ -12,7 +12,8 @@ from oscnet import dynamics
 from oscnet.cli import preset_names
 from oscnet.dynamics import MODE, NODE, thermal_variances
 from oscnet.errors import DimensionMismatch, IntegratorStepFailure, PhysicalityViolation
-from oscnet.scenarios import _run_traj, load_config, prepare
+from oscnet.measures import DISCORD, LOG_NEGATIVITY, MUTUAL_INFORMATION
+from oscnet.scenarios import _initial_state, _run_traj, load_config, prepare, run_simulate
 from oscnet.spectral import BathConfig
 
 PRESETS = resources.files("oscnet") / "presets"
@@ -378,6 +379,82 @@ class TestMomentsOnDemand:
             tracemalloc.stop()
         assert traj.times.shape[0] == 5001
         assert peak < 25e6, f"evolve peaked at {peak / 1e6:.1f} MB"
+
+
+class TestSquareRootMoments:
+    """evolve and the view form entries as row dot products of one factor."""
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_preset_moments_match_node_reference(self, preset):
+        # means, node blocks and the mode-basis energy against the dense
+        # node-basis expm route, over the first 40 stored steps
+        prep = prepare(load_config(str(PRESETS / f"{preset}.ini")))
+        state = _initial_state(prep.cfg, prep.net)
+        times = prep.times[:41]
+        traj = on.evolve(state, prep.decomp, times)
+        ref = on.evolve_node_reference(state, prep.net, prep.decomp, times)
+        assert np.allclose(traj.means, ref.means, rtol=1e-10, atol=1e-10)
+        assert np.allclose(traj.blocks, ref.blocks, rtol=1e-10, atol=1e-10)
+        assert np.allclose(traj.energy, ref.energy, rtol=1e-10, atol=1e-10)
+
+    @pytest.fixture
+    def pair_trajs(self):
+        """(evolved trajectory, its whole stack, the same as a plain-array trajectory)."""
+        net = on.random_network(6, 0.6, 0.8, 1.5, -0.1, 0.05, seed=3)
+        bath = BathConfig(kind="common", gamma=0.02, temperature=2.0, cutoff=50.0)
+        state = on.initial_state(net, mean_q=0.4, squeeze_r=[0.0, 0.9, 0.0, 0.3, 0.0, 0.6],
+                                 squeeze_angle=0.2)
+        traj = on.evolve(state, on.analyze(net, bath), np.linspace(0.0, 60.0, 121))
+        stack = np.asarray(traj.covs)
+        plain = on.Trajectory(times=traj.times, means=traj.means, covs=stack,
+                              energy=traj.energy)
+        return traj, stack, plain
+
+    @pytest.mark.parametrize("rows", [
+        [1, 4, 7, 10],                    # the pair (1, 4)
+        [4, 1, 10, 7],                    # the same rows, unsorted
+        [0, 1, 4, 5, 6, 7, 10, 11],       # the union of (0, 5) and (1, 4)
+        [3, 9],                           # one node's (q, p)
+        [11, 0, 11],                      # repeats
+    ], ids=["pair", "pair_unsorted", "union", "node", "repeats"])
+    @pytest.mark.parametrize("times", [slice(None, None, 10), np.array([120, 3, 3])[:, None, None], 7],
+                             ids=["strided", "int_array", "int"])
+    def test_row_subset_is_bitwise_stack(self, pair_trajs, rows, times):
+        traj, stack, plain = pair_trajs
+        r = np.array(rows)
+        for key in ((times, r[:, None], r[None, :]), (times, r, r[::-1]), (times, r[0], r[-1])):
+            got = traj.covs[key]
+            assert np.shape(got) == np.shape(stack[key])
+            assert np.array_equal(got, stack[key])
+            assert np.array_equal(plain.covs[key], got)
+
+    def test_row_subset_index_errors(self, pair_trajs):
+        traj, _, _ = pair_trajs
+        with pytest.raises(IndexError):
+            traj.covs[:, np.array([0, 12]), np.array([0, 1])]
+
+    def test_pair_series_same_on_view_and_array(self, pair_trajs):
+        traj, _, plain = pair_trajs
+        for measure in (MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY):
+            got = on.pair_measure_series(traj, measure, [(0, 5), (1, 4), (2, 3)], stride=4)
+            ref = on.pair_measure_series(plain, measure, [(0, 5), (1, 4), (2, 3)], stride=4)
+            assert np.array_equal(got.values, ref.values)
+            assert got.excluded == ref.excluded == ()
+
+    def test_fig5_simulate_reads_pair_rows_only(self, tmp_path, monkeypatch):
+        # Each of the three pair series makes one read, of the 8 quadrature
+        # rows of the pairs (15, 16) and (3, 7); no read evaluates all 2n = 34.
+        reads = []
+        real = dynamics._CovarianceView._rows_read
+
+        def spy(self, rest):
+            rows, remapped = real(self, rest)
+            reads.append(rows.shape[0])
+            return rows, remapped
+
+        monkeypatch.setattr(dynamics._CovarianceView, "_rows_read", spy)
+        run_simulate(load_config(str(PRESETS / "fig5_entangle.ini")), out_dir=str(tmp_path))
+        assert reads == [8, 8, 8]
 
 
 class TestPhysicalityOracle:

@@ -203,6 +203,24 @@ class TestPearsonKernel:
         assert np.all(np.isnan(got[:, 3])) and np.all(np.isnan(ref[:, 3]))
         assert np.allclose(got, ref, atol=1e-12, equal_nan=True)
 
+    @pytest.mark.parametrize("block_elements", [None, 7 * 15 * 3])
+    def test_batched_gram_vs_two_pass_per_pair(self, monkeypatch, block_elements):
+        # one Gram product per window over all seven series, pairs gathered
+        # afterwards, in any order and with repeats; constant stretches
+        # make some windows degenerate for some pairs only
+        if block_elements is not None:
+            monkeypatch.setattr(measures, "_PEARSON_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(12)
+        series = rng.normal(size=(90, 7)) + np.linspace(0.0, 4.0, 90)[:, None]
+        series[10:40, 2] = -1.25
+        series[:, 6] = 3.0
+        pairs = np.array([(i, j) for i in range(7) for j in range(7) if i != j] + [(4, 4), (1, 2)])
+        got = np.concatenate(list(measures._pearson_blocks(series, 15, pairs)))
+        ref = pearson_two_pass(series, 15, pairs)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.isnan(got).any() and not np.isnan(got).all()
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12, equal_nan=True)
+
     def test_drifting_series(self):
         # a large level plus a drift is where running sums lose digits
         t = np.arange(100_000) * 0.01

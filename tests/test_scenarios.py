@@ -388,6 +388,24 @@ class TestCli:
         assert not out.exists()
         assert "omega <node>" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("t_end = 160.0", "t_end = nan"),
+        ("window = 8.0", "window = inf"),
+        ("mean_q = -1.0 0.0 1.0", "mean_q = nan 0 1"),
+        ("gamma = 0.07", "gamma = nan"),
+        ("temperature = 10.0", "temperature = inf"),
+        ("cutoff = 50.0", "cutoff = nan"),
+        ("0 1 0.4", "0 1 -inf"),
+    ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge"])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        assert preset.count(old) == 1
+        path = write_ini(tmp_path, preset.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--config",
                      str(tmp_path / "nope.ini")]) == EXIT_CONFIG
