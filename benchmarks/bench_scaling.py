@@ -9,6 +9,12 @@ pinned to one thread, which records:
   written to a temporary directory);
 - ``peak_rss_mb``: the child's peak resident set.
 
+At n = 10, 20 and 40 a second fresh child makes one ``run_simulate`` call
+with ``pairs = all`` (n(n - 1)/2 pairs) and records:
+
+- ``simulate_all_pairs_s``: that call's time;
+- ``all_pairs_peak_rss_mb``: that child's peak resident set.
+
 Run it from the root of a source checkout; the package is imported from
 ``src/`` next to this file, and nothing needs installing::
 
@@ -23,7 +29,10 @@ Peak memory grows as T n: ``evolve`` works through time chunks and keeps
 only the means, the node blocks and the energy, and the pair measures read
 only their pairs' quadrature rows of every ``stride``-th time.  n = 80
 peaks at about 125 MB; while ``evolve`` held the whole (T, 2n, 2n)
-covariance stack it peaked at 3.0 GB.
+covariance stack it peaked at 3.0 GB.  With every pair, the pair measures
+also work through time chunks and the correlation C is computed on the
+measure grid only, so the outputs, (T / stride) by n(n - 1)/2 per column,
+are what grows: n = 40 (780 pairs) peaks at about 123 MB.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (10, 20, 40, 80)
+ALL_PAIRS_SIZES = (10, 20, 40)
 STORED_TIMES = 5001
 STEP = 0.5
 EVOLVE_REPEATS = 3
@@ -74,8 +84,32 @@ step = {step}
 
 [analysis]
 window = 40.0
-pairs = 0 1; 2 3
+pairs = {pairs}
 """
+
+
+def _write_config(tmp: str, n: int, pairs: str) -> str:
+    ini = os.path.join(tmp, "scaling.ini")
+    with open(ini, "w") as fh:
+        fh.write(CONFIG.format(n=n, t_end=(STORED_TIMES - 1) * STEP, step=STEP, pairs=pairs))
+    return ini
+
+
+def _peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
+def child_all_pairs(n: int) -> dict:
+    """Time one simulate over every pair in this process."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from oscnet.scenarios import load_config, run_simulate
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_config(_write_config(tmp, n, "all"))
+        t0 = perf_counter()
+        run_simulate(cfg, out_dir=os.path.join(tmp, "out"))
+        elapsed = perf_counter() - t0
+    return {"simulate_all_pairs_s": round(elapsed, 4), "all_pairs_peak_rss_mb": _peak_rss_mb()}
 
 
 def child(n: int) -> dict:
@@ -85,10 +119,7 @@ def child(n: int) -> dict:
     from oscnet.scenarios import load_config, prepare, run_simulate
 
     with tempfile.TemporaryDirectory() as tmp:
-        ini = os.path.join(tmp, "scaling.ini")
-        with open(ini, "w") as fh:
-            fh.write(CONFIG.format(n=n, t_end=(STORED_TIMES - 1) * STEP, step=STEP))
-        cfg = load_config(ini)
+        cfg = load_config(_write_config(tmp, n, "0 1; 2 3"))
         prep = prepare(cfg)
         if prep.times.shape[0] != STORED_TIMES:
             raise RuntimeError(f"grid has {prep.times.shape[0]} times, not {STORED_TIMES}")
@@ -102,13 +133,12 @@ def child(n: int) -> dict:
         t0 = perf_counter()
         run_simulate(cfg, out_dir=os.path.join(tmp, "out"))
         simulate_s = perf_counter() - t0
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "n": n,
         "stored_times": STORED_TIMES,
         "evolve_s": round(best, 4),
         "simulate_s": round(simulate_s, 4),
-        "peak_rss_mb": round(peak_kb / 1024.0, 1),
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
@@ -133,25 +163,29 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_scaling.json"),
                         help="JSON file to update (default: BENCH_scaling.json at the root)")
     parser.add_argument("--child", type=int, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--all-pairs", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.child is not None:
-        print(json.dumps(child(args.child)))
+        measure = child_all_pairs if args.all_pairs else child
+        print(json.dumps(measure(args.child)))
         return 0
 
     env = {**os.environ, **BLAS_PIN}
     rows = []
     for n in SIZES:
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--label", args.label,
-             "--child", str(n)],
-            env=env, capture_output=True, text=True, check=False,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            print(f"n={n}: child failed with exit {proc.returncode}", file=sys.stderr)
-            return 1
-        row = json.loads(proc.stdout.strip().splitlines()[-1])
+        row = {}
+        for extra in ([], ["--all-pairs"]) if n in ALL_PAIRS_SIZES else ([],):
+            proc = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--label", args.label,
+                 "--child", str(n), *extra],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr)
+                print(f"n={n}: child failed with exit {proc.returncode}", file=sys.stderr)
+                return 1
+            row.update(json.loads(proc.stdout.strip().splitlines()[-1]))
         print(json.dumps(row), flush=True)
         rows.append(row)
 
@@ -161,7 +195,8 @@ def main(argv=None) -> int:
             data = json.load(fh)
     data["harness"] = "benchmarks/bench_scaling.py"
     data["case"] = ("random common-bath network (seed 7, connect_prob 0.3), "
-                    f"T = {STORED_TIMES} stored times, step {STEP}, 2 pairs")
+                    f"T = {STORED_TIMES} stored times, step {STEP}, 2 pairs; "
+                    "all pairs at n = " + ", ".join(map(str, ALL_PAIRS_SIZES)))
     data.setdefault("runs", {})[args.label] = {"environment": environment(), "sizes": rows}
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)

@@ -1,17 +1,23 @@
 """Synchronization and quantum-correlation measures on Gaussian data.
 
 Classical side: Pearson correlation over sliding half-open windows
-[t, t + window) of a uniformly sampled trajectory, and the collective
-synchronization factor S(t), the product of |C| over node pairs applied
-to the second moments <q_j^2>.
+[t, t + window) of a uniformly sampled trajectory, for many column pairs
+in one pass, and the collective synchronization factor S(t), the product
+of |C| over node pairs applied to the second moments <q_j^2>.
 
 Quantum side: two-mode measures evaluated on 4x4 pair covariances in
 quadrature order (x_i, x_j, p_i, p_j): von Neumann mutual information,
-logarithmic negativity from the partial-transpose symplectic invariants,
-and Gaussian discord, whose conditional entropy minimized over all
-single-mode Gaussian measurements comes from the closed form of Adesso &
-Datta (PRL 105, 030501, 2010).  Every two-mode measure is batched over
-leading axes, so one call serves a whole trajectory.
+logarithmic negativity from the partial transpose's smallest symplectic
+eigenvalue, and Gaussian discord, whose conditional entropy minimized
+over all single-mode Gaussian measurements comes from the closed form of
+Adesso & Datta (PRL 105, 030501, 2010).  Each is one elementwise pass of
+closed forms over a (..., 4, 4) stack: a 4x4 Cholesky factor, the so(4)
+split of L^T J L for the symplectic pair and, from the same factor, for
+the partial transpose, and 2x2 algebra written out for the discord.  So
+one call serves every time and every pair of a trajectory, and a
+covariance that is not positive definite marks only its own entry.
+:func:`symplectic_spectrum` (an SVD) remains the n-mode route, used by
+:func:`von_neumann_entropy` and by the tests as the two-mode oracle.
 
 Vacuum variance is 1/2 throughout, so a symplectic eigenvalue below 1/2
 signals an unphysical covariance.
@@ -31,7 +37,8 @@ from .network import NetworkSpec, hamiltonian_matrix
 #: Minimum number of samples a correlation window must span.
 MIN_WINDOW_SAMPLES = 10
 
-#: Most centred samples one block of windows holds in the windowed Pearson.
+#: Most elements one block holds: centred samples in the windowed Pearson,
+#: pair covariance entries in the pair measures.
 _PEARSON_BLOCK_ELEMENTS = 1 << 18
 
 #: Slack on the vacuum bound when validating covariances.
@@ -161,15 +168,16 @@ def _window_samples(times: np.ndarray, window: float) -> tuple[int, float]:
     return samples, samples * dt
 
 
-def _pearson_blocks(series, window, pairs):
+def _pearson_blocks(series, window, pairs, step=1):
     """Correlation over sliding half-open windows of `window` samples,
     yielded as consecutive (b, P) blocks of windows.
 
     series: (T, K) float array; pairs: (P, 2) int array of column indices.
-    The blocks cover the T - window + 1 windows in order; windows with
-    zero variance give NaN.  Each window is centred on its own mean before
-    its sums are taken (a window-local two-pass), so no sum carries digits
-    lost to an earlier transient into a later window.  The sums of a
+    The blocks cover, in order, the windows that start at every step-th of
+    the T - window + 1 possible starts; windows with zero variance give
+    NaN.  Each window is centred on its own mean before its sums are
+    taken (a window-local two-pass), so no sum carries digits lost to an
+    earlier transient into a later window.  The sums of a
     window are one (K, K) Gram product of its centred samples, one matrix
     product per window, from which every pair is gathered.  A block holds
     at most _PEARSON_BLOCK_ELEMENTS centred samples, which bounds memory.
@@ -177,8 +185,8 @@ def _pearson_blocks(series, window, pairs):
     depend on how the caller's array is laid out in memory.
     """
     cols = np.ascontiguousarray(np.asarray(series, dtype=float).T)
-    n_win = cols.shape[1] - window + 1
-    windows = np.lib.stride_tricks.sliding_window_view(cols, window, axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(cols, window, axis=1)[:, ::step]
+    n_win = windows.shape[1]
     block = max(1, _PEARSON_BLOCK_ELEMENTS // (cols.shape[0] * window))
     k = cols.shape[0]
     i, j = pairs[:, 0], pairs[:, 1]
@@ -194,33 +202,43 @@ def _pearson_blocks(series, window, pairs):
         yield np.clip(rows, -1.0, 1.0, out=rows)
 
 
-def _windowed_pearson(series, window, pairs):
-    """The blocks of :func:`_pearson_blocks` as one (T - window + 1, P) array."""
-    return np.concatenate(list(_pearson_blocks(series, window, pairs)))
+def _windowed_pearson(series, window, pairs, step=1):
+    """The blocks of :func:`_pearson_blocks` as one (windows, P) array,
+    filled in place, so memory holds the result and one block."""
+    out = np.empty(((np.shape(series)[0] - window) // step + 1, len(pairs)))
+    start = 0
+    for block in _pearson_blocks(series, window, pairs, step):
+        out[start : start + block.shape[0]] = block
+        start += block.shape[0]
+    return out
 
 
-def windowed_correlation(times, f, g, window: float) -> WindowedSeries:
-    """Pearson C(t) of two series over sliding windows of the given length.
+def windowed_correlation(times, series, window: float, pairs, stride: int = 1) -> WindowedSeries:
+    """Pearson C(t) of column pairs of ``series`` over sliding windows.
 
-    Windows with zero variance in either series yield NaN and are marked
-    in the ``degenerate`` mask.
+    series: (T, K) samples of K series on the time grid; pairs: (P, 2)
+    column indices.  ``values`` and ``degenerate`` are (windows, P), one
+    column per pair, from one pass over the union of the named columns.
+    Windows start at every ``stride``-th sample, the grid the pair measures
+    use with the same stride.  Windows with zero variance in either series
+    yield NaN and are marked in the ``degenerate`` mask.
     """
     times = np.asarray(times, dtype=float)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != times.shape or g.shape != times.shape:
-        raise DimensionMismatch("series must match the time grid")
+    series = np.asarray(series, dtype=float)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if series.ndim != 2 or series.shape[0] != times.shape[0]:
+        raise DimensionMismatch("series must be (times, columns) on the time grid")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     samples, actual = _window_samples(times, window)
-    series = np.stack([f, g], axis=1)
-    pairs = np.array([[0, 1]], dtype=np.int64)
-    values = _windowed_pearson(series, samples, pairs)[:, 0]
-    degenerate = np.isnan(values)
+    cols = np.unique(pairs)
+    values = _windowed_pearson(series[:, cols], samples, np.searchsorted(cols, pairs), stride)
     return WindowedSeries(
-        times=times[: values.shape[0]].copy(),
+        times=times[::stride][: values.shape[0]].copy(),
         values=values,
         window=actual,
         samples=samples,
-        degenerate=degenerate,
+        degenerate=np.isnan(values),
     )
 
 
@@ -258,6 +276,12 @@ def collective_sync(traj, window: float, subset=None) -> WindowedSeries:
 # ---------------------------------------------------------------------------
 # Two-mode measures on 4x4 pair covariances
 # ---------------------------------------------------------------------------
+#
+# The kernels below work entry by entry: s[i, j] is sigma_ij of every
+# covariance in a stack, as one contiguous array over the stack's leading
+# axes, so a (T, P, 4, 4) stack of P pairs at T times is one elementwise
+# pass, and each (time, pair) gets the same arithmetic whatever else shares
+# the stack.
 
 def pair_covariance(cov: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     """Extract the (x_i, x_j, p_i, p_j) covariance from a (2n, 2n) matrix.
@@ -270,101 +294,124 @@ def pair_covariance(cov: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     return np.asarray(cov)[..., idx[:, None], idx[None, :]]
 
 
-def _det2(m: np.ndarray) -> np.ndarray:
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+#: (x_i, x_j, p_i, p_j) -> (x_j, x_i, p_j, p_i): the two modes swapped.
+_SWAP_MODES = np.array([1, 0, 3, 2])
 
 
-def _pair_blocks(cov4):
+def _entries(cov4) -> np.ndarray:
+    """A (..., 4, 4) stack as s with s[i, j] = sigma_ij, each contiguous."""
     cov4 = np.asarray(cov4, dtype=float)
     if cov4.shape[-2:] != (4, 4):
         raise DimensionMismatch("expected a two-mode covariance of shape (..., 4, 4)")
-    a_idx = np.array([0, 2])
-    b_idx = np.array([1, 3])
-    a = cov4[..., a_idx[:, None], a_idx[None, :]]
-    b = cov4[..., b_idx[:, None], b_idx[None, :]]
-    c = cov4[..., a_idx[:, None], b_idx[None, :]]
+    return np.moveaxis(cov4, (-2, -1), (0, 1)).copy()
+
+
+def _cholesky(s):
+    """Lower Cholesky factor of sigma = L L^T, entry by entry.
+
+    Returns (positive_definite, l) with l[i][k] = L_ik for k <= i.  A pivot
+    at or below zero marks its entry not positive definite; it and every
+    later pivot of that entry are replaced by one, so the rest of the
+    factor stays finite, and it is the exact factor of some positive
+    definite matrix.
+    """
+    ok = np.ones(s.shape[2:], dtype=bool)
+    l = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for k in range(i + 1):
+            acc = s[i, k]
+            for m in range(k):
+                acc = acc - l[i][m] * l[k][m]
+            if i == k:
+                ok &= acc > 0.0
+                l[i][i] = np.sqrt(np.where(ok, acc, 1.0))
+            else:
+                l[i][k] = acc / l[k][k]
+    return ok, l
+
+
+def _symplectic_pair(l, sign: float = 1.0):
+    """(nu_minus, nu_plus) from the Cholesky rows l, of the partial transpose for sign -1.
+
+    The symplectic eigenvalues of sigma = L L^T are the singular values of
+    the antisymmetric K = L^T J L, each twice.  With l_a the rows of L in
+    (x_i, x_j, p_i, p_j) order, K = K_A + K_B where K_A = l_0 ^ l_2 and
+    K_B = l_1 ^ l_3 (u ^ v = u v^T - v u^T).  Transposing mode B negates
+    its block of J, which gives K_A - K_B, up to a sign on row and column
+    3 that leaves the singular values alone.  A lower-triangular L leaves
+    K_A two entries and K_B five, and k_23 = 0.
+
+    A 4x4 antisymmetric matrix splits into a self-dual and an
+    anti-self-dual part (the so(4) = so(3) + so(3) split), with norms
+
+        |K+|^2 = (k01 + k23)^2 + (k02 - k13)^2 + (k03 + k12)^2,
+        |K-|^2 = (k01 - k23)^2 + (k02 + k13)^2 + (k03 - k12)^2,
+
+    that are nu_+ + nu_- and |nu_+ - nu_-| in some order, so
+    nu_+ = (|K+| + |K-|) / 2, a sum of squares that loses no digits.
+    nu_- comes from the Pfaffian, nu_- nu_+ = |Pf K| = det L, the product of
+    L's diagonal: the difference (|K+| - |K-|) / 2 would cancel when
+    nu_- << nu_+, as for the partial transpose of a squeezed pair.  The
+    textbook invariants are avoided too: their discriminant is a difference
+    of fourth powers of the squeezing scale.
+    """
+    k01 = l[0][0] * l[2][1] + sign * (l[1][0] * l[3][1] - l[3][0] * l[1][1])
+    k02 = l[0][0] * l[2][2]
+    b02, b03 = l[1][0] * l[3][2], l[1][0] * l[3][3]
+    b12, b13 = l[1][1] * l[3][2], l[1][1] * l[3][3]
+    self_dual = np.sqrt(k01**2 + (k02 + sign * (b02 - b13)) ** 2 + (b03 + b12) ** 2)
+    anti_dual = np.sqrt(k01**2 + (k02 + sign * (b02 + b13)) ** 2 + (b03 - b12) ** 2)
+    nu_plus = 0.5 * (self_dual + anti_dual)
+    return l[0][0] * l[1][1] * l[2][2] * l[3][3] / nu_plus, nu_plus
+
+
+def _pair_blocks(s):
+    """The 2x2 blocks of sigma = [[a, c], [c^T, b]] in mode order, entry by entry.
+
+    a and b, the blocks of the unmeasured mode A and the measured mode B,
+    are symmetric and given as (xx, xp, pp); c, rows from A and columns
+    from B, as ((c00, c01), (c10, c11)).
+    """
+    a = (s[0, 0], s[0, 2], s[2, 2])
+    b = (s[1, 1], s[1, 3], s[3, 3])
+    c = ((s[0, 1], s[0, 3]), (s[2, 1], s[2, 3]))
     return a, b, c
 
 
-def _pair_nus(cov4):
-    """Symplectic pair (nu_minus, nu_plus) of a two-mode covariance.
-
-    Computed from the spectrum of J sigma rather than the textbook
-    two-mode invariants: the invariant route cancels catastrophically
-    for near-pure pairs (the discriminant is a difference of fourth
-    powers of the squeezing scale) and its sqrt(eps)-level noise is
-    enough to trip the physicality gate.
-    """
-    cov4 = np.asarray(cov4, dtype=float)
-    if cov4.shape[-2:] != (4, 4):
-        raise DimensionMismatch("expected a two-mode covariance of shape (..., 4, 4)")
-    nus = symplectic_spectrum(cov4)
-    return nus[..., 0], nus[..., 1]
+def _det_sym(m):
+    return m[0] * m[2] - m[1] ** 2
 
 
-def _check_pair_physical(cov4):
-    """(nu_minus, nu_plus) of a positive-definite two-mode covariance that
-    passes the vacuum floor; UnphysicalCovariance otherwise."""
-    nu_minus, nu_plus = _pair_nus(cov4)
-    if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
-        raise UnphysicalCovariance(
-            f"two-mode symplectic eigenvalue {np.min(nu_minus):.6g} below 1/2"
-        )
-    return nu_minus, nu_plus
+def _local_entropy(det):
+    """Entropy of one mode from the determinant of its 2x2 block."""
+    return _entropy_term(np.sqrt(np.maximum(det, 0.25)))
 
 
-def _local_entropy(block):
-    """Entropy of one mode from its 2x2 covariance block, batched."""
-    return _entropy_term(np.sqrt(np.maximum(_det2(block), 0.25)))
-
-
-def _mutual_information(cov4, nu_minus, nu_plus):
-    a, b, _ = _pair_blocks(cov4)
-    out = (
-        _local_entropy(a)
-        + _local_entropy(b)
+def _mutual_information(s, l, nu_minus, nu_plus):
+    a, b, _ = _pair_blocks(s)
+    return (
+        _local_entropy(_det_sym(a))
+        + _local_entropy(_det_sym(b))
         - _entropy_term(nu_minus)
         - _entropy_term(nu_plus)
     )
-    return np.maximum(out, 0.0)
 
 
-def mutual_information(cov4) -> float | np.ndarray:
-    """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
-    nus = _check_pair_physical(cov4)
-    out = _mutual_information(cov4, *nus)
-    return float(out) if out.ndim == 0 else out
-
-
-def _log_negativity(cov4, nu_minus, nu_plus):
+def _log_negativity(s, l, nu_minus, nu_plus):
     # The pair's own spectrum is unused: E_N reads the partial transpose's.
-    flipped = np.array(cov4, dtype=float, copy=True)
-    flipped[..., 3, :] *= -1.0
-    flipped[..., :, 3] *= -1.0
-    nu_t = symplectic_spectrum(flipped)[..., 0]
-    return np.maximum(-np.log(2.0 * nu_t), 0.0)
-
-
-def log_negativity(cov4) -> float | np.ndarray:
-    """E_N = max(0, -ln 2 nu~_minus) with nu~ from the partial transpose.
-
-    Transposing the second mode negates its momentum row and column; the
-    smallest symplectic eigenvalue of the flipped covariance then sets
-    the entanglement (same stability argument as :func:`_pair_nus`).
-    """
-    nus = _check_pair_physical(cov4)
-    out = _log_negativity(cov4, *nus)
-    return float(out) if out.ndim == 0 else out
+    return -np.log(2.0 * _symplectic_pair(l, -1.0)[0])
 
 
 def _conditional_det_infimum(a, b, c, nu_minus, nu_plus):
     """Infimum of det(a - c (b + sigma_M)^-1 c^T) over Gaussian measurements sigma_M of B.
 
-    Closed form of Adesso & Datta, PRL 105, 030501 (2010), batched over
-    the (..., 2, 2) blocks and the symplectic pair of the whole state.
-    The paper's invariants assume vacuum variance 1: A = 4 det a,
-    B = 4 det b, C = 4 det c, D = 16 det sigma, and its E_min is 4 times
-    the determinant returned here:
+    Closed form of Adesso & Datta, PRL 105, 030501 (2010), entry by entry
+    over the blocks of :func:`_pair_blocks` and the symplectic pair of the
+    whole state.  Returns (infimum, general), general marking the entries
+    where the branch test below picks the general branch.  The paper's
+    invariants assume vacuum variance 1: A = 4 det a, B = 4 det b,
+    C = 4 det c, D = 16 det sigma, and its E_min is 4 times the determinant
+    returned here:
 
         E_min = [(|C| + sqrt(C^2 + (B - 1)(D - A))) / (B - 1)]^2
                 if (D - AB)^2 <= (1 + B) C^2 (A + D),
@@ -374,10 +421,14 @@ def _conditional_det_infimum(a, b, c, nu_minus, nu_plus):
     Rewrites that keep the digits the paper's expressions lose:
     - the homodyne branch is det a (1 - lambda_max), lambda_max the largest
       Rayleigh quotient of c^T a^-1 c against b, taken from the symmetric
-      matrix L^-1 c^T a^-1 c L^-T (b = L L^T) so that the degenerate
-      eigenvalues of symmetric states lose no digits;
-    - D - AB = C^2 - AB tr(b^-1 c^T a^-1 c), which does not cancel D
-      against AB for weak correlations;
+      matrix k = W a^-1 W^T with W = L^-1 c^T (b = L L^T) so that the
+      degenerate eigenvalues of symmetric states lose no digits;
+    - every 2x2 step is written out: a^-1 is adj(a) / det a, W comes from
+      two forward substitutions with b's Cholesky factor, and the largest
+      eigenvalue of the symmetric k is
+      (k00 + k11) / 2 + hypot((k00 - k11) / 2, k01);
+    - D - AB = C^2 - AB tr(b^-1 c^T a^-1 c), with the trace that of k, which
+      does not cancel D against AB for weak correlations;
     - the general branch's radicand C^2 + (B - 1)(D - A) equals
       (C + B - 1)^2 + (B - 1)(4 nu_-^2 - 1)(4 nu_+^2 - 1), a sum of
       non-negative terms that stays accurate near a pure state, where the
@@ -391,14 +442,30 @@ def _conditional_det_infimum(a, b, c, nu_minus, nu_plus):
       within O(B - 1) of the infimum, is kept as well: the general
       branch's radicand loses digits as eps / (B - 1) there.
     """
-    det_a = _det2(a)
-    chol_inv = np.linalg.inv(np.linalg.cholesky(b))
-    k = chol_inv @ np.swapaxes(c, -1, -2) @ np.linalg.solve(a, c) @ np.swapaxes(chol_inv, -1, -2)
-    homodyne = det_a * (1.0 - np.linalg.eigvalsh(k)[..., -1])
+    a00, a01, a11 = a
+    (c00, c01), (c10, c11) = c
+    det_a = _det_sym(a)
+    det_b = _det_sym(b)
+    # Rows of W = L^-1 c^T, by forward substitution with b = L L^T.
+    l00 = np.sqrt(b[0])
+    l10 = b[1] / l00
+    l11 = np.sqrt(b[2] - l10**2)
+    w00, w01 = c00 / l00, c10 / l00
+    w10, w11 = (c01 - l10 * w00) / l11, (c11 - l10 * w01) / l11
 
-    big_a, big_b, big_c = 4.0 * det_a, 4.0 * _det2(b), 4.0 * _det2(c)
+    def quadratic(u0, u1, v0, v1):
+        # u^T a^-1 v with a^-1 = adj(a) / det a
+        return (a11 * u0 * v0 - a01 * (u0 * v1 + u1 * v0) + a00 * u1 * v1) / det_a
+
+    k00 = quadratic(w00, w01, w00, w01)
+    k01 = quadratic(w00, w01, w10, w11)
+    k11 = quadratic(w10, w11, w10, w11)
+    lam_max = 0.5 * (k00 + k11) + np.hypot(0.5 * (k00 - k11), k01)
+    homodyne = det_a * (1.0 - lam_max)
+
+    big_a, big_b, big_c = 4.0 * det_a, 4.0 * det_b, 4.0 * (c00 * c11 - c01 * c10)
     big_d = (4.0 * nu_minus * nu_plus) ** 2
-    d_minus_ab = big_c**2 - big_a * big_b * (k[..., 0, 0] + k[..., 1, 1])
+    d_minus_ab = big_c**2 - big_a * big_b * (k00 + k11)
     pure_b = big_b - 1.0 <= _PURE_MODE_TOL
     bm1 = np.where(pure_b, 1.0, big_b - 1.0)
     # (4 nu_-^2 - 1)(4 nu_+^2 - 1), factored so that nu -> 1/2 keeps its digits
@@ -408,27 +475,87 @@ def _conditional_det_infimum(a, b, c, nu_minus, nu_plus):
     general = ((np.abs(big_c) + root) / bm1) ** 2 / 4.0
     use_general = ~pure_b & (d_minus_ab**2 <= (1.0 + big_b) * big_c**2 * (big_a + big_d))
     out = np.where(use_general, np.minimum(general, homodyne), homodyne)
-    return np.maximum(out, 0.25)
+    return np.maximum(out, 0.25), use_general
 
 
-def _gaussian_discord(cov4, nu_minus, nu_plus, measured="B"):
-    a, b, c = _pair_blocks(cov4)
-    if measured == "A":
-        a, b, c = b, a, np.swapaxes(c, -1, -2)
-    elif measured != "B":
-        raise ValueError("measured side must be 'A' or 'B'")
-    # D = I(A:B) - [S(A) - S(A|B measured)] = S(B) - S(AB) + S(A|B measured)
-    disc = (
-        _local_entropy(b)
+def _gaussian_discord(s, l, nu_minus, nu_plus):
+    # D = I(A:B) - [S(A) - S(A|B measured)] = S(B) - S(AB) + S(A|B measured),
+    # with B the second mode
+    a, b, c = _pair_blocks(s)
+    infimum, _ = _conditional_det_infimum(a, b, c, nu_minus, nu_plus)
+    return (
+        _local_entropy(_det_sym(b))
         - _entropy_term(nu_minus)
         - _entropy_term(nu_plus)
-        + _entropy_term(np.sqrt(_conditional_det_infimum(a, b, c, nu_minus, nu_plus)))
+        + _entropy_term(np.sqrt(infimum))
     )
-    if np.any(disc < -DISCORD_CLAMP_TOL):
+
+
+#: Each takes (s, l, nu_minus, nu_plus): the entries of a stack, the rows of
+#: their Cholesky factor and their symplectic pair, and returns the measure
+#: before it is clamped at zero.
+_PAIR_MEASURES = {
+    MUTUAL_INFORMATION: _mutual_information,
+    DISCORD: _gaussian_discord,
+    LOG_NEGATIVITY: _log_negativity,
+}
+
+
+def _pair_kernel(cov4, measure: str):
+    """One elementwise pass of a two-mode measure over a (..., 4, 4) stack.
+
+    Returns (values, nu_minus) over the leading axes.  nu_minus is NaN
+    where the covariance is not positive definite; the values are the
+    measure before :func:`_clamped`, and only meaningful where nu_minus
+    clears the vacuum floor.
+    """
+    s = _entries(cov4)
+    definite, l = _cholesky(s)
+    if not definite.all():
+        # The 2x2 factorizations of the discord need positive definite
+        # blocks; these entries are discarded, so the vacuum stands in.
+        vacuum = 0.5 * np.eye(4).reshape((4, 4) + (1,) * definite.ndim)
+        s = np.where(definite, s, vacuum)
+    nu_minus, nu_plus = _symplectic_pair(l)
+    values = _PAIR_MEASURES[measure](s, l, nu_minus, nu_plus)
+    return values, np.where(definite, nu_minus, np.nan)
+
+
+def _clamped(measure: str, values):
+    """A measure clamped at zero; a discord below -DISCORD_CLAMP_TOL raises."""
+    if measure == DISCORD and np.any(values < -DISCORD_CLAMP_TOL):
         raise UnphysicalCovariance(
-            f"discord came out {np.min(disc):.3g} < 0 beyond tolerance"
+            f"discord came out {np.nanmin(values):.3g} < 0 beyond tolerance"
         )
-    return np.maximum(disc, 0.0)
+    return np.maximum(values, 0.0)
+
+
+def _two_mode(cov4, measure: str) -> float | np.ndarray:
+    """A two-mode measure of every covariance in a stack, all of them physical."""
+    values, nu_minus = _pair_kernel(cov4, measure)
+    if np.isnan(nu_minus).any():
+        raise UnphysicalCovariance("covariance is not positive definite")
+    if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
+        raise UnphysicalCovariance(
+            f"two-mode symplectic eigenvalue {np.min(nu_minus):.6g} below 1/2"
+        )
+    out = _clamped(measure, values)
+    return float(out) if out.ndim == 0 else out
+
+
+def mutual_information(cov4) -> float | np.ndarray:
+    """I = S(A) + S(B) - S(AB) in nats; batched over leading axes."""
+    return _two_mode(cov4, MUTUAL_INFORMATION)
+
+
+def log_negativity(cov4) -> float | np.ndarray:
+    """E_N = max(0, -ln 2 nu~_minus) with nu~ from the partial transpose.
+
+    Transposing the second mode negates its momentum row and column; the
+    smallest symplectic eigenvalue of the flipped covariance then sets
+    the entanglement (see :func:`_symplectic_pair`).
+    """
+    return _two_mode(cov4, LOG_NEGATIVITY)
 
 
 def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
@@ -439,9 +566,11 @@ def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
     from the Adesso-Datta closed form.  Small negative results (roundoff)
     clamp to zero.
     """
-    nus = _check_pair_physical(cov4)
-    out = _gaussian_discord(cov4, *nus, measured=measured)
-    return float(out) if out.ndim == 0 else out
+    if measured == "A":
+        cov4 = np.asarray(cov4)[..., _SWAP_MODES[:, None], _SWAP_MODES[None, :]]
+    elif measured != "B":
+        raise ValueError("measured side must be 'A' or 'B'")
+    return _two_mode(cov4, DISCORD)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +598,6 @@ class AveragedSeries:
     excluded: tuple[tuple[int, int], ...]
 
 
-#: Each takes (cov4, nu_minus, nu_plus) of a pair already checked physical.
-_PAIR_MEASURES = {
-    MUTUAL_INFORMATION: _mutual_information,
-    DISCORD: _gaussian_discord,
-    LOG_NEGATIVITY: _log_negativity,
-}
-
-
 def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
@@ -487,8 +608,10 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
     Pairs whose covariance is not positive definite or fails the
     physicality floor anywhere in the series are dropped and reported in
     ``excluded`` (NaN-filled columns).
-    The symplectic pair computed for that check is handed to the measure,
-    so each (time, pair) costs one spectrum (two for log-negativity).
+    The (t, pairs, 4, 4) stack is read and evaluated in time chunks of at
+    most _PEARSON_BLOCK_ELEMENTS entries, each one elementwise pass of
+    :func:`_pair_kernel`, so a pair's values do not depend on the other
+    pairs of the call.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -499,27 +622,24 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
         raise ValueError("pair needs two distinct nodes")
     n = traj.n
     quads = np.array([[i, j, n + i, n + j] for i, j in pair_list], dtype=np.int64).reshape(-1, 4)
-    # One read of the union of the pairs' quadrature rows: an evolved
-    # trajectory computes only those entries, an array is sliced.
-    rows = np.unique(quads)
-    covs = traj.covs[::stride, rows[:, None], rows[None, :]]
-    local = np.searchsorted(rows, quads)
     times = traj.times[::stride]
-    values = np.full((times.shape[0], len(pair_list)), np.nan)
-    excluded = []
-    for k, (i, j) in enumerate(pair_list):
-        cov4 = covs[:, local[k, :, None], local[k, None, :]]
-        try:
-            nu_minus, nu_plus = _check_pair_physical(cov4)
-        except UnphysicalCovariance:
-            excluded.append((i, j))
-            continue
-        values[:, k] = _PAIR_MEASURES[measure](cov4, nu_minus, nu_plus)
+    values = np.empty((times.shape[0], len(pair_list)))
+    physical = np.ones(len(pair_list), dtype=bool)
+    block = max(1, _PEARSON_BLOCK_ELEMENTS // (16 * max(1, len(pair_list))))
+    for start in range(0, times.shape[0], block):
+        stop = min(start + block, times.shape[0])
+        # One read per chunk: an evolved trajectory computes only the union
+        # of the pairs' quadrature rows, an array is indexed.
+        cov4 = traj.covs[start * stride : (stop - 1) * stride + 1 : stride,
+                         quads[:, :, None], quads[:, None, :]]
+        values[start:stop], nu_minus = _pair_kernel(cov4, measure)
+        physical &= np.all(nu_minus >= 0.5 - PHYSICALITY_TOL, axis=0)
+    values[:, ~physical] = np.nan
     return PairSeries(
         times=times.copy(),
         pairs=tuple(pair_list),
-        values=values,
-        excluded=tuple(excluded),
+        values=_clamped(measure, values),
+        excluded=tuple(p for p, ok in zip(pair_list, physical) if not ok),
     )
 
 

@@ -680,14 +680,11 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
             for measure in (measures.MUTUAL_INFORMATION, measures.DISCORD,
                             measures.LOG_NEGATIVITY)
         )
-        signal = traj.second_moment_q
+        pearson = measures.windowed_correlation(
+            traj.times, traj.second_moment_q, prep.window, disc.pairs, stride
+        )
         corr = np.full(disc.values.shape, np.nan)
-        for k, (i, j) in enumerate(disc.pairs):
-            pearson = measures.windowed_correlation(
-                traj.times, signal[:, i], signal[:, j], prep.window
-            )
-            sampled = pearson.values[::stride]
-            corr[: sampled.shape[0], k] = sampled
+        corr[: pearson.values.shape[0]] = pearson.values
         csvio.write_pair_measures(
             os.path.join(out, "measures.csv"), disc.times, disc.pairs, corr,
             info.values, disc.values, logneg.values,

@@ -193,13 +193,10 @@ def test_05_chain_sync_contrast(capsys):
         traj = on.evolve(state, on.analyze(net, bath), times, method="exact")
         out = []
         for signal in (traj.mean_q, traj.second_moment_q):
-            cols, edges = [], None
-            for i, j in combinations(range(3), 2):
-                ws = on.windowed_correlation(traj.times, signal[:, i], signal[:, j],
-                                             window=window)
-                cols.append(ws.values)
-                edges = ws.times
-            absc = np.abs(np.column_stack(cols))
+            ws = on.windowed_correlation(traj.times, signal, window,
+                                         list(combinations(range(3), 2)))
+            absc = np.abs(ws.values)
+            edges = ws.times
             mask = (edges >= t_lo) & (edges + window <= t_hi + 1e-9)
             out.append(absc[mask])
         return out   # [mean_q windows, q^2 windows], each (n_win, 3)

@@ -1,13 +1,15 @@
 import tracemalloc
 from importlib import resources
+from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscnet as on
-from oscnet import measures
+from oscnet import measures, scenarios
 from oscnet.dynamics import GaussianState, Trajectory
 from oscnet.errors import UnphysicalCovariance
 from oscnet.measures import (
@@ -82,6 +84,98 @@ class TestSymplecticSpectrum:
             assert np.allclose(out[k], on.symplectic_spectrum(covs[k]))
 
 
+def _two_mode_squeezer(r):
+    """The two-mode squeezing symplectic matrix in (x_i, x_j, p_i, p_j) order."""
+    ch, sh = np.cosh(r), np.sinh(r)
+    return np.array([[ch, sh, 0.0, 0.0], [sh, ch, 0.0, 0.0],
+                     [0.0, 0.0, ch, -sh], [0.0, 0.0, -sh, ch]])
+
+
+def _local_symplectic(r_a, theta_a, r_b, theta_b):
+    """Each mode squeezed by r and rotated by theta, in (x_i, x_j, p_i, p_j) order."""
+    out = np.zeros((4, 4))
+    for idx, r, theta in (([0, 2], r_a, theta_a), ([1, 3], r_b, theta_b)):
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        out[np.ix_(idx, idx)] = rot @ np.diag([np.exp(r), np.exp(-r)])
+    return out
+
+
+def _williamson(s, nu_a, nu_b):
+    return s @ np.diag([nu_a, nu_b, nu_a, nu_b]) @ s.T
+
+
+def _local_squeezed_states():
+    # Local and two-mode squeezing add up to at most 2.5, the range of the
+    # pure family: the roundoff of either route grows as cond(sigma).
+    rng = np.random.default_rng(21)
+    out = []
+    for _ in range(12):
+        r_a, r_b = rng.uniform(-1.0, 1.0, 2)
+        theta_a, theta_b = rng.uniform(0.0, np.pi, 2)
+        local = _local_symplectic(r_a, theta_a, r_b, theta_b)
+        s = local @ _two_mode_squeezer(rng.uniform(0.0, 1.5))
+        out.append(_williamson(s, *rng.uniform(0.5, 3.0, 2)))
+    return out
+
+
+#: family -> builder of its two-mode covariances, (x_i, x_j, p_i, p_j) order
+TWO_MODE_FAMILIES = {
+    "pure_tmsv": lambda: [tmsv_cov(r) for r in np.linspace(0.1, 2.5, 13)],
+    # nu_+ = nu_-: scaled identities and scaled pure states
+    "thermal": lambda: [nu * np.eye(4) for nu in (0.5, 0.8, 3.0, 25.0)]
+    + [2.0 * nu * tmsv_cov(r) for nu, r in ((0.7, 0.4), (2.0, 1.5), (0.5, 2.5))],
+    "local_squeezed_rotated": _local_squeezed_states,
+    "nearly_pure_weak": lambda: [
+        _williamson(_local_symplectic(0.3, 0.2, -0.5, 1.1) @ _two_mode_squeezer(r),
+                    0.5 + eps, 0.5 + 2.0 * eps)
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3) for r in (1e-4, 1e-2, 0.05)
+    ],
+}
+
+
+def _partial_transpose(cov4):
+    flipped = np.array(cov4, dtype=float, copy=True)
+    flipped[..., 3, :] *= -1.0
+    flipped[..., :, 3] *= -1.0
+    return flipped
+
+
+def _mp_symplectic_pair(cov4):
+    """(nu_-, nu_+) as the moduli of the eigenvalues of J sigma, at 50 digits."""
+    with mpmath.workdps(50):
+        j_sigma = mpmath.matrix(symplectic_form(2).tolist()) * mpmath.matrix(cov4.tolist())
+        moduli = sorted(abs(mpmath.im(e)) for e in mpmath.eig(j_sigma, left=False, right=False))
+        return np.array([float(moduli[0]), float(moduli[2])])
+
+
+class TestClosedFormPairSpectrum:
+    @pytest.mark.parametrize("family", list(TWO_MODE_FAMILIES))
+    def test_against_high_precision_eigenvalues(self, family):
+        worst = {"closed": 0.0, "svd": 0.0}
+        for cov in TWO_MODE_FAMILIES[family]():
+            _, l = measures._cholesky(measures._entries(cov))
+            for sign, target in ((1.0, cov), (-1.0, _partial_transpose(cov))):
+                exact = _mp_symplectic_pair(target)
+                routes = {"closed": np.array(measures._symplectic_pair(l, sign)),
+                          "svd": on.symplectic_spectrum(target)}
+                for route, got in routes.items():
+                    worst[route] = max(worst[route], float(np.max(np.abs(got / exact - 1.0))))
+        assert worst["closed"] <= 1e-12, worst
+        # Both routes start from a Cholesky factor; its roundoff, of order
+        # cond(sigma) eps, sets the error of either, and two factorizations
+        # round differently.  So each family's worst case is compared, with
+        # a factor 2 for that rounding.
+        eps = np.finfo(float).eps
+        assert worst["closed"] <= 2.0 * worst["svd"] + 4.0 * eps, worst
+
+    def test_indefinite_entries_are_masked(self):
+        covs = np.stack([tmsv_cov(0.5), -0.6 * np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
+        definite, l = measures._cholesky(measures._entries(covs))
+        assert definite.tolist() == [True, False, False]
+        nu_minus, nu_plus = measures._symplectic_pair(l)
+        assert np.all(np.isfinite(nu_minus)) and np.all(np.isfinite(nu_plus))
+
+
 class TestEntropyPurity:
     def test_pure_state_entropy_zero(self):
         assert on.von_neumann_entropy(0.5 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
@@ -145,40 +239,61 @@ class TestWindowedCorrelation:
         times = np.linspace(0.0, 9.9, 100)
         f = np.sin(times) + 0.3 * rng.normal(size=100)
         g = np.cos(times) + 0.3 * rng.normal(size=100)
-        out = on.windowed_correlation(times, f, g, window=2.0)
+        out = on.windowed_correlation(times, np.column_stack([f, g]), 2.0, [(0, 1)])
         assert out.samples == 20
         assert len(out) == 81
         for k in (0, 17, 80):
             sl = slice(k, k + out.samples)
-            assert out.values[k] == pytest.approx(
+            assert out.values[k, 0] == pytest.approx(
                 corrcoef_window(f[sl], g[sl]), abs=1e-10
             )
 
     def test_perfect_correlation(self):
         times = np.linspace(0.0, 5.0, 60)
         f = np.sin(times)
-        out = on.windowed_correlation(times, f, 3.0 * f + 2.0, window=1.0)
-        assert np.allclose(out.values, 1.0)
-        out = on.windowed_correlation(times, f, -f, window=1.0)
-        assert np.allclose(out.values, -1.0)
+        series = np.column_stack([f, 3.0 * f + 2.0, -f])
+        out = on.windowed_correlation(times, series, 1.0, [(0, 1), (0, 2)])
+        assert np.allclose(out.values[:, 0], 1.0)
+        assert np.allclose(out.values[:, 1], -1.0)
 
     def test_degenerate_window_is_nan(self):
         times = np.linspace(0.0, 5.0, 60)
         f = np.ones(60)
         g = np.sin(times)
-        out = on.windowed_correlation(times, f, g, window=1.0)
+        out = on.windowed_correlation(times, np.column_stack([f, g]), 1.0, [(0, 1)])
         assert np.all(np.isnan(out.values))
         assert np.all(out.degenerate)
 
     def test_grid_validation(self):
         times = np.concatenate([np.linspace(0, 1, 30), [1.5, 2.0, 2.6]])
         with pytest.raises(ValueError):
-            on.windowed_correlation(times, times, times, window=0.5)
+            on.windowed_correlation(times, np.column_stack([times, times]), 0.5, [(0, 1)])
         uniform = np.linspace(0.0, 5.0, 51)
+        both = np.column_stack([uniform, uniform])
         with pytest.raises(ValueError):
-            on.windowed_correlation(uniform, uniform, uniform, window=0.5)
+            on.windowed_correlation(uniform, both, 0.5, [(0, 1)])
         with pytest.raises(ValueError):
-            on.windowed_correlation(uniform, uniform, uniform, window=9.0)
+            on.windowed_correlation(uniform, both, 9.0, [(0, 1)])
+
+    def test_many_pairs_over_column_union(self):
+        # one call for every pair, over only the columns the pairs name;
+        # column 3 is constant, so its pair is degenerate throughout
+        rng = np.random.default_rng(13)
+        times = np.arange(150) * 0.1
+        series = rng.normal(size=(150, 7)) + np.linspace(0.0, 3.0, 150)[:, None]
+        series[:, 3] = 1.0
+        pairs = [(5, 1), (1, 6), (2, 5), (3, 5), (6, 6)]
+        out = on.windowed_correlation(times, series, 2.0, pairs)
+        ref = pearson_two_pass(series, out.samples, pairs)
+        assert out.values.shape == (150 - 20 + 1, 5)
+        assert np.allclose(out.values, ref, rtol=0.0, atol=1e-12, equal_nan=True)
+        assert np.array_equal(out.degenerate, np.isnan(ref))
+        assert out.degenerate[:, 3].all() and not out.degenerate[:, :3].any()
+        # windows at every 4th start only, each computed as before
+        strided = on.windowed_correlation(times, series, 2.0, pairs, stride=4)
+        assert np.array_equal(strided.times, out.times[::4])
+        assert np.array_equal(strided.values, out.values[::4], equal_nan=True)
+        assert np.array_equal(strided.degenerate, out.degenerate[::4])
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -187,7 +302,7 @@ class TestWindowedCorrelation:
         times = np.arange(64.0)
         f = rng.normal(size=64)
         g = rng.normal(size=64)
-        out = on.windowed_correlation(times, f, g, window=16.0)
+        out = on.windowed_correlation(times, np.column_stack([f, g]), 16.0, [(0, 1)])
         finite = out.values[~out.degenerate]
         assert np.all(np.abs(finite) <= 1.0)
 
@@ -246,9 +361,8 @@ class TestPearsonKernel:
         pairs = [(0, 1), (0, 2), (1, 2)]
         sync = on.collective_sync(traj, prep.window)
         ref = pearson_two_pass(signal, sync.samples, pairs)
-        for k, (i, j) in enumerate(pairs):
-            got = on.windowed_correlation(traj.times, signal[:, i], signal[:, j], prep.window)
-            assert np.allclose(got.values, ref[:, k], rtol=0.0, atol=1e-12)
+        got = on.windowed_correlation(traj.times, signal, prep.window, pairs)
+        assert np.allclose(got.values, ref, rtol=0.0, atol=1e-12)
         assert np.allclose(sync.values, np.abs(ref).prod(axis=1), rtol=0.0, atol=1e-12)
 
     def test_independent_of_memory_layout(self):
@@ -304,10 +418,8 @@ class TestCollectiveSync:
         traj = self.make_traj(sig)
         full = on.collective_sync(traj, window=1.5)
         sub = on.collective_sync(traj, window=1.5, subset=[0, 2])
-        pairwise = on.windowed_correlation(
-            traj.times, sig[:, 0] + 0.0, sig[:, 2] + 0.0, window=1.5
-        )
-        assert np.allclose(sub.values, np.abs(pairwise.values), atol=1e-12)
+        pairwise = on.windowed_correlation(traj.times, sig, 1.5, [(0, 2)])
+        assert np.allclose(sub.values, np.abs(pairwise.values[:, 0]), atol=1e-12)
         assert not np.allclose(sub.values, full.values)
 
     def test_streamed_blocks_match_whole_correlation(self, monkeypatch):
@@ -460,6 +572,39 @@ DISCORD_CASES = {
 }
 
 
+def _lapack_infimum(cov4, nu_minus, nu_plus):
+    """The Adesso-Datta infimum through numpy.linalg on (..., 2, 2) stacks.
+
+    The reference for the elementwise kernel: the same rewrites, with the
+    2x2 algebra left to LAPACK (Cholesky, inverse, solve, eigvalsh).
+    Returns (infimum, general branch taken).
+    """
+    a_idx, b_idx = np.array([0, 2]), np.array([1, 3])
+    a = cov4[..., a_idx[:, None], a_idx[None, :]]
+    b = cov4[..., b_idx[:, None], b_idx[None, :]]
+    c = cov4[..., a_idx[:, None], b_idx[None, :]]
+    det_a, det_b, det_c = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+                           for m in (a, b, c))
+    chol_inv = np.linalg.inv(np.linalg.cholesky(b))
+    k = chol_inv @ np.swapaxes(c, -1, -2) @ np.linalg.solve(a, c) @ np.swapaxes(chol_inv, -1, -2)
+    homodyne = det_a * (1.0 - np.linalg.eigvalsh(k)[..., -1])
+    big_a, big_b, big_c = 4.0 * det_a, 4.0 * det_b, 4.0 * det_c
+    big_d = (4.0 * nu_minus * nu_plus) ** 2
+    d_minus_ab = big_c**2 - big_a * big_b * np.trace(k, axis1=-2, axis2=-1)
+    pure_b = big_b - 1.0 <= measures._PURE_MODE_TOL
+    bm1 = np.where(pure_b, 1.0, big_b - 1.0)
+    excess = (2.0 * nu_minus - 1.0) * (2.0 * nu_minus + 1.0)
+    excess = excess * (2.0 * nu_plus - 1.0) * (2.0 * nu_plus + 1.0)
+    root = np.sqrt(np.maximum((big_c + bm1) ** 2 + bm1 * excess, 0.0))
+    general = ((np.abs(big_c) + root) / bm1) ** 2 / 4.0
+    use_general = ~pure_b & (d_minus_ab**2 <= (1.0 + big_b) * big_c**2 * (big_a + big_d))
+    out = np.where(use_general, np.minimum(general, homodyne), homodyne)
+    return np.maximum(out, 0.25), use_general
+
+
+PRESETS = ("fig2_cb", "fig2_sb", "fig3_sweep", "fig4_motif", "fig5_entangle")
+
+
 class TestDiscord:
     def brute_force(self, cov4, s_pts=321, t_pts=180, homodyne_pts=3600):
         """Dense independent scan over homodyne-to-heterodyne measurements.
@@ -504,6 +649,26 @@ class TestDiscord:
             assert got == pytest.approx(oracle, abs=1e-4)
             if pinned is not None:
                 assert got == pytest.approx(pinned, abs=5e-5)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_branch_matches_lapack_reference(self, preset):
+        # every pair state a preset's pipeline measures, on its measure grid
+        cfg = load_config(str(resources.files("oscnet") / "presets" / f"{preset}.ini"))
+        prep = prepare(cfg)
+        traj = scenarios._run_traj(prep)
+        pairs = prep.pairs or tuple(combinations(range(traj.n), 2))
+        n = traj.n
+        quads = np.array([[i, j, n + i, n + j] for i, j in pairs])
+        cov4 = traj.covs[::cfg.analysis.stride, quads[:, :, None], quads[:, None, :]]
+        nus = on.symplectic_spectrum(cov4)
+        ref, ref_general = _lapack_infimum(cov4, nus[..., 0], nus[..., 1])
+        s = measures._entries(cov4)
+        definite, l = measures._cholesky(s)
+        assert definite.all()
+        got, general = measures._conditional_det_infimum(
+            *measures._pair_blocks(s), *measures._symplectic_pair(l))
+        assert np.array_equal(general, ref_general)
+        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
     def test_pure_state_discord_equals_local_entropy(self):
         # measuring half of a pure state: discord reduces to S(A)
@@ -581,18 +746,86 @@ class TestPairSeries:
         (MUTUAL_INFORMATION, 1), (DISCORD, 1), (LOG_NEGATIVITY, 2),
     ])
     def test_one_spectrum_per_pair_check(self, monkeypatch, measure, spectra):
-        # the exclusion check's (nu_-, nu_+) feeds the measure; only E_N
-        # needs a second spectrum, of the partial transpose
-        calls = []
-        real = measures.symplectic_spectrum
+        # One elementwise pass of the pair kernel serves every pair: per call
+        # it forms the so(4) split once, and E_N once more for the partial
+        # transpose, whatever the number of pairs.  The SVD route is not used.
+        kernels, splits = [], []
+        real_kernel, real_split = measures._pair_kernel, measures._symplectic_pair
 
-        def counting(cov):
-            calls.append(np.shape(cov))
-            return real(cov)
+        def counting_kernel(cov4, measure):
+            kernels.append(np.shape(cov4))
+            return real_kernel(cov4, measure)
 
-        monkeypatch.setattr(measures, "symplectic_spectrum", counting)
-        on.pair_measure_series(self.make_two_node_traj(), measure)
-        assert len(calls) == spectra
+        def counting_split(l, sign=1.0):
+            splits.append(sign)
+            return real_split(l, sign)
+
+        def no_svd(cov):
+            raise AssertionError("the pair path called symplectic_spectrum")
+
+        monkeypatch.setattr(measures, "_pair_kernel", counting_kernel)
+        monkeypatch.setattr(measures, "_symplectic_pair", counting_split)
+        monkeypatch.setattr(measures, "symplectic_spectrum", no_svd)
+        four_nodes = np.tile(np.eye(8), (40, 1, 1))
+        four_nodes[:, 0, 3] = four_nodes[:, 3, 0] = 0.1
+        trajs = (self.make_two_node_traj(),
+                 Trajectory(times=np.arange(40) * 0.25, means=np.zeros((40, 8)),
+                            covs=four_nodes, energy=np.zeros(40)))
+        for traj, pairs in zip(trajs, (1, 6)):
+            kernels.clear()
+            splits.clear()
+            out = on.pair_measure_series(traj, measure)
+            assert len(out.pairs) == pairs
+            assert kernels == [(40, pairs, 4, 4)]
+            assert len(splits) == spectra
+
+    @pytest.mark.parametrize("measure", [MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY])
+    def test_pair_values_do_not_depend_on_the_batch(self, measure):
+        # a pair alone and the same pair among all 45 of fig3's network, read
+        # through the covariance view of an evolved trajectory
+        cfg = load_config(str(resources.files("oscnet") / "presets" / "fig3_sweep.ini"))
+        prep = prepare(cfg)
+        traj = scenarios._run_traj(prep)
+        stride = cfg.analysis.stride
+        together = on.pair_measure_series(traj, measure, stride=stride)
+        assert len(together.pairs) == 45 and not together.excluded
+        for k in (0, 17, 44):
+            alone = on.pair_measure_series(traj, measure, [together.pairs[k]], stride)
+            assert np.array_equal(alone.values[:, 0], together.values[:, k])
+
+    @pytest.mark.parametrize("measure", [MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY])
+    def test_one_indefinite_column_excludes_only_it(self, measure):
+        # pair (0, 1) is indefinite at one time only; the other columns are
+        # evaluated as if it were not in the stack
+        n_t, n = 20, 3
+        covs = np.tile(np.eye(2 * n), (n_t, 1, 1))
+        covs[:, 0, 2] = covs[:, 2, 0] = 0.3
+        covs[7, 0, 1] = covs[7, 1, 0] = 1.5
+        traj = Trajectory(times=np.arange(n_t) * 0.5, means=np.zeros((n_t, 2 * n)),
+                          covs=covs, energy=np.zeros(n_t))
+        out = on.pair_measure_series(traj, measure)
+        assert out.pairs == ((0, 1), (0, 2), (1, 2))
+        assert out.excluded == ((0, 1),)
+        assert np.all(np.isnan(out.values[:, 0]))
+        rest = on.pair_measure_series(traj, measure, [(0, 2), (1, 2)])
+        assert np.array_equal(out.values[:, 1:], rest.values)
+        assert np.all(np.isfinite(rest.values))
+
+    def test_all_pairs_stack_is_chunked(self):
+        # n = 40 gives 780 pairs; their (T, P, 4, 4) stack over 501 times
+        # would take 50 MB, and the kernel's temporaries as much again
+        net = on.random_network(40, 0.3, 0.9, 1.2, 0.0, 0.05, seed=7)
+        bath = on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
+        traj = on.evolve(on.initial_state(net, mean_q=0.5, squeeze_r=0.5),
+                         on.analyze(net, bath), np.linspace(0.0, 1000.0, 2001))
+        tracemalloc.start()
+        try:
+            out = on.pair_measure_series(traj, MUTUAL_INFORMATION, stride=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.shape == (501, 780) and not out.excluded
+        assert peak < 16e6, f"pair_measure_series peaked at {peak / 1e6:.1f} MB"
 
     def test_explicit_pairs_and_errors(self):
         traj = self.make_two_node_traj()

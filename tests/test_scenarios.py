@@ -230,6 +230,31 @@ class TestRunSimulate:
         assert np.all((s[np.isfinite(s)] >= 0.0) & (s[np.isfinite(s)] <= 1.0))
         assert np.all(data[:, 2][np.isfinite(data[:, 2])] >= 0.0)
 
+    def test_one_correlation_call_for_all_pairs(self, tmp_path, monkeypatch):
+        calls = []
+        real = measures.windowed_correlation
+
+        def counting(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(measures, "windowed_correlation", counting)
+        cfg = on.load_config(write_ini(tmp_path, CHAIN_INI))
+        out = on.run_simulate(cfg, out_dir=str(tmp_path / "run"))
+        assert len(calls) == 1
+        pearson = calls[0]
+        assert pearson.values.shape[1] == 3  # every pair of the chain
+        header, rows = read_csv(os.path.join(out, "measures.csv"))
+        data = np.array(rows, dtype=float)
+        assert header[:4] == ["t", "pair_i", "pair_j", "C"]
+        # C is written on the measure grid, where its windows start
+        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+            rows_k = data[(data[:, 1] == i) & (data[:, 2] == j)][: len(pearson)]
+            assert np.allclose(rows_k[:, 0], pearson.times, rtol=1e-11, atol=1e-12)
+            assert np.allclose(rows_k[:, 3], pearson.values[:, k], rtol=1e-11, atol=1e-12)
+        with open(os.path.join(out, "summary.txt")) as fh:
+            assert f"analysis window: {on.csvio.fmt(pearson.window)}" in fh.read()
+
     def test_random_network_seed_override(self, tmp_path):
         text = CHAIN_INI.replace(
             "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4",
