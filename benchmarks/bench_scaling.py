@@ -4,6 +4,9 @@ Runs random common-bath networks of n = 10, 20, 40 and 80 nodes over
 T = 5001 stored times. Each size runs in a fresh child process, with BLAS
 pinned to one thread, which records:
 
+- ``import_s``: the child's first import of the package (``oscnet`` and
+  ``oscnet.scenarios``), timed before anything else runs, as every CLI
+  call pays it;
 - ``evolve_s``: the in-process ``oscnet.evolve`` time, best of 3;
 - ``simulate_s``: one ``run_simulate`` call (2 pairs, analysis on, CSVs
   written to a temporary directory);
@@ -115,8 +118,11 @@ def child_all_pairs(n: int) -> dict:
 def child(n: int) -> dict:
     """Measure one size in this process; return the record for it."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    t0 = perf_counter()
     from oscnet import evolve, initial_state
     from oscnet.scenarios import load_config, prepare, run_simulate
+
+    import_s = perf_counter() - t0
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(_write_config(tmp, n, "0 1; 2 3"))
@@ -136,6 +142,7 @@ def child(n: int) -> dict:
     return {
         "n": n,
         "stored_times": STORED_TIMES,
+        "import_s": round(import_s, 4),
         "evolve_s": round(best, 4),
         "simulate_s": round(simulate_s, 4),
         "peak_rss_mb": _peak_rss_mb(),

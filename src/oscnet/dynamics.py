@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import measures
 from .errors import (
@@ -137,6 +136,15 @@ def initial_state(
     return GaussianState(np.concatenate([mq, mp]), cov, basis=NODE)
 
 
+def _block_diag2(f: np.ndarray) -> np.ndarray:
+    """blockdiag(F, F), which maps mode quadratures to node quadratures."""
+    n = f.shape[0]
+    u = np.zeros((2 * n, 2 * n))
+    u[:n, :n] = f
+    u[n:, n:] = f
+    return u
+
+
 def change_basis(state: GaussianState, decomp: ModeDecomposition, target: str) -> GaussianState:
     """Rotate a state between the node and normal-mode bases."""
     if target not in (NODE, MODE):
@@ -148,7 +156,7 @@ def change_basis(state: GaussianState, decomp: ModeDecomposition, target: str) -
             f"state has {state.n} oscillators, decomposition has {decomp.n}"
         )
     f = decomp.modes
-    u = scipy.linalg.block_diag(f, f)
+    u = _block_diag2(f)
     if target == MODE:
         u = u.T
     mean = u @ state.mean
@@ -479,7 +487,7 @@ def _node_drift_diffusion(net, decomp):
     dq = decomp.diffusion / (4.0 * decomp.freqs**2)
     dp = decomp.diffusion / 4.0
     diff_mode = np.diag(np.concatenate([dq, dp]))
-    u = scipy.linalg.block_diag(f, f)
+    u = _block_diag2(f)
     diffusion = u @ diff_mode @ u.T
     return drift, diffusion
 
@@ -500,6 +508,8 @@ def evolve_node_reference(
     Loan's construction), which is exact for this linear system; equal
     intervals share one exponential.  ``method`` accepts only ``"expm"``.
     """
+    import scipy.linalg  # the oracle alone needs expm
+
     if method != "expm":
         raise ValueError(f"unknown method {method!r}; only 'expm' is available")
     _require_rates(decomp)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DimensionMismatch, UnphysicalCovariance
 from .network import NetworkSpec, hamiltonian_matrix
@@ -92,8 +91,10 @@ def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
 
 
 def _entropy_term(nu: np.ndarray) -> np.ndarray:
+    """(nu + 1/2) log(nu + 1/2) - (nu - 1/2) log(nu - 1/2), with 0 log 0 = 0."""
     nu = np.maximum(nu, 0.5)
-    return xlogy(nu + 0.5, nu + 0.5) - xlogy(nu - 0.5, nu - 0.5)
+    hi, lo = nu + 0.5, nu - 0.5
+    return hi * np.log(hi) - lo * np.log(np.where(lo > 0.0, lo, 1.0))
 
 
 def von_neumann_entropy(cov: np.ndarray) -> float | np.ndarray:
@@ -242,10 +243,13 @@ def windowed_correlation(times, series, window: float, pairs, stride: int = 1) -
     )
 
 
-def collective_sync(traj, window: float, subset=None) -> WindowedSeries:
+def collective_sync(traj, window: float, subset=None, stride: int = 1) -> WindowedSeries:
     """S(t): product over node pairs of |C| applied to the <q_j^2> series.
 
     ``subset`` restricts to the given node indices (default: all nodes).
+    Windows start at every ``stride``-th sample, as in
+    :func:`windowed_correlation`; each window is computed on its own, so
+    a strided series equals every ``stride``-th value of the full one.
     Any degenerate pair window makes S(t) NaN there, with the mask set.
     """
     signal = traj.second_moment_q
@@ -254,18 +258,20 @@ def collective_sync(traj, window: float, subset=None) -> WindowedSeries:
         raise ValueError("collective synchronization needs at least two nodes")
     if np.unique(nodes).shape[0] != nodes.shape[0]:
         raise ValueError("subset contains repeated nodes")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     samples, actual = _window_samples(traj.times, window)
     pairs = np.array(list(combinations(range(nodes.shape[0]), 2)), dtype=np.int64)
     # Reduced block by block: the (windows, pairs) correlations are never
     # held whole, since they grow as n^2 T.
     values, degenerate = [], []
-    for corr in _pearson_blocks(signal[:, nodes], samples, pairs):
+    for corr in _pearson_blocks(signal[:, nodes], samples, pairs, stride):
         values.append(np.abs(corr).prod(axis=1))
         degenerate.append(np.isnan(corr).any(axis=1))
     values = np.concatenate(values)
     degenerate = np.concatenate(degenerate)
     return WindowedSeries(
-        times=traj.times[: values.shape[0]].copy(),
+        times=traj.times[::stride][: values.shape[0]].copy(),
         values=values,
         window=actual,
         samples=samples,

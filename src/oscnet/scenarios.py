@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import configparser
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -612,9 +611,11 @@ def _aggregates(prep: PreparedScenario, traj, series):
     m_samples = max(1, int(round(window / m_dt)))
     means = [measures._smoothed_pair_mean(s.values, keep, m_samples) for s in series]
     agg_len = means[0].shape[0]
-    sync = measures.collective_sync(traj, window, subset=prep.cfg.analysis.sync_subset)
+    sync = measures.collective_sync(
+        traj, window, subset=prep.cfg.analysis.sync_subset, stride=stride
+    )
     sync_on_grid = np.full(agg_len, np.nan)
-    sync_sampled = sync.values[::stride][:agg_len]
+    sync_sampled = sync.values[:agg_len]
     sync_on_grid[: sync_sampled.shape[0]] = sync_sampled
     return m_times[:agg_len], sync_on_grid, means
 
@@ -744,6 +745,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
             ) from exc
         jobs.append((value, replace(prep, net=net, decomp=decomp)))
     if workers > 1:
+        # imported here: a serial sweep never pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:

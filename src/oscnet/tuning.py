@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DirectLinkForbidden,
@@ -173,6 +172,8 @@ def _pencil_roots(net: NetworkSpec, d: int, bath: BathConfig):
     Returns the (omega_d, mu) of each tuning that freezes a mode at
     Omega^2 = mu, and the mu of each mode frozen at any omega_d.
     """
+    import scipy.linalg  # only tuning needs the generalized eigensolver
+
     n = net.n
     h0 = hamiltonian_matrix(net)
     a = np.zeros((n + 1, n + 1))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from importlib import resources
 from itertools import combinations
 
@@ -193,6 +194,39 @@ class TestEntropyPurity:
         assert on.von_neumann_entropy(cov) == pytest.approx(
             entropy_of_nu(nus), rel=1e-9
         )
+
+    def test_entropy_term_matches_xlogy(self):
+        # oracle: scipy's xlogy.  nu = 1/2 is the 0 log 0 limit and nu < 1/2
+        # is clipped to it.  Up to nu ~ 3/2 the two terms add, so the
+        # results agree to rtol 1e-14; above that they cancel (at 1e6, six
+        # digits), so the bound is relative to the terms' magnitudes, the
+        # size a one-ulp difference between two log routines can move.
+        from scipy.special import xlogy
+
+        def reference(nu):
+            nu = np.maximum(nu, 0.5)
+            plus, minus = xlogy(nu + 0.5, nu + 0.5), xlogy(nu - 0.5, nu - 0.5)
+            return plus - minus, np.abs(plus) + np.abs(minus)
+
+        rng = np.random.default_rng(12)
+        flat = np.concatenate([
+            [0.5, 0.5 - 1e-12, 0.3, 0.0, 0.5 + 1e-15, 0.5 + 1e-9, 1.5, 1e6],
+            0.5 + 10.0 ** rng.uniform(-15.0, 6.0, size=2000),
+        ])
+        grid = 0.5 + 10.0 ** rng.uniform(-15.0, 6.0, size=(40, 7))
+        scalars = [np.float64(0.5), np.array(0.25), np.array(2.3), np.float64(1e6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [(nu, measures._entropy_term(nu)) for nu in (flat, grid, *scalars)]
+        for nu, got in results:
+            ref, magnitude = reference(nu)
+            assert np.shape(got) == np.shape(nu)
+            assert np.all(np.abs(got - ref) <= 1e-14 * magnitude)
+            small = np.asarray(nu) <= 1.5
+            assert np.allclose(np.asarray(got)[small], np.asarray(ref)[small],
+                               rtol=1e-14, atol=0.0)
+        assert measures._entropy_term(np.float64(0.5)) == 0.0
+        assert measures._entropy_term(np.array(0.25)) == 0.0
 
     def test_purity_from_determinant(self):
         rng = np.random.default_rng(3)
@@ -436,6 +470,24 @@ class TestCollectiveSync:
         assert np.array_equal(out.values, np.abs(corr).prod(axis=1), equal_nan=True)
         assert np.array_equal(out.degenerate, np.isnan(corr).any(axis=1))
         assert out.degenerate.any()
+
+    @pytest.mark.parametrize("stride", [2, 3, 7])
+    def test_stride_is_every_stride_th_window(self, monkeypatch, stride):
+        # each window is its own Gram product, so a strided S(t) is the
+        # full one sliced, bit for bit, whatever the block boundaries
+        rng = np.random.default_rng(10)
+        sig = rng.normal(size=(90, 4)) + 2.0
+        sig[30:55, 3] = 1.0  # a constant stretch: degenerate windows
+        traj = self.make_traj(sig)
+        monkeypatch.setattr(measures, "_PEARSON_BLOCK_ELEMENTS", 4 * 12 * 5)
+        full = on.collective_sync(traj, window=1.2)
+        out = on.collective_sync(traj, window=1.2, stride=stride)
+        assert np.array_equal(out.values, full.values[::stride], equal_nan=True)
+        assert np.array_equal(out.degenerate, full.degenerate[::stride])
+        assert np.array_equal(out.times, full.times[::stride])
+        assert out.degenerate.any() and out.samples == full.samples
+        with pytest.raises(ValueError):
+            on.collective_sync(traj, window=1.2, stride=0)
 
     def test_memory_does_not_hold_every_pair(self):
         # n = 40 gives 780 pairs.  Holding the whole (windows, pairs)
