@@ -28,8 +28,6 @@ from .measures import (
     mutual_information,
     pair_covariance,
     pair_measure_series,
-    pairwise_average,
-    purity,
     symplectic_spectrum,
     von_neumann_entropy,
     windowed_correlation,
@@ -50,7 +48,6 @@ from .scenarios import (
     run_spectrum,
     run_sweep,
     run_tune,
-    save_config,
 )
 from .spectral import (
     BathConfig,
@@ -62,7 +59,6 @@ from .spectral import (
     mode_rates,
 )
 from .tuning import (
-    balance_pair_couplings,
     embedding_residuals,
     estimate_sync_times,
     find_sync_parameter,
@@ -86,7 +82,6 @@ __all__ = [
     "UnphysicalSpec",
     "analyze",
     "attach_pair",
-    "balance_pair_couplings",
     "build_network",
     "change_basis",
     "collective_sync",
@@ -111,15 +106,12 @@ __all__ = [
     "mutual_information",
     "pair_covariance",
     "pair_measure_series",
-    "pairwise_average",
     "parameter_scan",
-    "purity",
     "random_network",
     "run_simulate",
     "run_spectrum",
     "run_sweep",
     "run_tune",
-    "save_config",
     "save_network",
     "steady_state",
     "symplectic_spectrum",

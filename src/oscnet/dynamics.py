@@ -124,15 +124,19 @@ def initial_state(
     cov = np.zeros((2 * n, 2 * n))
     cos = np.cos(angle)
     sin = np.sin(angle)
-    lo = np.exp(-2.0 * r)
-    hi = np.exp(2.0 * r)
     scale = nth + 0.5
-    # R diag(lo, hi) R^T per node, scattered into the (q_j, p_j) rows/cols.
-    cov[np.arange(n), np.arange(n)] = scale * (lo * cos**2 + hi * sin**2)
-    cov[n + np.arange(n), n + np.arange(n)] = scale * (lo * sin**2 + hi * cos**2)
-    off = scale * (lo - hi) * cos * sin
+    # An overflow is caught below as a non-finite covariance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.exp(-2.0 * r)
+        hi = np.exp(2.0 * r)
+        # R diag(lo, hi) R^T per node, scattered into the (q_j, p_j) rows/cols.
+        cov[np.arange(n), np.arange(n)] = scale * (lo * cos**2 + hi * sin**2)
+        cov[n + np.arange(n), n + np.arange(n)] = scale * (lo * sin**2 + hi * cos**2)
+        off = scale * (lo - hi) * cos * sin
     cov[np.arange(n), n + np.arange(n)] = off
     cov[n + np.arange(n), np.arange(n)] = off
+    if not np.isfinite(cov).all():
+        raise UnphysicalSpec("initial covariance is not finite (squeeze_r or thermal_n too large)")
     return GaussianState(np.concatenate([mq, mp]), cov, basis=NODE)
 
 

@@ -87,10 +87,6 @@ class PoleAtOmega(OscnetError):
     """Residual evaluated at a pole (mode frequency equals a node frequency)."""
 
 
-class FrequencyMismatch(OscnetError):
-    """Pair balancing requires the two nodes to share one frequency."""
-
-
 # --- CLI / configuration ----------------------------------------------------
 
 class ConfigError(OscnetError):

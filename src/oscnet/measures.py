@@ -108,17 +108,6 @@ def von_neumann_entropy(cov: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def purity(cov: np.ndarray) -> float | np.ndarray:
-    """Tr rho^2 = 1 / (2^n sqrt(det cov)); 1 for pure states."""
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[-1] // 2
-    det = np.linalg.det(cov)
-    if np.any(det <= 0.0):
-        raise UnphysicalCovariance("covariance has non-positive determinant")
-    out = 1.0 / (2.0**n * np.sqrt(det))
-    return float(out) if out.ndim == 0 else out
-
-
 def energy(state, net: NetworkSpec) -> float:
     """Mean energy <H> including first moments; state must be node-basis."""
     if state.basis != "node":
@@ -298,10 +287,6 @@ def pair_covariance(cov: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
         raise ValueError("pair needs two distinct nodes")
     idx = np.array([i, j, n + i, n + j])
     return np.asarray(cov)[..., idx[:, None], idx[None, :]]
-
-
-#: (x_i, x_j, p_i, p_j) -> (x_j, x_i, p_j, p_i): the two modes swapped.
-_SWAP_MODES = np.array([1, 0, 3, 2])
 
 
 def _entries(cov4) -> np.ndarray:
@@ -564,18 +549,13 @@ def log_negativity(cov4) -> float | np.ndarray:
     return _two_mode(cov4, LOG_NEGATIVITY)
 
 
-def gaussian_discord(cov4, measured: str = "B") -> float | np.ndarray:
+def gaussian_discord(cov4) -> float | np.ndarray:
     """Gaussian quantum discord of a two-mode covariance; batched over leading axes.
 
-    ``measured`` names the mode the Gaussian measurement acts on ("B",
-    the second mode, by default).  The minimal conditional entropy comes
-    from the Adesso-Datta closed form.  Small negative results (roundoff)
-    clamp to zero.
+    The Gaussian measurement acts on the second mode, B.  The minimal
+    conditional entropy comes from the Adesso-Datta closed form.  Small
+    negative results (roundoff) clamp to zero.
     """
-    if measured == "A":
-        cov4 = np.asarray(cov4)[..., _SWAP_MODES[:, None], _SWAP_MODES[None, :]]
-    elif measured != "B":
-        raise ValueError("measured side must be 'A' or 'B'")
     return _two_mode(cov4, DISCORD)
 
 
@@ -590,17 +570,6 @@ class PairSeries:
     times: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     values: np.ndarray
-    excluded: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class AveragedSeries:
-    """Pair-averaged measure, moving-average filtered over the window."""
-
-    times: np.ndarray
-    values: np.ndarray
-    window: float
-    samples: int
     excluded: tuple[tuple[int, int], ...]
 
 
@@ -656,36 +625,3 @@ def _smoothed_pair_mean(values, keep, samples: int) -> np.ndarray:
         return np.full(max(values.shape[0] - samples + 1, 0), np.nan)
     csum = np.concatenate([[0.0], np.cumsum(values[:, keep].mean(axis=1))])
     return (csum[samples:] - csum[:-samples]) / samples
-
-
-def pairwise_average(
-    traj,
-    measure: str,
-    window: float,
-    pairs=None,
-    stride: int = 1,
-) -> AveragedSeries:
-    """Mean of a two-mode measure over node pairs, then moving-averaged.
-
-    The moving average uses the same half-open window convention as the
-    correlation measures, applied on the (possibly strided) grid.
-    """
-    series = pair_measure_series(traj, measure, pairs, stride)
-    keep = [k for k, p in enumerate(series.pairs) if p not in set(series.excluded)]
-    if not keep:
-        raise UnphysicalCovariance("every pair was excluded as unphysical")
-    dts = np.diff(series.times)
-    dt = dts[0]
-    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("moving average needs a uniform time grid")
-    samples = max(1, int(round(window / dt)))
-    if samples > series.values.shape[0]:
-        raise ValueError("window is longer than the sampled series")
-    smoothed = _smoothed_pair_mean(series.values, keep, samples)
-    return AveragedSeries(
-        times=series.times[: smoothed.shape[0]].copy(),
-        values=smoothed,
-        window=samples * dt,
-        samples=samples,
-        excluded=series.excluded,
-    )

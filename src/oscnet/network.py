@@ -72,10 +72,6 @@ class NetworkSpec:
     def n(self) -> int:
         return self.omega.shape[0]
 
-    def hamiltonian(self) -> np.ndarray:
-        """Hamiltonian matrix of the network (fresh writable copy)."""
-        return hamiltonian_matrix(self)
-
     def with_omega(self, node: int, value: float) -> "NetworkSpec":
         """Copy of the spec with one node frequency replaced (revalidated)."""
         omega = self.omega.copy()
@@ -130,6 +126,8 @@ def build_network(omega, coupling) -> NetworkSpec:
     if omega.ndim != 1:
         raise DimensionMismatch("omega must be a 1-d array")
     n = omega.shape[0]
+    if n == 0:
+        raise DimensionMismatch("a network needs at least one node")
     if coupling.shape != (n, n):
         raise DimensionMismatch(
             f"coupling shape {coupling.shape} does not match {n} nodes"
@@ -279,6 +277,8 @@ def load_network(path) -> NetworkSpec:
     omega = np.array([omegas[i] for i in range(n)])
     coupling = np.zeros((n, n))
     for i, j, w in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{path}: edge ({i}, {j}) is out of range for {n} nodes")
         coupling[i, j] = w
         coupling[j, i] = w
     return build_network(omega, coupling)

@@ -28,8 +28,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import csvio, measures
-from .dynamics import evolve, initial_state
-from .errors import ConfigError, NoDominantMode, NonPositiveDefinite, OscnetError
+from .dynamics import GaussianState, evolve, initial_state
+from .errors import (
+    ConfigError,
+    NoDominantMode,
+    NonPositiveDefinite,
+    OscnetError,
+    UnphysicalSpec,
+)
 from .network import (
     NetworkSpec,
     build_network,
@@ -186,6 +192,12 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...] | None:
     return tuple(pairs)
 
 
+def _parse_subset(text: str) -> tuple[int, ...] | None:
+    if text.lower() == "all":
+        return None
+    return tuple(int(t) for t in text.split())
+
+
 def _parse_edges(text: str) -> tuple[tuple[int, int, float], ...]:
     edges = []
     for line in text.splitlines():
@@ -309,9 +321,7 @@ def load_config(path: str) -> ScenarioConfig:
             if analysis.window <= 0.0:
                 raise ConfigError("analysis window must be positive")
         analysis.pairs = _get(parser, "analysis", "pairs", _parse_pairs, default=None)
-        subset = _get(parser, "analysis", "sync_subset", str, default="all")
-        if subset.lower() != "all":
-            analysis.sync_subset = tuple(int(t) for t in subset.split())
+        analysis.sync_subset = _get(parser, "analysis", "sync_subset", _parse_subset)
         analysis.stride = _get(parser, "analysis", "stride", int, default=10)
         if analysis.stride < 1:
             raise ConfigError("analysis stride must be >= 1")
@@ -369,82 +379,6 @@ def load_config(path: str) -> ScenarioConfig:
     )
 
 
-def save_config(cfg: ScenarioConfig, path: str) -> None:
-    """Write a config back to INI; load_config(save_config(c)) == c."""
-    lines = []
-    nb = cfg.network
-    lines.append("[network]")
-    lines.append(f"source = {nb.source}")
-    if nb.source == "inline":
-        lines.append("omega = " + " ".join(repr(float(v)) for v in nb.omega))
-        lines.append("edges =")
-        for i, j, lam in nb.edges:
-            lines.append(f"    {i} {j} {lam!r}")
-    elif nb.source == "file":
-        lines.append(f"path = {nb.path}")
-    else:
-        lines.append(f"nodes = {nb.nodes}")
-        lines.append(f"connect_prob = {nb.connect_prob!r}")
-        lines.append(f"freq_low = {nb.freq_low!r}")
-        lines.append(f"freq_high = {nb.freq_high!r}")
-        lines.append(f"coupling_mean = {nb.coupling_mean!r}")
-        lines.append(f"coupling_sd = {nb.coupling_sd!r}")
-        lines.append(f"seed = {nb.seed}")
-        lines.append(f"max_retries = {nb.max_retries}")
-    lines.append("")
-    lines.append("[bath]")
-    lines.append(f"kind = {cfg.bath.kind}")
-    lines.append(f"gamma = {cfg.bath.gamma!r}")
-    lines.append(f"temperature = {cfg.bath.temperature!r}")
-    lines.append(f"cutoff = {cfg.bath.cutoff!r}")
-    if cfg.bath.node is not None:
-        lines.append(f"node = {cfg.bath.node}")
-    lines.append("")
-    lines.append("[initial]")
-    for key in ("mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"):
-        values = getattr(cfg.initial, key)
-        lines.append(f"{key} = " + " ".join(repr(float(v)) for v in values))
-    lines.append("")
-    lines.append("[time]")
-    lines.append(f"t_end = {cfg.time.t_end!r}")
-    if cfg.time.step is not None:
-        lines.append(f"step = {cfg.time.step!r}")
-    lines.append(f"method = {cfg.time.method}")
-    lines.append("")
-    lines.append("[analysis]")
-    lines.append(f"enabled = {'true' if cfg.analysis.enabled else 'false'}")
-    lines.append(
-        "window = auto" if cfg.analysis.window is None
-        else f"window = {cfg.analysis.window!r}"
-    )
-    if cfg.analysis.pairs is None:
-        lines.append("pairs = all")
-    else:
-        lines.append("pairs = " + "; ".join(f"{i} {j}" for i, j in cfg.analysis.pairs))
-    if cfg.analysis.sync_subset is None:
-        lines.append("sync_subset = all")
-    else:
-        lines.append("sync_subset = " + " ".join(str(v) for v in cfg.analysis.sync_subset))
-    lines.append(f"stride = {cfg.analysis.stride}")
-    if cfg.tuning is not None:
-        lines.append("")
-        lines.append("[tuning]")
-        lines.append("parameter = " + " ".join(str(p) for p in cfg.tuning.param))
-        lines.append(f"bracket = {cfg.tuning.bracket[0]!r} {cfg.tuning.bracket[1]!r}")
-        lines.append(f"tol = {cfg.tuning.tol!r}")
-        lines.append(f"grid = {cfg.tuning.grid_points}")
-    if cfg.sweep is not None:
-        lines.append("")
-        lines.append("[sweep]")
-        lines.append("parameter = " + " ".join(str(p) for p in cfg.sweep.param))
-        lines.append("list = " + " ".join(repr(float(v)) for v in cfg.sweep.values))
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"directory = {cfg.out_dir}")
-    lines.append("")
-    csvio.write_text(path, "\n".join(lines))
-
-
 # ---------------------------------------------------------------------------
 # Preparation
 # ---------------------------------------------------------------------------
@@ -454,10 +388,9 @@ class PreparedScenario:
     cfg: ScenarioConfig
     net: NetworkSpec
     decomp: object
+    state0: GaussianState
     times: np.ndarray
     window: float | None
-    pairs: tuple[tuple[int, int], ...] | None
-    out_dir: str
 
 
 def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpec:
@@ -488,8 +421,16 @@ def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpe
         raise
     except OSError as exc:
         raise ConfigError(f"cannot read network file: {exc}") from exc
-    except OscnetError as exc:
+    except (ValueError, OscnetError) as exc:
         raise ConfigError(f"network construction failed: {exc}") from exc
+
+
+def _initial_state(cfg: ScenarioConfig, net: NetworkSpec) -> GaussianState:
+    ib = cfg.initial  # one entry or one per node, broadcast by initial_state
+    return initial_state(
+        net, mean_q=ib.mean_q, mean_p=ib.mean_p, squeeze_r=ib.squeeze_r,
+        squeeze_angle=ib.squeeze_angle, thermal_n=ib.thermal_n,
+    )
 
 
 def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
@@ -498,6 +439,8 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     if net is None:
         net = _build_network(cfg, seed_override)
     n = net.n
+    if n < 2:
+        raise ConfigError(f"a scenario needs at least two nodes; the network has {n}")
     if cfg.bath.kind == LOCAL and not 0 <= cfg.bath.node < n:
         raise ConfigError(f"[bath] node {cfg.bath.node} out of range for {n} nodes")
     try:
@@ -511,6 +454,10 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
             raise ConfigError(
                 f"[initial] {key} has {values.shape[0]} entries; need 1 or {n}"
             )
+    try:
+        state0 = _initial_state(cfg, net)
+    except UnphysicalSpec as exc:
+        raise ConfigError(f"[initial] {exc}") from exc
 
     spacing = cfg.time.step
     if spacing is None:
@@ -521,7 +468,6 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     times = np.linspace(0.0, n_int * spacing, n_int + 1)
 
     window = None
-    pairs = cfg.analysis.pairs
     if cfg.analysis.enabled:
         window = cfg.analysis.window
         if window is None:
@@ -538,8 +484,8 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
             raise ConfigError("analysis window is longer than the simulated span")
         if samples < 1:
             raise ConfigError("analysis stride leaves no samples inside the window")
-        if pairs is not None:
-            for i, j in pairs:
+        if cfg.analysis.pairs is not None:
+            for i, j in cfg.analysis.pairs:
                 if not (0 <= i < n and 0 <= j < n):
                     raise ConfigError(f"analysis pair ({i}, {j}) is out of range")
         if cfg.analysis.sync_subset is not None:
@@ -565,8 +511,7 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
                 raise ConfigError(f"sweep parameter node {v} is out of range")
 
     return PreparedScenario(
-        cfg=cfg, net=net, decomp=decomp, times=times,
-        window=window, pairs=pairs, out_dir=cfg.out_dir,
+        cfg=cfg, net=net, decomp=decomp, state0=state0, times=times, window=window,
     )
 
 
@@ -574,25 +519,8 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _initial_state(cfg: ScenarioConfig, net: NetworkSpec):
-    ib = cfg.initial
-
-    def flat(arr):
-        return arr[0] if arr.shape[0] == 1 else arr
-
-    return initial_state(
-        net,
-        mean_q=flat(ib.mean_q),
-        mean_p=flat(ib.mean_p),
-        squeeze_r=flat(ib.squeeze_r),
-        squeeze_angle=flat(ib.squeeze_angle),
-        thermal_n=flat(ib.thermal_n),
-    )
-
-
 def _run_traj(prep: PreparedScenario):
-    state0 = _initial_state(prep.cfg, prep.net)
-    return evolve(state0, prep.decomp, prep.times, method=prep.cfg.time.method)
+    return evolve(prep.state0, prep.decomp, prep.times, method=prep.cfg.time.method)
 
 
 def _aggregates(prep: PreparedScenario, traj, series):
@@ -655,10 +583,10 @@ def _summary_text(prep: PreparedScenario, extra_lines=()) -> str:
     return "\n".join(lines)
 
 
-def _resolve_out(prep_out: str, base_dir: str, out_dir: str | None) -> str:
-    target = out_dir if out_dir is not None else prep_out
+def _resolve_out(cfg: ScenarioConfig, out_dir: str | None) -> str:
+    target = out_dir if out_dir is not None else cfg.out_dir
     if not os.path.isabs(target):
-        target = os.path.join(base_dir if out_dir is None else os.getcwd(), target)
+        target = os.path.join(cfg.base_dir if out_dir is None else os.getcwd(), target)
     return target
 
 
@@ -670,14 +598,14 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
                  seed: int | None = None) -> str:
     """Trajectory, per-pair measures, and aggregate series for one scenario."""
     prep = prepare(cfg, seed_override=seed)
-    out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
+    out = _resolve_out(cfg, out_dir)
     traj = _run_traj(prep)
     csvio.write_trajectory(os.path.join(out, "trajectory.csv"), traj)
     extra = []
     if cfg.analysis.enabled:
         stride = cfg.analysis.stride
         info, disc, logneg = (
-            measures.pair_measure_series(traj, measure, prep.pairs, stride)
+            measures.pair_measure_series(traj, measure, cfg.analysis.pairs, stride)
             for measure in (measures.MUTUAL_INFORMATION, measures.DISCORD,
                             measures.LOG_NEGATIVITY)
         )
@@ -707,9 +635,8 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
 def _sweep_point(job):
     value, prep = job
     traj = _run_traj(prep)
-    disc = measures.pair_measure_series(
-        traj, measures.DISCORD, prep.pairs, prep.cfg.analysis.stride
-    )
+    analysis = prep.cfg.analysis
+    disc = measures.pair_measure_series(traj, measures.DISCORD, analysis.pairs, analysis.stride)
     times, sync, (avg_disc,) = _aggregates(prep, traj, (disc,))
     return np.column_stack([np.full(times.shape[0], value), times, sync, avg_disc])
 
@@ -728,7 +655,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
     if not cfg.analysis.enabled:
         raise ConfigError("run_sweep needs [analysis] enabled: map.csv is analysis output")
     prep = prepare(cfg, seed_override=seed)  # validates everything once
-    out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
+    out = _resolve_out(cfg, out_dir)
     jobs = []
     skipped = []
     for v in cfg.sweep.values:
@@ -771,7 +698,7 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
     if cfg.tuning is None:
         raise ConfigError("run_tune needs a [tuning] section")
     prep = prepare(cfg, seed_override=seed)
-    out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
+    out = _resolve_out(cfg, out_dir)
     tb = cfg.tuning
     grid = np.linspace(tb.bracket[0], tb.bracket[1], max(tb.grid_points, 3))
     result = find_sync_parameter(prep.net, tb.param, tb.bracket, cfg.bath, tb.tol)
@@ -798,7 +725,7 @@ def run_spectrum(cfg: ScenarioConfig, out_dir: str | None = None,
                  seed: int | None = None) -> str:
     """Mode table and transform matrix, no time evolution."""
     prep = prepare(cfg, seed_override=seed)
-    out = _resolve_out(prep.out_dir, cfg.base_dir, out_dir)
+    out = _resolve_out(cfg, out_dir)
     csvio.write_modes(os.path.join(out, "modes.csv"), prep.decomp)
     csvio.write_transform(os.path.join(out, "transform.csv"), prep.decomp)
     csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep))

@@ -61,6 +61,10 @@ _DEGENERACY_RTOL = 1e-10
 # coupling counts as zero, i.e. the mode is frozen.
 _FROZEN_KAPPA_RTOL = 1e-8
 
+# Relative scale (vs the largest |F| entry) above which a node takes part
+# in a mode.
+_OVERLAP_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BathConfig:
@@ -268,9 +272,9 @@ def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
     return mode_rates(effective_couplings(diagonalize(net), bath), bath)
 
 
-def _frozen_mask(decomp: ModeDecomposition, tol_kappa: float = _FROZEN_KAPPA_RTOL) -> np.ndarray:
-    """True for the frozen modes: |effective coupling| < tol_kappa * max |F|."""
-    return np.abs(decomp.eff_coupling) < tol_kappa * float(np.max(np.abs(decomp.modes)))
+def _frozen_mask(decomp: ModeDecomposition) -> np.ndarray:
+    """True for the frozen modes: |effective coupling| < _FROZEN_KAPPA_RTOL * max |F|."""
+    return np.abs(decomp.eff_coupling) < _FROZEN_KAPPA_RTOL * float(np.max(np.abs(decomp.modes)))
 
 
 @dataclass(frozen=True)
@@ -279,64 +283,31 @@ class FrozenModeReport:
 
     ``participation[k, m]`` is True when node k overlaps mode m above the
     threshold.  ``global_sync_common`` flags a frozen mode involving every
-    node under a common bath; ``cluster_sync_local`` flags a frozen mode
-    excluding exactly the lossy node under a local bath.
+    node under a common bath.
     """
 
     frozen: tuple[int, ...]
     participation: np.ndarray
     global_sync_common: bool
-    cluster_sync_local: bool
-    kappa_threshold: float
-    overlap_threshold: float
 
     def participants(self, mode: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.nonzero(self.participation[:, mode])[0])
 
 
-def frozen_mode_report(
-    decomp: ModeDecomposition,
-    bath: BathConfig,
-    tol_kappa: float = _FROZEN_KAPPA_RTOL,
-    tol_overlap: float = 1e-6,
-) -> FrozenModeReport:
-    """Detect frozen modes and node participation; evaluate sync conditions.
+def frozen_mode_report(decomp: ModeDecomposition, bath: BathConfig) -> FrozenModeReport:
+    """Detect frozen modes and node participation.
 
-    A mode is frozen when its effective coupling magnitude falls below
-    ``tol_kappa`` (``_frozen_mask``); node k participates in mode m
-    when ``|F[k, m]|`` exceeds ``tol_overlap``.  Both tolerances are
-    relative to the largest magnitude entry of the transform.
+    A mode is frozen by ``_frozen_mask``; node k participates in mode m
+    when ``|F[k, m]|`` exceeds _OVERLAP_RTOL times the largest magnitude
+    entry of the transform.
     """
     if decomp.eff_coupling is None:
         decomp = effective_couplings(decomp, bath)
-    scale = float(np.max(np.abs(decomp.modes)))
-    thr_kappa = tol_kappa * scale
-    thr_overlap = tol_overlap * scale
-    participation = np.abs(decomp.modes) > thr_overlap
-    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(decomp, tol_kappa)))
-
-    global_sync = False
-    cluster_sync = False
-    if bath.kind == COMMON:
-        global_sync = any(participation[:, m].all() for m in frozen)
-    elif bath.kind == LOCAL:
-        d = int(bath.node)
-        others = np.ones(decomp.n, dtype=bool)
-        others[d] = False
-        for m in frozen:
-            lossy_out = not participation[d, m]
-            rest_in = participation[others, m].all()
-            lossy_in_others = all(
-                participation[d, j] for j in range(decomp.n) if j != m
-            )
-            if lossy_out and rest_in and lossy_in_others:
-                cluster_sync = True
-                break
+    participation = np.abs(decomp.modes) > _OVERLAP_RTOL * float(np.max(np.abs(decomp.modes)))
+    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(decomp)))
+    global_sync = bath.kind == COMMON and any(participation[:, m].all() for m in frozen)
     return FrozenModeReport(
         frozen=frozen,
         participation=participation,
         global_sync_common=global_sync,
-        cluster_sync_local=cluster_sync,
-        kappa_threshold=thr_kappa,
-        overlap_threshold=thr_overlap,
     )

@@ -17,10 +17,9 @@ eigenpair with v_d = y = 0 is a mode of H0 that node d does not touch:
 it is frozen at any omega_d and is reported, never returned as a tuning.
 
 Closed-form helpers cover the constructions that need no search: the
-frozen-mode residual of a two-branch motif, the residuals that measure
-how well a motif mode stays frozen once embedded in a larger network,
-and the coupling balance that freezes the antisymmetric mode of an
-attached identical pair.
+frozen-mode residual of a two-branch motif, the hub frequency that
+places its mode, and the residuals that measure how well a motif mode
+stays frozen once embedded in a larger network.
 """
 
 from __future__ import annotations
@@ -30,15 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DirectLinkForbidden,
-    FrequencyMismatch,
     LocalBathNodeOutOfRange,
     NoDominantMode,
     NonPositiveDefinite,
     NoZeroInBracket,
     PoleAtOmega,
 )
-from .network import NetworkSpec, build_network, hamiltonian_matrix
+from .network import NetworkSpec, hamiltonian_matrix
 from .spectral import (
     LOCAL,
     SEPARATE,
@@ -275,7 +272,6 @@ class SyncTimeEstimate:
 
     node_times: np.ndarray
     t_sync: float
-    dominant_mode: np.ndarray
     unreachable: np.ndarray
     sigma: int
 
@@ -301,28 +297,22 @@ def estimate_sync_times(decomp: ModeDecomposition) -> SyncTimeEstimate:
     unreachable = weight_sigma <= 1e-12 * fmax
 
     node_times = np.full(n, np.inf)
-    dominant = np.full(n, -1, dtype=np.int64)
     others = np.array([m for m in range(n) if m != sigma], dtype=np.int64)
     for j in range(n):
         if unreachable[j]:
             continue
-        best_t = 0.0
-        best_m = -1
+        t_j = 0.0
         for m in others:
             w = np.abs(f[j, m])
-            if w <= 0.0:
-                continue
-            t = 2.0 * (np.log(w) - np.log(weight_sigma[j])) / (gamma[m] - gamma[sigma])
-            if best_m < 0 or t > best_t:
-                best_t, best_m = t, int(m)
-        node_times[j] = max(best_t, 0.0)
-        dominant[j] = best_m
+            if w > 0.0:
+                t = 2.0 * (np.log(w) - np.log(weight_sigma[j])) / (gamma[m] - gamma[sigma])
+                t_j = max(t_j, t)
+        node_times[j] = t_j
     finite = node_times[np.isfinite(node_times)]
     t_sync = float(finite.max()) if finite.size else np.inf
     return SyncTimeEstimate(
         node_times=node_times,
         t_sync=t_sync,
-        dominant_mode=dominant,
         unreachable=unreachable,
         sigma=sigma,
     )
@@ -406,45 +396,3 @@ def embedding_residuals(
     external = np.array([j for j in range(net.n) if j not in (a, b, c)], dtype=np.int64)
     residuals = u_a * lam[a, external] + u_b * lam[b, external] + lam[c, external]
     return external, residuals
-
-
-@dataclass(frozen=True)
-class BalanceResult:
-    """Outcome of symmetrizing the external couplings of an attached pair."""
-
-    net: NetworkSpec
-    external: np.ndarray
-    residual_before: np.ndarray
-    residual_after: np.ndarray
-
-
-def balance_pair_couplings(net: NetworkSpec, a: int, b: int) -> BalanceResult:
-    """Make the antisymmetric mode of an identical pair exactly frozen.
-
-    Preconditions: nodes a and b have identical bare frequencies and no
-    direct link.  The residual of the antisymmetric mode (q_a - q_b)/sqrt(2)
-    against external node j is (lam_aj - lam_bj)/sqrt(2); the operation
-    copies a's external couplings onto b, zeroing every residual.
-    """
-    if a == b:
-        raise ValueError("pair needs two distinct nodes")
-    if net.omega[a] != net.omega[b]:
-        raise FrequencyMismatch(
-            f"pair frequencies differ: {net.omega[a]!r} vs {net.omega[b]!r}"
-        )
-    if net.coupling[a, b] != 0.0:
-        raise DirectLinkForbidden("pair nodes must not couple directly")
-    external = np.array([j for j in range(net.n) if j not in (a, b)], dtype=np.int64)
-    lam = net.coupling
-    before = (lam[a, external] - lam[b, external]) / np.sqrt(2.0)
-    new_coupling = lam.copy()
-    new_coupling[b, external] = lam[a, external]
-    new_coupling[external, b] = lam[a, external]
-    adjusted = build_network(net.omega, new_coupling)
-    after = (adjusted.coupling[a, external] - adjusted.coupling[b, external]) / np.sqrt(2.0)
-    return BalanceResult(
-        net=adjusted,
-        external=external,
-        residual_before=before,
-        residual_after=after,
-    )

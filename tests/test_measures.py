@@ -229,10 +229,13 @@ class TestEntropyPurity:
         assert measures._entropy_term(np.array(0.25)) == 0.0
 
     def test_purity_from_determinant(self):
+        # Tr rho^2 = 1 / (2^n sqrt(det cov)) = 1 / prod(2 nu), since det cov = prod nu^2
         rng = np.random.default_rng(3)
         cov, nus = random_physical_cov(rng, 2)
-        assert on.purity(cov) == pytest.approx(1.0 / np.prod(2.0 * nus), rel=1e-9)
-        assert on.purity(0.5 * np.eye(8)) == pytest.approx(1.0, rel=1e-12)
+        from_det = 1.0 / (2.0**2 * np.sqrt(np.linalg.det(cov)))
+        assert from_det == pytest.approx(1.0 / np.prod(2.0 * nus), rel=1e-9)
+        assert 1.0 / np.prod(2.0 * on.symplectic_spectrum(cov)) == pytest.approx(from_det, rel=1e-9)
+        assert np.prod(2.0 * on.symplectic_spectrum(0.5 * np.eye(8))) == pytest.approx(1.0, rel=1e-12)
 
     def test_symplectic_form_blocks(self):
         j = symplectic_form(2)
@@ -708,7 +711,7 @@ class TestDiscord:
         cfg = load_config(str(resources.files("oscnet") / "presets" / f"{preset}.ini"))
         prep = prepare(cfg)
         traj = scenarios._run_traj(prep)
-        pairs = prep.pairs or tuple(combinations(range(traj.n), 2))
+        pairs = cfg.analysis.pairs or tuple(combinations(range(traj.n), 2))
         n = traj.n
         quads = np.array([[i, j, n + i, n + j] for i, j in pairs])
         cov4 = traj.covs[::cfg.analysis.stride, quads[:, :, None], quads[:, None, :]]
@@ -730,12 +733,13 @@ class TestDiscord:
             assert on.gaussian_discord(cov4) == pytest.approx(s_a, abs=1e-8)
 
     def test_measured_side_asymmetry_runs(self):
+        # measuring mode A is measuring mode B of the state with its modes swapped
         cov4 = tmsv_cov(0.6) + np.diag([0.3, 0.05, 0.3, 0.05])
-        d_b = on.gaussian_discord(cov4, measured="B")
-        d_a = on.gaussian_discord(cov4, measured="A")
+        swap = np.array([1, 0, 3, 2])
+        d_b = on.gaussian_discord(cov4)
+        d_a = on.gaussian_discord(cov4[swap[:, None], swap[None, :]])
         assert d_b >= 0.0 and d_a >= 0.0
-        with pytest.raises(ValueError):
-            on.gaussian_discord(cov4, measured="C")
+        assert d_a != pytest.approx(d_b, rel=1e-3)
 
 
 class TestPairSeries:
@@ -903,18 +907,21 @@ class TestPairwiseAverage:
                           covs=covs, energy=np.zeros(n_t))
 
         raw = on.pair_measure_series(traj, MUTUAL_INFORMATION)
-        avg = on.pairwise_average(traj, MUTUAL_INFORMATION, window=5.0)
+        assert raw.excluded == ()
+        w = 10  # a window of 5.0 on the 0.5 grid
+        avg = measures._smoothed_pair_mean(raw.values, [0, 1, 2], w)
         per_t = raw.values.mean(axis=1)
-        w = avg.samples
-        assert w == 10
-        for k in (0, 13, len(avg.values) - 1):
-            assert avg.values[k] == pytest.approx(per_t[k:k + w].mean(), abs=1e-12)
+        assert avg.shape == (n_t - w + 1,)
+        for k in (0, 13, len(avg) - 1):
+            assert avg[k] == pytest.approx(per_t[k:k + w].mean(), abs=1e-12)
 
-    def test_all_pairs_excluded_raises(self):
+    def test_all_pairs_excluded_is_nan(self):
         n_t = 20
         covs = np.tile(np.diag([0.3, 0.3, 0.3, 0.3]).astype(float), (n_t, 1, 1))
         traj = Trajectory(times=np.arange(n_t) * 0.1,
                           means=np.zeros((n_t, 4)), covs=covs,
                           energy=np.zeros(n_t))
-        with pytest.raises(UnphysicalCovariance):
-            on.pairwise_average(traj, MUTUAL_INFORMATION, window=1.0)
+        raw = on.pair_measure_series(traj, MUTUAL_INFORMATION)
+        assert raw.excluded == ((0, 1),)
+        avg = measures._smoothed_pair_mean(raw.values, [], 10)
+        assert avg.shape == (n_t - 9,) and np.isnan(avg).all()

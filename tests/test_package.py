@@ -5,7 +5,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import oscnet
+from oscnet import network, spectral
 
 PACKAGE_DIR = pathlib.Path(oscnet.__file__).parent
 
@@ -25,6 +28,15 @@ def test_single_code_path():
     readers = [p.name for p in sorted(PACKAGE_DIR.glob("*.py"))
                if "os.environ" in p.read_text() or "getenv" in p.read_text()]
     assert readers == []
+
+
+@pytest.mark.parametrize("module", [oscnet, spectral, network],
+                         ids=["oscnet", "spectral", "network"])
+def test_exports_resolve_once(module):
+    # a deleted name cannot stay behind in an export list
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
 
 
 GUARD_INI = """\

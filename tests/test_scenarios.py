@@ -53,7 +53,7 @@ def read_csv(path):
 
 
 class TestLoadConfig:
-    def test_inline_round_trip(self, tmp_path):
+    def test_inline_source(self, tmp_path):
         cfg = on.load_config(write_ini(tmp_path, CHAIN_INI))
         assert cfg.network.source == "inline"
         assert np.array_equal(cfg.network.omega, [1.2, 1.0, 1.8])
@@ -61,23 +61,6 @@ class TestLoadConfig:
         assert cfg.bath.kind == "common"
         assert cfg.time.t_end == 20.0
         assert cfg.analysis.window == 2.0
-
-        saved = str(tmp_path / "resaved.ini")
-        on.save_config(cfg, saved)
-        again = on.load_config(saved)
-        assert np.array_equal(again.network.omega, cfg.network.omega)
-        assert again.network.edges == cfg.network.edges
-        assert again.bath == cfg.bath
-        assert again.time == cfg.time
-        assert again.analysis.window == cfg.analysis.window
-        assert again.initial.mean_q.tolist() == cfg.initial.mean_q.tolist()
-
-    def test_round_trip_awkward_floats(self, tmp_path):
-        text = CHAIN_INI.replace("gamma = 0.01", f"gamma = {1.0 / 3.0!r}")
-        cfg = on.load_config(write_ini(tmp_path, text))
-        saved = str(tmp_path / "resaved.ini")
-        on.save_config(cfg, saved)
-        assert on.load_config(saved).bath.gamma == 1.0 / 3.0
 
     def test_random_source(self, tmp_path):
         text = textwrap.dedent("""\
@@ -421,11 +404,39 @@ class TestCli:
         ("temperature = 10.0", "temperature = inf"),
         ("cutoff = 50.0", "cutoff = nan"),
         ("0 1 0.4", "0 1 -inf"),
-    ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge"])
+        ("window = 8.0", "window = 8.0\nsync_subset = a b"),
+        ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = -1"),
+        ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nsqueeze_r = 400"),
+    ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge",
+            "sync_subset", "thermal_n", "squeeze_r"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         assert preset.count(old) == 1
         path = write_ini(tmp_path, preset.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    RANDOM_NETWORK = ("source = random\nnodes = {nodes}\nconnect_prob = {prob}\n"
+                      "freq_low = 0.9\nfreq_high = 1.2\ncoupling_mean = -0.1\n"
+                      "coupling_sd = 0.05\nseed = 7\n")
+
+    @pytest.mark.parametrize("network, network_file", [
+        (RANDOM_NETWORK.format(nodes=3, prob=1.5), None),
+        (RANDOM_NETWORK.format(nodes=0, prob=0.5), None),
+        ("source = file\npath = net.txt\n", "[nodes]\n0 = 1.0\n1 = abc\n2 = 1.2\n"),
+        ("source = file\npath = net.txt\n",
+         "[nodes]\n0 = 1.0\n1 = 1.1\n2 = 1.2\n[edges]\n0 3 = 0.1\n"),
+        ("source = inline\nomega = 1.0\nedges =\n", None),
+    ], ids=["connect_prob", "zero_nodes", "file_node_value", "file_edge_range", "one_node"])
+    def test_network_source_exit_code(self, tmp_path, capsys, network, network_file):
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        inline = "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4\n"
+        assert preset.count(inline) == 1
+        if network_file is not None:
+            (tmp_path / "net.txt").write_text(network_file)
+        path = write_ini(tmp_path, preset.replace(inline, network))
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()

@@ -6,8 +6,6 @@ import scipy.optimize
 
 import oscnet as on
 from oscnet.errors import (
-    DirectLinkForbidden,
-    FrequencyMismatch,
     NoDominantMode,
     NoZeroInBracket,
     PoleAtOmega,
@@ -338,42 +336,3 @@ class TestEmbeddingResiduals:
         net, _ = self.build_embedded(rewire=False)
         with pytest.raises(PoleAtOmega):
             on.embedding_residuals(net, 0, 1, 2, float(net.omega[0]))
-
-
-class TestBalancePair:
-    def unbalanced(self):
-        base = on.build_network(
-            np.array([1.3, 1.5]), np.array([[0.0, -0.05], [-0.05, 0.0]])
-        )
-        return on.attach_pair(
-            base, 1.0, 1.0,
-            links_a={0: -0.15, 1: -0.12},
-            links_b={0: -0.11, 1: -0.07},
-        )
-
-    def test_balancing_zeroes_residuals(self, common_bath):
-        net = self.unbalanced()
-        out = on.balance_pair_couplings(net, 2, 3)
-        expected_before = (net.coupling[2, [0, 1]] - net.coupling[3, [0, 1]]) / np.sqrt(2)
-        assert np.allclose(out.residual_before, expected_before, atol=1e-15)
-        assert np.all(out.residual_after == 0.0)
-        dec = on.effective_couplings(on.diagonalize(out.net), common_bath)
-        assert np.min(np.abs(dec.eff_coupling)) < 1e-12
-
-    def test_balanced_mode_is_antisymmetric_pair(self, common_bath):
-        out = on.balance_pair_couplings(self.unbalanced(), 2, 3)
-        dec = on.effective_couplings(on.diagonalize(out.net), common_bath)
-        k = int(np.argmin(np.abs(dec.eff_coupling)))
-        vec = dec.modes[:, k]
-        assert np.max(np.abs(vec[:2])) < 1e-12
-        assert abs(vec[2] + vec[3]) < 1e-12
-        assert abs(abs(vec[2]) - 1.0 / np.sqrt(2.0)) < 1e-12
-
-    def test_preconditions(self):
-        net = self.unbalanced()
-        with pytest.raises(FrequencyMismatch):
-            on.balance_pair_couplings(net.with_omega(3, 1.01), 2, 3)
-        with pytest.raises(DirectLinkForbidden):
-            on.balance_pair_couplings(net.with_coupling(2, 3, -0.02), 2, 3)
-        with pytest.raises(ValueError):
-            on.balance_pair_couplings(net, 2, 2)
