@@ -10,14 +10,11 @@ and the surviving quantum correlations.
 
 from .dynamics import (
     GaussianState,
-    SteadyState,
     Trajectory,
-    change_basis,
+    asymptotic_state,
     evolve,
     evolve_node_reference,
     initial_state,
-    steady_state,
-    thermal_variances,
 )
 from .errors import ConfigError, OscnetError, UnphysicalSpec
 from .measures import (
@@ -77,13 +74,12 @@ __all__ = [
     "NetworkSpec",
     "OscnetError",
     "ScenarioConfig",
-    "SteadyState",
     "Trajectory",
     "UnphysicalSpec",
     "analyze",
+    "asymptotic_state",
     "attach_pair",
     "build_network",
-    "change_basis",
     "collective_sync",
     "diagonalize",
     "effective_couplings",
@@ -113,9 +109,7 @@ __all__ = [
     "run_sweep",
     "run_tune",
     "save_network",
-    "steady_state",
     "symplectic_spectrum",
-    "thermal_variances",
     "von_neumann_entropy",
     "windowed_correlation",
 ]

@@ -29,6 +29,9 @@ state stays physical at every stored time.
 the node basis as one dense 2n-dimensional system, advancing each stored
 interval with a block matrix exponential.  It shares no code with the
 closed-form path, which makes it the cross-check for :func:`evolve`.
+:func:`asymptotic_state` is the long-time limit in closed form, where
+only the frozen modes still remember the initial state: the oracle for
+the plateau the frozen modes keep.
 """
 
 from __future__ import annotations
@@ -46,10 +49,7 @@ from .errors import (
     UnphysicalSpec,
 )
 from .network import NetworkSpec, hamiltonian_matrix
-from .spectral import BathConfig, ModeDecomposition, _frozen_mask
-
-NODE = "node"
-MODE = "mode"
+from .spectral import ModeDecomposition, _frozen_mask
 
 #: Most propagator entries one time chunk of the moments holds.  A chunk's
 #: propagator and square-root factor (twice as wide) then stay within a
@@ -59,7 +59,7 @@ _CHUNK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second moments of n oscillators in a fixed basis.
+    """First and second moments of n oscillators in the node basis.
 
     mean has shape (2n,) ordered (q_1..q_n, p_1..p_n); cov is the
     symmetric (2n, 2n) covariance of the same quadrature vector.
@@ -67,7 +67,6 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    basis: str = NODE
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -78,8 +77,6 @@ class GaussianState:
             raise DimensionMismatch(
                 f"covariance shape {cov.shape} does not match mean of length {mean.shape[0]}"
             )
-        if self.basis not in (NODE, MODE):
-            raise ValueError(f"unknown basis {self.basis!r}")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -137,7 +134,7 @@ def initial_state(
     cov[n + np.arange(n), np.arange(n)] = off
     if not np.isfinite(cov).all():
         raise UnphysicalSpec("initial covariance is not finite (squeeze_r or thermal_n too large)")
-    return GaussianState(np.concatenate([mq, mp]), cov, basis=NODE)
+    return GaussianState(np.concatenate([mq, mp]), cov)
 
 
 def _block_diag2(f: np.ndarray) -> np.ndarray:
@@ -147,26 +144,6 @@ def _block_diag2(f: np.ndarray) -> np.ndarray:
     u[:n, :n] = f
     u[n:, n:] = f
     return u
-
-
-def change_basis(state: GaussianState, decomp: ModeDecomposition, target: str) -> GaussianState:
-    """Rotate a state between the node and normal-mode bases."""
-    if target not in (NODE, MODE):
-        raise ValueError(f"unknown basis {target!r}")
-    if state.basis == target:
-        raise ValueError(f"state is already in the {target!r} basis")
-    if state.n != decomp.n:
-        raise DimensionMismatch(
-            f"state has {state.n} oscillators, decomposition has {decomp.n}"
-        )
-    f = decomp.modes
-    u = _block_diag2(f)
-    if target == MODE:
-        u = u.T
-    mean = u @ state.mean
-    cov = u @ state.cov @ u.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov, basis=target)
 
 
 def _node_blocks(covs) -> np.ndarray:
@@ -203,7 +180,7 @@ class Trajectory:
         return self.means.shape[1] // 2
 
     def state(self, index: int) -> GaussianState:
-        return GaussianState(self.means[index], self.covs[index], basis=NODE)
+        return GaussianState(self.means[index], self.covs[index])
 
     @property
     def mean_q(self) -> np.ndarray:
@@ -418,9 +395,12 @@ def evolve(
         )
 
     n = decomp.n
-    mode_state = change_basis(state, decomp, MODE)
-    _check_physical(mode_state.cov, decomp)
-    chol = np.linalg.cholesky(mode_state.cov)
+    u = _block_diag2(decomp.modes).T
+    mean0 = u @ state.mean
+    cov0 = u @ state.cov @ u.T
+    cov0 = 0.5 * (cov0 + cov0.T)
+    _check_physical(cov0, decomp)
+    chol = np.linalg.cholesky(cov0)
     rel = times - times[0]
     rows = np.arange(2 * n)
     means = np.empty((times.shape[0], 2 * n))
@@ -428,51 +408,41 @@ def evolve(
     for chunk in _time_chunks(times.shape[0], (2 * n) ** 2):
         prop, z = _square_root(decomp, chol, rel[chunk], rows)
         zq, zp = z[:, :n], z[:, n:]
-        means[chunk] = prop @ mode_state.mean
+        means[chunk] = prop @ mean0
         blocks[chunk, :, 0] = np.einsum("tjk,tjk->tj", zq, zq)
         blocks[chunk, :, 1] = np.einsum("tjk,tjk->tj", zp, zp)
         blocks[chunk, :, 2] = np.einsum("tjk,tjk->tj", zq, zp)
         if not (np.all(np.isfinite(means[chunk])) and np.all(np.isfinite(blocks[chunk]))):
             raise IntegratorStepFailure("non-finite moments produced during integration")
-    energy = _mode_energy(decomp, mode_state.mean, mode_state.cov, rel)
+    energy = _mode_energy(decomp, mean0, cov0, rel)
 
     covs = _CovarianceView(decomp, chol, rel)
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """Asymptotic state of the damped subspace plus the modes that never relax."""
+def asymptotic_state(state: GaussianState, decomp: ModeDecomposition, t: float) -> GaussianState:
+    """Long-time limit of :func:`evolve` from a node-basis state, t after it.
 
-    state: GaussianState
-    frozen_modes: tuple[int, ...]
-
-
-def steady_state(decomp: ModeDecomposition, basis: str = NODE) -> SteadyState:
-    """Stationary Gaussian state; frozen modes are reported and left at vacuum.
-
-    Frozen means ``spectral._frozen_mask`` or no damping at all.
+    Every damped mode has relaxed to its stationary covariance
+    diag(D / (2 G W^2), D / (2 G)) and forgotten its mean; the frozen modes
+    (``spectral._frozen_mask``, or no damping at all) keep rotating without
+    loss.  With U = blockdiag(F, F), m0 = U^T mean and S0 = U^T cov U, the
+    mean is U E m0 and the covariance U (E S0 E^T + stationary) U^T, with E
+    each frozen mode's rotation [[cos Wt, sin Wt / W], [-W sin Wt, cos Wt]]
+    and zero on the damped modes: cross terms between frozen modes persist,
+    those between a frozen and a damped mode drop out.  A test oracle for
+    the frozen-mode plateau; it shares no propagation code with evolve.
     """
     _require_rates(decomp)
     w = decomp.freqs
     frozen = _frozen_mask(decomp) | (decomp.damping == 0.0)
-    # Damped modes relax to nu = D / (2 G W) per mode, i.e. diag(nu / W, nu W).
-    nu = np.where(frozen, 0.5, decomp.diffusion / (2.0 * np.where(frozen, 1.0, decomp.damping) * w))
-    state = GaussianState(np.zeros(2 * w.shape[0]), np.diag(np.concatenate([nu / w, nu * w])), MODE)
-    if basis == NODE:
-        state = change_basis(state, decomp, NODE)
-    return SteadyState(state=state, frozen_modes=tuple(int(m) for m in np.flatnonzero(frozen)))
-
-
-def thermal_variances(decomp: ModeDecomposition, bath: BathConfig) -> np.ndarray:
-    """Per-mode thermal (<Q^2>, <P^2>) targets, shape (n, 2).
-
-    These are coth(W/2T)/(2W) and W coth(W/2T)/2; they coincide with the
-    stationary point of the moment equations whenever the mode is damped.
-    """
-    w = decomp.freqs
-    coth = 1.0 / np.tanh(w / (2.0 * bath.temperature))
-    return np.stack([coth / (2.0 * w), 0.5 * w * coth], axis=-1)
+    cos = np.where(frozen, np.cos(w * t), 0.0)
+    sin = np.where(frozen, np.sin(w * t), 0.0)
+    rot = np.block([[np.diag(cos), np.diag(sin / w)], [np.diag(-w * sin), np.diag(cos)]])
+    var_p = np.where(frozen, 0.0, decomp.diffusion / (2.0 * np.where(frozen, 1.0, decomp.damping)))
+    u = _block_diag2(decomp.modes)
+    cov = rot @ (u.T @ state.cov @ u) @ rot.T + np.diag(np.concatenate([var_p / w**2, var_p]))
+    return GaussianState(u @ rot @ u.T @ state.mean, u @ cov @ u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +490,6 @@ def evolve_node_reference(
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
-    if state.basis != NODE:
-        raise ValueError("reference integrator expects a node-basis state")
 
     drift, diffusion = _node_drift_diffusion(net, decomp)
     mean = state.mean.copy()

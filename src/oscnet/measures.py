@@ -109,9 +109,7 @@ def von_neumann_entropy(cov: np.ndarray) -> float | np.ndarray:
 
 
 def energy(state, net: NetworkSpec) -> float:
-    """Mean energy <H> including first moments; state must be node-basis."""
-    if state.basis != "node":
-        raise ValueError("energy expects a node-basis state")
+    """Mean energy <H> of a node-basis state, first moments included."""
     n = net.n
     if state.n != n:
         raise DimensionMismatch(f"state has {state.n} nodes, network has {n}")

@@ -61,6 +61,12 @@ _NETWORK_SOURCES = ("inline", "file", "random")
 #: Default [time] step, the spacing of the time grid, as a fraction of the
 #: fastest mode period.
 _STEP_FRACTION = 0.02
+#: Largest initial second moment <x^2> = var + mean^2 a scenario accepts.
+#: S(t) correlates <q^2> over windows and sums the squares of its
+#: deviations, so second moments near 1e154 would overflow those sums
+#: (float max 1.8e308).  1e100 leaves that margin for any window length
+#: and for the growth a mode rotation gives a node's moments.
+_MAX_SECOND_MOMENT = 1e100
 
 
 @dataclass
@@ -425,14 +431,6 @@ def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpe
         raise ConfigError(f"network construction failed: {exc}") from exc
 
 
-def _initial_state(cfg: ScenarioConfig, net: NetworkSpec) -> GaussianState:
-    ib = cfg.initial  # one entry or one per node, broadcast by initial_state
-    return initial_state(
-        net, mean_q=ib.mean_q, mean_p=ib.mean_p, squeeze_r=ib.squeeze_r,
-        squeeze_angle=ib.squeeze_angle, thermal_n=ib.thermal_n,
-    )
-
-
 def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
             net: NetworkSpec | None = None) -> PreparedScenario:
     """Materialize the network and check every precondition up front."""
@@ -454,10 +452,21 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
             raise ConfigError(
                 f"[initial] {key} has {values.shape[0]} entries; need 1 or {n}"
             )
+    ib = cfg.initial  # one entry or one per node, broadcast by initial_state
     try:
-        state0 = _initial_state(cfg, net)
+        state0 = initial_state(
+            net, mean_q=ib.mean_q, mean_p=ib.mean_p, squeeze_r=ib.squeeze_r,
+            squeeze_angle=ib.squeeze_angle, thermal_n=ib.thermal_n,
+        )
     except UnphysicalSpec as exc:
         raise ConfigError(f"[initial] {exc}") from exc
+    with np.errstate(over="ignore"):
+        second = np.diagonal(state0.cov) + state0.mean**2
+    if not np.all(second <= _MAX_SECOND_MOMENT):
+        raise ConfigError(
+            f"[initial] a second moment reaches {second.max():.3g}; "
+            f"the windowed correlation squares them and needs at most {_MAX_SECOND_MOMENT:.0e}"
+        )
 
     spacing = cfg.time.step
     if spacing is None:
@@ -700,7 +709,7 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
     prep = prepare(cfg, seed_override=seed)
     out = _resolve_out(cfg, out_dir)
     tb = cfg.tuning
-    grid = np.linspace(tb.bracket[0], tb.bracket[1], max(tb.grid_points, 3))
+    grid = np.linspace(tb.bracket[0], tb.bracket[1], tb.grid_points)
     result = find_sync_parameter(prep.net, tb.param, tb.bracket, cfg.bath, tb.tol)
     scan = parameter_scan(prep.net, tb.param, grid, cfg.bath)
     csvio.write_scan(os.path.join(out, "scan.csv"), scan)

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 import oscnet as on
 from oscnet import dynamics
 from oscnet.cli import preset_names
-from oscnet.dynamics import MODE, NODE, thermal_variances
 from oscnet.errors import DimensionMismatch, IntegratorStepFailure, PhysicalityViolation
 from oscnet.measures import DISCORD, LOG_NEGATIVITY, MUTUAL_INFORMATION
-from oscnet.scenarios import _initial_state, _run_traj, load_config, prepare, run_simulate
+from oscnet.scenarios import _run_traj, load_config, prepare, run_simulate
 from oscnet.spectral import BathConfig
 
 PRESETS = resources.files("oscnet") / "presets"
@@ -21,6 +20,18 @@ PRESETS = resources.files("oscnet") / "presets"
 
 def min_symplectic_eigenvalue(covs):
     return float(on.symplectic_spectrum(covs)[..., 0].min())
+
+
+def to_modes(state, dec):
+    """A node-basis state's mean and covariance in the normal-mode basis."""
+    u = np.kron(np.eye(2), dec.modes)  # blockdiag(F, F)
+    return u.T @ state.mean, u.T @ state.cov @ u
+
+
+def thermal_mode_variances(dec, temperature):
+    """Per-mode thermal <Q^2> = coth(W/2T)/(2W) and <P^2> = W coth(W/2T)/2."""
+    coth = 1.0 / np.tanh(dec.freqs / (2.0 * temperature))
+    return coth / (2.0 * dec.freqs), 0.5 * dec.freqs * coth
 
 
 def single_mode_rhs(sigma, gamma, w2, diff):
@@ -70,34 +81,27 @@ class TestInitialState:
 
 
 class TestBasisChange:
-    def test_round_trip(self, chain3, common_bath):
-        dec = on.analyze(chain3, common_bath)
-        st = on.initial_state(chain3, mean_q=[1.0, -0.5, 0.2], squeeze_r=0.3)
-        back = on.change_basis(on.change_basis(st, dec, MODE), dec, NODE)
-        assert np.allclose(back.mean, st.mean, atol=1e-14)
-        assert np.allclose(back.cov, st.cov, atol=1e-14)
-
     def test_preserves_symplectic_spectrum(self, chain3, common_bath):
         dec = on.analyze(chain3, common_bath)
         st = on.initial_state(chain3, squeeze_r=[0.5, 0.0, -0.2])
         nus_node = on.symplectic_spectrum(st.cov)
-        nus_mode = on.symplectic_spectrum(on.change_basis(st, dec, MODE).cov)
+        nus_mode = on.symplectic_spectrum(to_modes(st, dec)[1])
         assert np.allclose(np.sort(nus_node), np.sort(nus_mode), atol=1e-12)
-
-    def test_rejects_same_basis(self, chain3, common_bath):
-        dec = on.analyze(chain3, common_bath)
-        st = on.initial_state(chain3)
-        with pytest.raises(ValueError):
-            on.change_basis(st, dec, NODE)
 
 
 class TestThermalFixedPoint:
     def test_rhs_vanishes_at_thermal(self, er10, common_bath):
-        # the claimed stationary variances must kill the hand-written ODE
+        # with no frozen mode the asymptote holds each mode at the thermal
+        # variances, and they must kill the hand-written ODE
         dec = on.analyze(er10, common_bath)
-        targets = thermal_variances(dec, common_bath)
-        for m in range(dec.n):
-            sigma = np.diag(targets[m])
+        st = on.initial_state(er10, mean_q=0.5, squeeze_r=0.3)
+        mean, cov = to_modes(on.asymptotic_state(st, dec, 7.0), dec)
+        vq, vp = thermal_mode_variances(dec, common_bath.temperature)
+        n = dec.n
+        assert np.array_equal(mean, np.zeros(2 * n))
+        assert np.allclose(cov, np.diag(np.concatenate([vq, vp])), rtol=1e-12, atol=1e-12)
+        for m in range(n):
+            sigma = cov[np.ix_([m, n + m], [m, n + m])]
             res = single_mode_rhs(sigma, dec.damping[m], dec.freqs[m] ** 2,
                                   dec.diffusion[m])
             assert np.max(np.abs(res)) < 1e-12
@@ -107,37 +111,71 @@ class TestThermalFixedPoint:
         st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0])
         t_end = 20.0 / separate_bath.gamma
         traj = on.evolve(st, dec, np.linspace(0.0, t_end, 41), method="exact")
-        final = on.change_basis(traj.state(-1), dec, MODE)
-        targets = thermal_variances(dec, separate_bath)
+        mean, cov = to_modes(traj.state(-1), dec)
+        vq, vp = thermal_mode_variances(dec, separate_bath.temperature)
         n = dec.n
-        assert np.max(np.abs(final.mean)) < 1e-4
-        assert np.allclose(np.diag(final.cov)[:n], targets[:, 0], rtol=1e-4)
-        assert np.allclose(np.diag(final.cov)[n:], targets[:, 1], rtol=1e-4)
+        assert np.max(np.abs(mean)) < 1e-4
+        assert np.allclose(np.diag(cov)[:n], vq, rtol=1e-4)
+        assert np.allclose(np.diag(cov)[n:], vp, rtol=1e-4)
 
     def test_steady_state_matches_long_evolution(self, er10, common_bath):
         dec = on.analyze(er10, common_bath)
+        assert not on.frozen_mode_report(dec, common_bath).frozen
         st = on.initial_state(er10, mean_q=0.5)
-        gmin = dec.damping.min()
-        traj = on.evolve(st, dec, [0.0, 30.0 / gmin], method="exact")
-        ss = on.steady_state(dec, basis=NODE)
-        assert ss.frozen_modes == ()
-        assert np.allclose(traj.state(-1).cov, ss.state.cov, atol=1e-8)
+        t = 30.0 / dec.damping.min()
+        traj = on.evolve(st, dec, [0.0, t], method="exact")
+        assert np.allclose(traj.state(-1).cov, on.asymptotic_state(st, dec, t).cov, atol=1e-8)
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_asymptote_matches_evolve(self, preset):
+        # by t = 60 / Gamma_min over the damped modes only the frozen
+        # modes remember the initial state (measured gap 3.6e-15)
+        cfg = load_config(str(PRESETS / f"{preset}.ini"))
+        prep = prepare(cfg)
+        dec = prep.decomp
+        damped = np.setdiff1d(np.arange(dec.n), on.frozen_mode_report(dec, cfg.bath).frozen)
+        t = 60.0 / dec.damping[damped].min()
+        late = on.evolve(prep.state0, dec, [0.0, t]).state(-1)
+        limit = on.asymptotic_state(prep.state0, dec, t)
+        assert np.allclose(limit.cov, late.cov, rtol=0.0, atol=1e-12)
+        assert np.allclose(limit.mean, late.mean, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("preset", ["fig3_sweep", "fig4_motif", "fig5_entangle"])
     def test_steady_state_frozen_modes_match_report(self, preset):
         # the shipped frozen modes keep Gamma ~ 1e-32 from eigh roundoff,
-        # so only the relative |kappa| test finds them
+        # so only the relative |kappa| test finds them; in the asymptote
+        # exactly they keep their initial energy, every other mode is thermal
         cfg = load_config(str(PRESETS / f"{preset}.ini"))
-        dec = prepare(cfg).decomp
-        frozen = on.steady_state(dec).frozen_modes
-        assert frozen == on.frozen_mode_report(dec, cfg.bath).frozen
+        prep = prepare(cfg)
+        dec = prep.decomp
+        frozen = on.frozen_mode_report(dec, cfg.bath).frozen
         assert len(frozen) == 1
+        n, w2 = dec.n, dec.freqs**2
+
+        def mode_energy(state):  # W^2 <Q^2> + <P^2> per mode
+            mean, cov = to_modes(state, dec)
+            second = np.diag(cov) + mean**2
+            return w2 * second[:n] + second[n:]
+
+        energy = mode_energy(on.asymptotic_state(prep.state0, dec, 123.4))
+        vq, vp = thermal_mode_variances(dec, cfg.bath.temperature)
+        kept = np.flatnonzero(np.isclose(energy, mode_energy(prep.state0), rtol=1e-12))
+        relaxed = np.flatnonzero(np.isclose(energy, w2 * vq + vp, rtol=1e-12))
+        assert tuple(kept) == frozen
+        assert np.array_equal(relaxed, np.setdiff1d(np.arange(n), frozen))
 
     def test_steady_state_without_damping_keeps_every_mode_frozen(self, chain3):
+        # with gamma = 0 the asymptote is the whole evolution, at any t
         closed = BathConfig(kind="common", gamma=0.0, temperature=10.0, cutoff=50.0)
-        ss = on.steady_state(on.analyze(chain3, closed), basis=MODE)
-        assert ss.frozen_modes == (0, 1, 2)
-        assert np.all(np.isfinite(ss.state.cov))
+        dec = on.analyze(chain3, closed)
+        st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0], squeeze_r=[0.3, 0.0, 0.6],
+                              squeeze_angle=0.4)
+        times = np.array([0.0, 0.7, 13.0, 250.0])
+        traj = on.evolve(st, dec, times)
+        for k, t in enumerate(times):
+            limit = on.asymptotic_state(st, dec, t)
+            assert np.allclose(limit.mean, traj.means[k], rtol=0.0, atol=1e-12)
+            assert np.allclose(limit.cov, traj.covs[k], rtol=0.0, atol=1e-12)
 
 
 class TestExactPropagator:
@@ -249,12 +287,6 @@ class TestGuards:
             with pytest.raises(PhysicalityViolation, match="completely positive"):
                 on.evolve(st, bad, [0.0, 1.0])
 
-    def test_mode_basis_state_rejected(self, chain3, common_bath):
-        dec = on.analyze(chain3, common_bath)
-        st = on.change_basis(on.initial_state(chain3), dec, MODE)
-        with pytest.raises(ValueError):
-            on.evolve(st, dec, [0.0, 1.0])
-
     def test_only_closed_form_methods(self, chain3, common_bath):
         dec = on.analyze(chain3, common_bath)
         st = on.initial_state(chain3)
@@ -279,7 +311,6 @@ class TestTrajectoryViews:
         assert traj.var_p.shape == (9, 3)
         assert traj.cov_qp.shape == (9, 3)
         first = traj.state(0)
-        assert first.basis == NODE
         assert np.allclose(first.mean, st.mean, atol=1e-14)
         assert np.allclose(
             traj.second_moment_q, traj.var_q + traj.mean_q**2, atol=1e-14
@@ -389,10 +420,9 @@ class TestSquareRootMoments:
         # means, node blocks and the mode-basis energy against the dense
         # node-basis expm route, over the first 40 stored steps
         prep = prepare(load_config(str(PRESETS / f"{preset}.ini")))
-        state = _initial_state(prep.cfg, prep.net)
         times = prep.times[:41]
-        traj = on.evolve(state, prep.decomp, times)
-        ref = on.evolve_node_reference(state, prep.net, prep.decomp, times)
+        traj = on.evolve(prep.state0, prep.decomp, times)
+        ref = on.evolve_node_reference(prep.state0, prep.net, prep.decomp, times)
         assert np.allclose(traj.means, ref.means, rtol=1e-10, atol=1e-10)
         assert np.allclose(traj.blocks, ref.blocks, rtol=1e-10, atol=1e-10)
         assert np.allclose(traj.energy, ref.energy, rtol=1e-10, atol=1e-10)

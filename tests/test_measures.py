@@ -249,7 +249,7 @@ class TestEnergy:
         rng = np.random.default_rng(4)
         cov, _ = random_physical_cov(rng, 3)
         mean = rng.normal(size=6)
-        st_node = GaussianState(mean, cov, basis="node")
+        st_node = GaussianState(mean, cov)
         value = on.energy(st_node, chain3)
 
         # independent route: diagonalize here and sum per-mode energies
@@ -263,11 +263,6 @@ class TestEnergy:
             np.trace(cp) + mp @ mp + w2 @ (np.diag(cq) + mq**2)
         )
         assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_requires_node_basis(self, chain3):
-        st_mode = GaussianState(np.zeros(6), 0.5 * np.eye(6), basis="mode")
-        with pytest.raises(ValueError):
-            on.energy(st_mode, chain3)
 
 
 class TestWindowedCorrelation:

@@ -66,6 +66,10 @@ window = 2.0
 parameter = omega 0
 list = 1.0 1.2
 
+[tuning]
+parameter = omega 0
+bracket = 0.8 1.4
+
 [output]
 directory = out
 """
@@ -98,3 +102,37 @@ assert loaded() == [], ("sweep", loaded())
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "sim" / "measures.csv").exists()
     assert (tmp_path / "sweep" / "map.csv").exists()
+
+
+#: Exported test oracles that no pipeline may call.
+ORACLES = ("asymptotic_state", "von_neumann_entropy", "energy", "pair_covariance")
+
+
+def test_pipelines_call_no_oracle(tmp_path, monkeypatch):
+    # every binding of each oracle, in the package and in its modules,
+    # raises; the four pipelines must still run through
+    from oscnet.scenarios import load_config, run_simulate, run_spectrum, run_sweep, run_tune
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pipeline called a test oracle")
+
+    originals = [getattr(oscnet, name) for name in ORACLES]
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "oscnet" or name.startswith("oscnet."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, forbidden)
+                    patched += 1
+    assert patched >= 2 * len(ORACLES)  # the package and each defining module
+    with pytest.raises(AssertionError):
+        oscnet.dynamics.asymptotic_state(None, None, 0.0)
+
+    (tmp_path / "guard.ini").write_text(GUARD_INI)
+    cfg = load_config(str(tmp_path / "guard.ini"))
+    run_simulate(cfg, out_dir=str(tmp_path / "sim"))
+    run_sweep(cfg, out_dir=str(tmp_path / "sweep"), workers=1)
+    run_tune(cfg, out_dir=str(tmp_path / "tune"))
+    run_spectrum(cfg, out_dir=str(tmp_path / "spectrum"))
+    for out in ("sim", "sweep", "tune", "spectrum"):
+        assert (tmp_path / out / "summary.txt").exists()

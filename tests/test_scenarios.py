@@ -407,8 +407,10 @@ class TestCli:
         ("window = 8.0", "window = 8.0\nsync_subset = a b"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = -1"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nsqueeze_r = 400"),
+        ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = 1e300"),
+        ("mean_q = -1.0 0.0 1.0", "mean_q = 1e300 0.0 1.0"),
     ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge",
-            "sync_subset", "thermal_n", "squeeze_r"])
+            "sync_subset", "thermal_n", "squeeze_r", "huge_thermal_n", "huge_mean_q"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         assert preset.count(old) == 1
