@@ -282,18 +282,17 @@ def emit() -> dict:
           f"min other |kappa|={others.min():.3f}, "
           f"t_sync={on.estimate_sync_times(dec3).t_sync:.0f}")
 
-    w2, omega_a, omega_b = motif_constants()
     dec4 = on.analyze(fig4_net, bath)
     rep4 = on.frozen_mode_report(dec4, bath)
-    ext, resid = on.embedding_residuals(fig4_net, MOTIF_A, MOTIF_B, MOTIF_C, np.sqrt(w2))
-    motif_resid = on.motif_frozen_residual(omega_a, omega_b, LAM_AC, LAM_BC, np.sqrt(w2))
     assert len(rep4.frozen) == 1, rep4
     sig4 = rep4.frozen[0]
+    participants = rep4.participants(sig4)
+    assert participants == tuple(sorted((MOTIF_A, MOTIF_B, MOTIF_C))), participants
     off_motif = np.delete(np.abs(dec4.modes[:, sig4]),
                           [MOTIF_A, MOTIF_B, MOTIF_C]).max()
     print(f"fig4: frozen mode at {dec4.freqs[sig4]:.6f}, "
-          f"motif residual {motif_resid:.1e}, max embed residual "
-          f"{np.abs(resid).max():.1e}, off-motif weight {off_motif:.1e}")
+          f"|kappa|={abs(dec4.eff_coupling[sig4]):.1e}, participants {participants}, "
+          f"off-motif weight {off_motif:.1e}")
 
     dec5 = on.analyze(fig5_net, bath)
     rep5 = on.frozen_mode_report(dec5, bath)

@@ -56,11 +56,8 @@ from .spectral import (
     mode_rates,
 )
 from .tuning import (
-    embedding_residuals,
     estimate_sync_times,
     find_sync_parameter,
-    motif_frozen_residual,
-    motif_hub_frequency,
     parameter_scan,
 )
 
@@ -83,7 +80,6 @@ __all__ = [
     "collective_sync",
     "diagonalize",
     "effective_couplings",
-    "embedding_residuals",
     "energy",
     "estimate_sync_times",
     "evolve",
@@ -97,8 +93,6 @@ __all__ = [
     "load_network",
     "log_negativity",
     "mode_rates",
-    "motif_frozen_residual",
-    "motif_hub_frequency",
     "mutual_information",
     "pair_covariance",
     "pair_measure_series",

@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="scenario INI file or preset name")
         cmd.add_argument("--out", default=None,
                          help="output directory (default: from the config)")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="worker processes for sweeps (default 1)")
+        if name == "sweep":
+            cmd.add_argument("--workers", type=int, default=1,
+                             help="worker processes (default 1)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the random-network seed")
     return parser
@@ -83,12 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
         cfg = load_config(_resolve_config(args.config))
         if args.command == "simulate":
             out = run_simulate(cfg, out_dir=args.out, seed=args.seed)
         elif args.command == "sweep":
+            if args.workers < 1:
+                raise ConfigError("--workers must be at least 1")
             out = run_sweep(cfg, out_dir=args.out, seed=args.seed,
                             workers=args.workers)
         elif args.command == "tune":

@@ -83,10 +83,6 @@ class NoDominantMode(OscnetError):
     """No strictly least-damped mode exists (tied damping rates)."""
 
 
-class PoleAtOmega(OscnetError):
-    """Residual evaluated at a pole (mode frequency equals a node frequency)."""
-
-
 # --- CLI / configuration ----------------------------------------------------
 
 class ConfigError(OscnetError):

@@ -1,7 +1,8 @@
 """Scenario configs (INI) and the pipelines behind the CLI subcommands.
 
-A scenario file holds blocks [network], [bath], [initial], [time],
-[analysis] and, when relevant, [tuning], [sweep], [output].  Parsing is
+A scenario file holds blocks [network], [bath], [initial], [time] and,
+when relevant, [analysis] (without it, simulate writes only the
+trajectory), [tuning], [sweep], [output].  Parsing is
 strict: unknown sections or keys, malformed values, and anything that
 would violate a module precondition are rejected with ConfigError
 before any real computation starts.
@@ -61,11 +62,11 @@ _NETWORK_SOURCES = ("inline", "file", "random")
 #: Default [time] step, the spacing of the time grid, as a fraction of the
 #: fastest mode period.
 _STEP_FRACTION = 0.02
-#: Largest initial second moment <x^2> = var + mean^2 a scenario accepts.
-#: S(t) correlates <q^2> over windows and sums the squares of its
-#: deviations, so second moments near 1e154 would overflow those sums
-#: (float max 1.8e308).  1e100 leaves that margin for any window length
-#: and for the growth a mode rotation gives a node's moments.
+#: Largest second moment <x^2> = var + mean^2 a scenario accepts, initial
+#: or stationary.  S(t) correlates <q^2> over windows and sums the squares
+#: of its deviations, so second moments near 1e154 would overflow those
+#: sums (float max 1.8e308).  1e100 leaves that margin for any window
+#: length and for the growth a mode rotation gives a node's moments.
 _MAX_SECOND_MOMENT = 1e100
 
 
@@ -103,7 +104,6 @@ class TimeBlock:
 
 @dataclass
 class AnalysisBlock:
-    enabled: bool = True
     window: float | None = None  # None means 10 periods of the slow mode
     pairs: tuple[tuple[int, int], ...] | None = None
     sync_subset: tuple[int, ...] | None = None
@@ -130,7 +130,7 @@ class ScenarioConfig:
     bath: BathConfig
     initial: InitialBlock
     time: TimeBlock
-    analysis: AnalysisBlock
+    analysis: AnalysisBlock | None  # None without [analysis]: trajectory only
     tuning: TuningBlock | None = None
     sweep: SweepBlock | None = None
     out_dir: str = "out"
@@ -226,7 +226,7 @@ _KNOWN_KEYS = {
     "bath": {"kind", "gamma", "temperature", "cutoff", "node"},
     "initial": {"mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"},
     "time": {"t_end", "step", "method"},
-    "analysis": {"enabled", "window", "pairs", "sync_subset", "stride"},
+    "analysis": {"window", "pairs", "sync_subset", "stride"},
     "tuning": {"parameter", "bracket", "tol", "grid"},
     "sweep": {"parameter", "values", "list"},
     "output": {"directory"},
@@ -315,12 +315,9 @@ def load_config(path: str) -> ScenarioConfig:
     if time.step is not None and time.step <= 0.0:
         raise ConfigError("step must be positive")
 
-    analysis = AnalysisBlock()
+    analysis = None
     if parser.has_section("analysis"):
-        enabled = _get(parser, "analysis", "enabled", str, default="true").lower()
-        if enabled not in ("true", "false", "1", "0", "yes", "no"):
-            raise ConfigError(f"analysis enabled = {enabled!r} is not a boolean")
-        analysis.enabled = enabled in ("true", "1", "yes")
+        analysis = AnalysisBlock()
         window = _get(parser, "analysis", "window", str, default="auto")
         if window != "auto":
             analysis.window = _get(parser, "analysis", "window", _float)
@@ -467,6 +464,17 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
             f"[initial] a second moment reaches {second.max():.3g}; "
             f"the windowed correlation squares them and needs at most {_MAX_SECOND_MOMENT:.0e}"
         )
+    # a damped mode relaxes to D/(2 G W^2) = coth(W/2T)/(2W) in q and
+    # D/(2 G) = W coth(W/2T)/2 in p, whatever its rate
+    freqs = decomp.freqs[decomp.damping > 0.0]
+    with np.errstate(over="ignore", divide="ignore"):
+        coth = 1.0 / np.tanh(freqs / (2.0 * cfg.bath.temperature))
+        stationary = np.concatenate([coth / (2.0 * freqs), freqs * coth / 2.0])
+    if not np.all(stationary <= _MAX_SECOND_MOMENT):
+        raise ConfigError(
+            f"[bath] a damped mode's stationary variance reaches {stationary.max():.3g}; "
+            f"the windowed correlation needs at most {_MAX_SECOND_MOMENT:.0e}"
+        )
 
     spacing = cfg.time.step
     if spacing is None:
@@ -477,7 +485,7 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     times = np.linspace(0.0, n_int * spacing, n_int + 1)
 
     window = None
-    if cfg.analysis.enabled:
+    if cfg.analysis is not None:
         window = cfg.analysis.window
         if window is None:
             slow = decomp.slowest if decomp.slowest is not None else 0
@@ -611,7 +619,7 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
     traj = _run_traj(prep)
     csvio.write_trajectory(os.path.join(out, "trajectory.csv"), traj)
     extra = []
-    if cfg.analysis.enabled:
+    if cfg.analysis is not None:
         stride = cfg.analysis.stride
         info, disc, logneg = (
             measures.pair_measure_series(traj, measure, cfg.analysis.pairs, stride)
@@ -661,8 +669,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
     """
     if cfg.sweep is None:
         raise ConfigError("run_sweep needs a [sweep] section")
-    if not cfg.analysis.enabled:
-        raise ConfigError("run_sweep needs [analysis] enabled: map.csv is analysis output")
+    if cfg.analysis is None:
+        raise ConfigError("run_sweep needs an [analysis] section: map.csv is analysis output")
     prep = prepare(cfg, seed_override=seed)  # validates everything once
     out = _resolve_out(cfg, out_dir)
     jobs = []

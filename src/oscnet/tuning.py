@@ -15,11 +15,6 @@ real eigenpair of the bordered pencil
 the rank-one secular equation of Golub (SIAM Rev. 15, 318, 1973).  An
 eigenpair with v_d = y = 0 is a mode of H0 that node d does not touch:
 it is frozen at any omega_d and is reported, never returned as a tuning.
-
-Closed-form helpers cover the constructions that need no search: the
-frozen-mode residual of a two-branch motif, the hub frequency that
-places its mode, and the residuals that measure how well a motif mode
-stays frozen once embedded in a larger network.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from .errors import (
     NoDominantMode,
     NonPositiveDefinite,
     NoZeroInBracket,
-    PoleAtOmega,
 )
 from .network import NetworkSpec, hamiltonian_matrix
 from .spectral import (
@@ -46,9 +40,6 @@ from .spectral import (
     effective_couplings,
     frozen_mode_report,
 )
-
-#: Relative tolerance used to spot eigenvalue poles in residual formulas.
-POLE_RTOL = 1e-12
 
 #: Relative roundoff scale of the pencil: imaginary parts and eigenvector
 #: entries below it (against |mu| and the largest |v|) count as zero.
@@ -158,7 +149,6 @@ class TuneResult:
     mode_index: int
     mode_freq: float
     report: FrozenModeReport
-    bracket: tuple[float, float]
     roots: tuple[float, ...]
     always_frozen: tuple[float, ...]
 
@@ -250,7 +240,6 @@ def find_sync_parameter(
         mode_index=mode,
         mode_freq=float(decomp.freqs[mode]),
         report=frozen_mode_report(decomp, bath),
-        bracket=(lo, hi),
         roots=tuple(root[0] for root in found),
         always_frozen=tuple(sorted(float(np.sqrt(mu)) for mu in always)),
     )
@@ -316,83 +305,3 @@ def estimate_sync_times(decomp: ModeDecomposition) -> SyncTimeEstimate:
         unreachable=unreachable,
         sigma=sigma,
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form residuals and constructions
-# ---------------------------------------------------------------------------
-
-def motif_frozen_residual(
-    omega_a: float,
-    omega_b: float,
-    lam_ac: float,
-    lam_bc: float,
-    mode_freq: float,
-) -> float:
-    """Residual of the frozen-mode condition for an a-c-b branch motif.
-
-    Zero means the motif mode at ``mode_freq`` has equal and opposite
-    branch amplitudes summing against the hub, i.e. vanishing common-bath
-    weight: lam_ac / (W^2 - w_a^2) + lam_bc / (W^2 - w_b^2) + 1.
-    """
-    w2 = mode_freq**2
-    for w in (omega_a, omega_b):
-        if abs(w2 - w**2) < POLE_RTOL * max(w2, w**2):
-            raise PoleAtOmega(
-                f"mode frequency {mode_freq:.6g} sits on a branch pole at {w:.6g}"
-            )
-    return lam_ac / (w2 - omega_a**2) + lam_bc / (w2 - omega_b**2) + 1.0
-
-
-def motif_hub_frequency(
-    omega_a: float,
-    omega_b: float,
-    lam_ac: float,
-    lam_bc: float,
-    mode_freq: float,
-) -> float:
-    """Hub frequency that places a motif eigenmode exactly at ``mode_freq``.
-
-    From the eigenvalue condition of the three-node motif:
-    w_c^2 = W^2 - lam_ac^2 / (W^2 - w_a^2) - lam_bc^2 / (W^2 - w_b^2).
-    """
-    w2 = mode_freq**2
-    for w in (omega_a, omega_b):
-        if abs(w2 - w**2) < POLE_RTOL * max(w2, w**2):
-            raise PoleAtOmega(
-                f"mode frequency {mode_freq:.6g} sits on a branch pole at {w:.6g}"
-            )
-    wc2 = w2 - lam_ac**2 / (w2 - omega_a**2) - lam_bc**2 / (w2 - omega_b**2)
-    if wc2 <= 0.0:
-        raise PoleAtOmega(
-            f"requested motif mode {mode_freq:.6g} needs an imaginary hub frequency"
-        )
-    return float(np.sqrt(wc2))
-
-
-def embedding_residuals(
-    net: NetworkSpec,
-    a: int,
-    b: int,
-    c: int,
-    mode_freq: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """How strongly each external node breaks a motif's frozen mode.
-
-    The motif eigenvector has branch weights u_a/u_c = lam_ac/(W^2-w_a^2)
-    (same for b); external node j couples to it with residual
-    r_j = u_a lam_aj + u_b lam_bj + lam_cj (u_c = 1).  Returns the
-    external node indices and their residuals.
-    """
-    w2 = mode_freq**2
-    lam = net.coupling
-    for idx in (a, b):
-        if abs(w2 - net.omega[idx] ** 2) < POLE_RTOL * max(w2, net.omega[idx] ** 2):
-            raise PoleAtOmega(
-                f"mode frequency {mode_freq:.6g} sits on the pole of node {idx}"
-            )
-    u_a = lam[a, c] / (w2 - net.omega[a] ** 2)
-    u_b = lam[b, c] / (w2 - net.omega[b] ** 2)
-    external = np.array([j for j in range(net.n) if j not in (a, b, c)], dtype=np.int64)
-    residuals = u_a * lam[a, external] + u_b * lam[b, external] + lam[c, external]
-    return external, residuals

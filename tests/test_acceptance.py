@@ -266,10 +266,19 @@ def test_08_tuned_motif(capsys):
     sigma = rep.frozen[0]
     mode_freq = float(dec.freqs[sigma])
     a, c, b = MOTIF
-    resid_motif = abs(on.motif_frozen_residual(
-        net.omega[a], net.omega[b], net.coupling[a, c], net.coupling[b, c], mode_freq))
-    _, resid_embed = on.embedding_residuals(net, a, b, c, mode_freq)
-    resid_embed = float(np.abs(resid_embed).max())
+    # closed forms: branch amplitudes u_x = lam_xc / (W^2 - w_x^2) against a
+    # unit hub cancel the common-bath weight, and every external node j
+    # sees u_a lam_aj + u_b lam_bj + lam_cj of the motif mode
+    w2 = mode_freq**2
+    u_a = net.coupling[a, c] / (w2 - net.omega[a] ** 2)
+    u_b = net.coupling[b, c] / (w2 - net.omega[b] ** 2)
+    resid_motif = abs(u_a + u_b + 1.0)
+    external = [j for j in range(net.n) if j not in MOTIF]
+    resid_embed = float(np.abs(u_a * net.coupling[a, external] + u_b * net.coupling[b, external]
+                               + net.coupling[c, external]).max())
+    # the bordered pencil puts the hub back at the shipped frequency
+    tuned = on.find_sync_parameter(net, ("omega", c), (1.45, 1.55), NETWORK_BATH)
+    hub_err = abs(tuned.value / net.omega[c] - 1.0)
 
     state = on.initial_state(net, mean_q=alternating(15))
     coarse = on.evolve(state, dec, np.array([0.0, 20000.0]), method="exact")
@@ -282,12 +291,14 @@ def test_08_tuned_motif(capsys):
     series = on.pair_measure_series(late, measure="discord", pairs=pairs)
     ratio = float(np.nanmean(series.values[:, :3]) / np.nanmean(series.values[:, 3:]))
 
-    ok = resid_motif < 1e-8 and resid_embed < 1e-8 and s_min > 0.9 and ratio >= 10.0
+    ok = (resid_motif < 1e-8 and resid_embed < 1e-8 and hub_err < 1e-12
+          and s_min > 0.9 and ratio >= 10.0)
     report(capsys, "08 tuned motif", ok,
-           f"residuals {resid_motif:.1e}/{resid_embed:.1e}, min S_motif {s_min:.4f}, "
-           f"tuned/untuned discord ratio {ratio:.0f}")
+           f"residuals {resid_motif:.1e}/{resid_embed:.1e}, pencil hub off by {hub_err:.1e}, "
+           f"min S_motif {s_min:.4f}, tuned/untuned discord ratio {ratio:.0f}")
     assert resid_motif < 1e-8
     assert resid_embed < 1e-8
+    assert hub_err < 1e-12
     assert s_min > 0.9
     assert ratio >= 10.0
 

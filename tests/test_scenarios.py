@@ -97,6 +97,8 @@ class TestLoadConfig:
         lambda t: t.replace("window = 2.0", "window = -1"),
         lambda t: t.replace("method = exact", "method = rk4"),
         lambda t: t.replace("method = exact", "decimation = 4\nmethod = exact"),
+        # the [analysis] section itself is the switch
+        lambda t: t.replace("window = 2.0", "window = 2.0\nenabled = false"),
     ])
     def test_rejects_bad_configs(self, tmp_path, mangle):
         with pytest.raises(ConfigError):
@@ -238,6 +240,15 @@ class TestRunSimulate:
         with open(os.path.join(out, "summary.txt")) as fh:
             assert f"analysis window: {on.csvio.fmt(pearson.window)}" in fh.read()
 
+    def test_without_analysis_writes_trajectory_only(self, tmp_path):
+        text = CHAIN_INI.replace("[analysis]\nwindow = 2.0\n\n", "")
+        cfg = on.load_config(write_ini(tmp_path, text))
+        assert cfg.analysis is None
+        out = on.run_simulate(cfg, out_dir=str(tmp_path / "run"))
+        assert sorted(os.listdir(out)) == ["summary.txt", "trajectory.csv"]
+        with open(os.path.join(out, "summary.txt")) as fh:
+            assert "analysis window" not in fh.read()
+
     def test_random_network_seed_override(self, tmp_path):
         text = CHAIN_INI.replace(
             "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4",
@@ -328,9 +339,6 @@ cutoff = 50.0
 [time]
 t_end = 5.0
 
-[analysis]
-enabled = false
-
 [tuning]
 parameter = omega 3
 bracket = 0.9 1.15
@@ -409,8 +417,10 @@ class TestCli:
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nsqueeze_r = 400"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = 1e300"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = 1e300 0.0 1.0"),
+        ("temperature = 10.0", "temperature = 1e300"),
     ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge",
-            "sync_subset", "thermal_n", "squeeze_r", "huge_thermal_n", "huge_mean_q"])
+            "sync_subset", "thermal_n", "squeeze_r", "huge_thermal_n", "huge_mean_q",
+            "huge_temperature"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         assert preset.count(old) == 1
@@ -472,7 +482,8 @@ class TestCli:
         assert not os.path.exists(tmp_path / "s" / "map.csv")
 
     def test_sweep_without_analysis_exit_code(self, tmp_path, capsys):
-        text = CHAIN_INI.replace("window = 2.0", "enabled = false")
+        text = CHAIN_INI.replace("[analysis]\nwindow = 2.0\n\n", "")
+        assert "[analysis]" not in text
         path = write_ini(tmp_path, text + TestRunSweep.SWEEP_TAIL)
         out = tmp_path / "s"
         assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG
@@ -496,9 +507,6 @@ class TestCli:
             [time]
             t_end = 5.0
 
-            [analysis]
-            enabled = false
-
             [tuning]
             parameter = omega 6
             bracket = 1.6 1.7
@@ -507,6 +515,15 @@ class TestCli:
         assert main(["tune", "--config", path, "--out", str(out)]) == EXIT_NUMERIC
         assert not out.exists()
         assert "NoZeroInBracket" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "tune", "spectrum"])
+    def test_workers_only_on_sweep(self, tmp_path, capsys, command):
+        path = write_ini(tmp_path, CHAIN_INI)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(out), "--workers", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_sweep_workers_flag(self, tmp_path, capsys):
         path = write_ini(tmp_path, CHAIN_INI + TestRunSweep.SWEEP_TAIL)

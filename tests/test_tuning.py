@@ -2,14 +2,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 import oscnet as on
-from oscnet.errors import (
-    NoDominantMode,
-    NoZeroInBracket,
-    PoleAtOmega,
-)
+from oscnet.errors import NoDominantMode, NoZeroInBracket
 from oscnet.spectral import BathConfig
 
 
@@ -163,7 +158,7 @@ class TestClosedFormRoots:
         ini.write_text(
             f"[network]\nsource = file\npath = {net_path}\n\n"
             "[bath]\nkind = common\ngamma = 0.01\ntemperature = 10.0\ncutoff = 50.0\n\n"
-            "[time]\nt_end = 5.0\n\n[analysis]\nenabled = false\n\n"
+            "[time]\nt_end = 5.0\n\n"
             "[tuning]\nparameter = omega 6\nbracket = 0.8 1.4\n"
         )
         on.run_tune(on.load_config(str(ini)), out_dir=str(tmp_path / "out"))
@@ -236,59 +231,53 @@ class TestEstimateSyncTimes:
 
 
 class TestMotifFormulas:
+    """A three-node motif (branches 0 and 1, hub 2) frozen by the pencil.
+
+    The branch amplitudes u_x = lam_xc / (W^2 - w_x^2) of a motif mode at
+    W against a unit hub amplitude give the closed forms used as oracles:
+    the common-bath weight u_a + u_b + 1 and the hub eigenvalue condition
+    w_c^2 = W^2 - lam_ac^2 / (W^2 - w_a^2) - lam_bc^2 / (W^2 - w_b^2).
+    """
+
     OMEGA_A, OMEGA_B = 1.0, 1.3
     LAM_AC, LAM_BC = -0.09, -0.11
 
-    def tuned_motif(self):
-        """Root of the residual in (omega_b, 2), plus the matching hub."""
-        f = lambda w: on.motif_frozen_residual(
-            self.OMEGA_A, self.OMEGA_B, self.LAM_AC, self.LAM_BC, w
-        )
-        target = scipy.optimize.brentq(f, 1.31, 1.9, xtol=1e-14)
-        omega_c = on.motif_hub_frequency(
-            self.OMEGA_A, self.OMEGA_B, self.LAM_AC, self.LAM_BC, target
-        )
+    def tuned_motif(self, bath):
+        """The motif with its hub tuned by the pencil, and the frozen Omega."""
         coupling = np.zeros((3, 3))
         coupling[0, 2] = coupling[2, 0] = self.LAM_AC
         coupling[1, 2] = coupling[2, 1] = self.LAM_BC
-        net = on.build_network(
-            np.array([self.OMEGA_A, self.OMEGA_B, omega_c]), coupling
-        )
-        return net, target
+        net = on.build_network(np.array([self.OMEGA_A, self.OMEGA_B, 1.5]), coupling)
+        res = on.find_sync_parameter(net, ("omega", 2), (1.2, 1.4), bath)
+        return net.with_omega(2, res.value), res.mode_freq
 
-    def test_residual_formula(self):
-        w = 1.6
-        got = on.motif_frozen_residual(self.OMEGA_A, self.OMEGA_B,
-                                       self.LAM_AC, self.LAM_BC, w)
-        expected = (self.LAM_AC / (w**2 - self.OMEGA_A**2)
+    def test_residual_formula(self, common_bath):
+        _, w = self.tuned_motif(common_bath)
+        residual = (self.LAM_AC / (w**2 - self.OMEGA_A**2)
                     + self.LAM_BC / (w**2 - self.OMEGA_B**2) + 1.0)
-        assert got == pytest.approx(expected, rel=1e-14)
+        assert abs(residual) < 1e-12
 
-    def test_hub_frequency_places_eigenmode(self):
-        net, target = self.tuned_motif()
-        dec = on.diagonalize(net)
-        k = int(np.argmin(np.abs(dec.freqs - target)))
-        assert dec.freqs[k] == pytest.approx(target, abs=1e-10)
+    def test_hub_frequency_places_eigenmode(self, common_bath):
+        net, w = self.tuned_motif(common_bath)
+        w2 = w**2
+        hub2 = (w2 - self.LAM_AC**2 / (w2 - self.OMEGA_A**2)
+                - self.LAM_BC**2 / (w2 - self.OMEGA_B**2))
+        assert net.omega[2] == pytest.approx(np.sqrt(hub2), rel=1e-12)
 
     def test_tuned_motif_mode_is_frozen(self, common_bath):
-        net, target = self.tuned_motif()
+        net, target = self.tuned_motif(common_bath)
         dec = on.effective_couplings(on.diagonalize(net), common_bath)
         k = int(np.argmin(np.abs(dec.freqs - target)))
+        assert dec.freqs[k] == pytest.approx(target, abs=1e-10)
         assert abs(dec.eff_coupling[k]) < 1e-10
-
-    def test_pole_guards(self):
-        with pytest.raises(PoleAtOmega):
-            on.motif_frozen_residual(1.0, 1.3, -0.1, -0.1, 1.0)
-        with pytest.raises(PoleAtOmega):
-            on.motif_hub_frequency(1.0, 1.3, -0.1, -0.1, 1.3)
-        # a mode too close to a deep branch pole would need omega_c^2 < 0
-        with pytest.raises(PoleAtOmega):
-            on.motif_hub_frequency(1.0, 1.3, -0.9, -0.9, 1.0 + 1e-4)
+        assert on.frozen_mode_report(dec, common_bath).frozen == (k,)
 
 
 class TestEmbeddingResiduals:
-    def build_embedded(self, rewire):
-        motif, target = TestMotifFormulas().tuned_motif()
+    """External node j breaks the motif mode by u_a lam_aj + u_b lam_bj + lam_cj."""
+
+    def build_embedded(self, rewire, bath):
+        motif, target = TestMotifFormulas().tuned_motif(bath)
         n = 5
         omega = np.concatenate([motif.omega, [1.45, 1.7]])
         lam = np.zeros((n, n))
@@ -299,40 +288,34 @@ class TestEmbeddingResiduals:
             lam[1, j] = lam[j, 1] = links[1]
             lam[2, j] = lam[j, 2] = links[2]
         lam[3, 4] = lam[4, 3] = -0.03
+        w2 = target**2
+        u_a = lam[0, 2] / (w2 - omega[0] ** 2)
+        u_b = lam[1, 2] / (w2 - omega[1] ** 2)
         if rewire:
-            w2 = target**2
-            u_a = lam[0, 2] / (w2 - omega[0] ** 2)
-            u_b = lam[1, 2] / (w2 - omega[1] ** 2)
             for j in (3, 4):
                 lam[2, j] = lam[j, 2] = -(u_a * lam[0, j] + u_b * lam[1, j])
-        return on.build_network(omega, lam), target
+        residuals = u_a * lam[0, 3:] + u_b * lam[1, 3:] + lam[2, 3:]
+        return on.build_network(omega, lam), target, np.array([u_a, u_b, 1.0]), residuals
 
-    def test_residual_values(self):
-        net, target = self.build_embedded(rewire=False)
-        external, res = on.embedding_residuals(net, 0, 1, 2, target)
-        assert list(external) == [3, 4]
-        w2 = target**2
-        u_a = net.coupling[0, 2] / (w2 - net.omega[0] ** 2)
-        u_b = net.coupling[1, 2] / (w2 - net.omega[1] ** 2)
-        for k, j in enumerate((3, 4)):
-            expected = (u_a * net.coupling[0, j] + u_b * net.coupling[1, j]
-                        + net.coupling[2, j])
-            assert res[k] == pytest.approx(expected, rel=1e-13)
+    def test_residual_values(self, common_bath):
+        # the residuals are the external rows of (H - W^2) acting on the
+        # motif vector; its motif rows vanish, and nothing stays frozen
+        net, target, motif_vec, res = self.build_embedded(False, common_bath)
+        vec = np.concatenate([motif_vec, np.zeros(2)])
+        hv = (on.hamiltonian_matrix(net) - target**2 * np.eye(5)) @ vec
+        assert np.max(np.abs(hv[:3])) < 1e-14
+        np.testing.assert_allclose(hv[3:], res, rtol=1e-13)
         assert np.any(np.abs(res) > 1e-3)
+        dec = on.analyze(net, common_bath)
+        assert on.frozen_mode_report(dec, common_bath).frozen == ()
 
     def test_rewired_embedding_freezes_mode(self, common_bath):
         # zero residuals must give the full network an exact eigenmode at
         # the motif frequency with vanishing common-bath weight
-        net, target = self.build_embedded(rewire=True)
-        external, res = on.embedding_residuals(net, 0, 1, 2, target)
+        net, target, _, res = self.build_embedded(True, common_bath)
         assert np.max(np.abs(res)) < 1e-15
         dec = on.effective_couplings(on.diagonalize(net), common_bath)
         k = int(np.argmin(np.abs(dec.freqs - target)))
         assert dec.freqs[k] == pytest.approx(target, abs=1e-10)
         assert abs(dec.eff_coupling[k]) < 1e-10
         assert np.max(np.abs(dec.modes[3:, k])) < 1e-10
-
-    def test_pole_guard(self):
-        net, _ = self.build_embedded(rewire=False)
-        with pytest.raises(PoleAtOmega):
-            on.embedding_residuals(net, 0, 1, 2, float(net.omega[0]))
