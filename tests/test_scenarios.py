@@ -38,6 +38,8 @@ window = 2.0
 [output]
 directory = out
 """
+CHAIN_INI_NO_ANALYSIS = CHAIN_INI.replace("[analysis]\nwindow = 2.0\n\n", "")
+assert "[analysis]" not in CHAIN_INI_NO_ANALYSIS
 
 
 def write_ini(tmp_path, text, name="scenario.ini"):
@@ -241,8 +243,7 @@ class TestRunSimulate:
             assert f"analysis window: {on.csvio.fmt(pearson.window)}" in fh.read()
 
     def test_without_analysis_writes_trajectory_only(self, tmp_path):
-        text = CHAIN_INI.replace("[analysis]\nwindow = 2.0\n\n", "")
-        cfg = on.load_config(write_ini(tmp_path, text))
+        cfg = on.load_config(write_ini(tmp_path, CHAIN_INI_NO_ANALYSIS))
         assert cfg.analysis is None
         out = on.run_simulate(cfg, out_dir=str(tmp_path / "run"))
         assert sorted(os.listdir(out)) == ["summary.txt", "trajectory.csv"]
@@ -482,9 +483,7 @@ class TestCli:
         assert not os.path.exists(tmp_path / "s" / "map.csv")
 
     def test_sweep_without_analysis_exit_code(self, tmp_path, capsys):
-        text = CHAIN_INI.replace("[analysis]\nwindow = 2.0\n\n", "")
-        assert "[analysis]" not in text
-        path = write_ini(tmp_path, text + TestRunSweep.SWEEP_TAIL)
+        path = write_ini(tmp_path, CHAIN_INI_NO_ANALYSIS + TestRunSweep.SWEEP_TAIL)
         out = tmp_path / "s"
         assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
