@@ -13,6 +13,8 @@ import os
 import numpy as np
 
 _FORMAT = "%.12g"
+#: Rows whose varying cells are copied out and formatted together.
+_ROW_BLOCK = 64
 
 
 def fmt(x) -> str:
@@ -25,14 +27,31 @@ def _open(path):
     return open(path, "w", newline="\n")
 
 
+def _constant_columns(table) -> np.ndarray:
+    """Columns whose float64 bits are the same in every row (none if no rows)."""
+    bits = table.view(np.uint64)
+    return bits.min(axis=0, initial=np.iinfo(np.uint64).max) == bits.max(axis=0, initial=0)
+
+
 def _write_table(path, header, columns) -> None:
-    """Header line, then one "%.12g" row per row of the stacked columns."""
+    """Header line, then one "%.12g" row per row of the stacked columns.
+
+    A column whose float64 bits are the same in every row (so 0.0 and -0.0
+    do not match) is formatted once, into the row template; only the other
+    columns go through "%", a block of _ROW_BLOCK rows at a time.  The
+    bytes are those of formatting every cell.
+    """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    line = ",".join([_FORMAT] * table.shape[1]) + "\n"
+    constant = _constant_columns(table)
+    line = ",".join(
+        fmt(table[0, k]).replace("%", "%%") if constant[k] else _FORMAT
+        for k in range(table.shape[1])
+    ) + "\n"
     with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(line % tuple(row.tolist()))
+        for start in range(0, table.shape[0], _ROW_BLOCK):
+            for row in table[start:start + _ROW_BLOCK, ~constant].tolist():
+                fh.write(line % tuple(row))
 
 
 def write_trajectory(path, traj) -> None:

@@ -9,21 +9,24 @@ dynamics decouples into independently damped modes: means drift with
 ``[[-G/2, 1], [-W^2, -G/2]]`` per mode and the covariance obeys a
 Lyapunov equation with diagonal diffusion.  The system is linear and
 time-invariant, so it is solved in closed form and reported straight in
-the node basis: the propagator M(t) = U E(t), with U = blockdiag(F, F)
-the normal-mode transform and E(t) each mode's damped rotation, is built
-for a chunk of stored times at a time.  There is no step and no
-accumulated stepping error, and the stored times need not be uniform.
-The covariance is never formed as a congruence: with L the Cholesky
-factor of the mode-basis initial covariance, Z(t) = [M(t) L, U Delta(t)^{1/2}]
-is a square-root factor of it (Delta(t) the diagonal relaxation towards
-the stationary covariance), so each entry is a dot product of two rows
-of Z, and only the rows a caller reads are computed.  A trajectory keeps
-the means, each node's 2x2 block and the energy, all O(T n); its
-(2n, 2n) covariances are recomputed, from the same factor, for the times
-and rows a caller indexes, so memory does not grow as T n^2.  Each mode's
-map is a thermal attenuator, completely positive when D >= G W
-(Heinosaari, Holevo & Wolf, QIC 10, 619 (2010)), so a physical initial
-state stays physical at every stored time.
+the node basis: the propagator is U E(t), with U = blockdiag(F, F) the
+normal-mode transform and E(t) each mode's damped rotation.  There is no
+step and no accumulated stepping error, and the stored times need not be
+uniform.  The covariance is never formed as a congruence: with L the
+Cholesky factor of the mode-basis initial covariance, E(t) L is built for
+every mode and a chunk of stored times at once, and F maps it onto the
+node rows a caller reads, one matrix product per quadrature half.  The
+relaxation towards the stationary covariance, diag(D phi / W^2, D phi) in
+the mode basis, has no q-p terms and is added apart: F diag(D phi / W^2)
+F^T to the q-q block and F diag(D phi) F^T to the p-p block.  Each entry
+is thus a dot product of two node factor rows, plus, within a half, two
+rows of F weighted per mode.  A trajectory keeps the means, each node's
+2x2 block and the energy, all O(T n); its (2n, 2n) covariances are
+recomputed, the same way, for the times and rows a caller indexes, so
+memory does not grow as T n^2.  Each mode's map is a thermal attenuator,
+completely positive when D >= G W (Heinosaari, Holevo & Wolf, QIC 10,
+619 (2010)), so a physical initial state stays physical at every stored
+time.
 
 :func:`evolve_node_reference` propagates the same physics straight in
 the node basis as one dense 2n-dimensional system, advancing each stored
@@ -51,9 +54,9 @@ from .errors import (
 from .network import NetworkSpec, hamiltonian_matrix
 from .spectral import ModeDecomposition, _frozen_mask
 
-#: Most propagator entries one time chunk of the moments holds.  A chunk's
-#: propagator and square-root factor (twice as wide) then stay within a
-#: core's L2 cache, and no (T, 2n, 2n) stack is allocated at any T.
+#: Most entries of E(t) L, (2n)^2 per time, one time chunk of the moments
+#: holds.  That and the chunk's node factor (at most as large) then stay
+#: within a core's L2 cache, and no (T, 2n, 2n) stack is allocated at any T.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -240,47 +243,82 @@ def _relaxation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
     return np.where(g > 0.0, -np.expm1(-g * times[:, None]) / (2.0 * g_safe), 0.5 * times[:, None])
 
 
-def _square_root(decomp: ModeDecomposition, chol: np.ndarray, times: np.ndarray, rows: np.ndarray):
-    """Rows of the propagator M(t), shape (T, r, 2n), and of a square-root
-    factor Z(t) of the node covariance, shape (T, r, 4n).
+def _rotation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
+    """Each mode's damped rotation E(t) per time, shape (n, 2, T, 2).
 
-    rows are sorted indices of the node quadratures (q_1..q_n, p_1..p_n).
-    M(t) = U E(t), with U = blockdiag(F, F) and E(t) each mode's damped
-    rotation [[cos, sin / W], [-W sin, cos]] e^{-G t / 2}, so a q row of
-    M(t) is its row of F, twice, scaled by (cos, sin / W) and a p row by
-    (-W sin, cos).  chol is the Cholesky factor L of the mode-basis
-    initial covariance, and Z(t) = [M(t) L, U Delta(t)^{1/2}], with
-    Delta(t) the driven covariance of :func:`_relaxation`, so that the
-    covariance is Z Z^T.  Each row of Z comes from its own elementwise
-    products and one matrix product per time, so its bits do not depend
-    on the other rows or times evaluated with it.
+    [m, 0, t] holds E's q row for mode m, e^{-G t / 2} (cos W t, sin W t / W),
+    and [m, 1, t] its p row, e^{-G t / 2} (-W sin W t, cos W t): the
+    coefficients of the mode's (q, p) pair in its quadratures at time t.
+    """
+    w = decomp.freqs[:, None]
+    decay = np.exp(-0.5 * decomp.damping[:, None] * times)
+    phase = w * times
+    coef = np.empty((decomp.n, 2, times.shape[0], 2))
+    cos = np.multiply(np.cos(phase), decay, out=coef[:, 0, :, 0])
+    coef[:, 1, :, 1] = cos
+    sin = np.multiply(np.sin(phase, out=phase), decay, out=decay)
+    np.divide(sin, w, out=coef[:, 0, :, 1])
+    np.multiply(-w, sin, out=coef[:, 1, :, 0])
+    return coef
+
+
+def _square_root(decomp: ModeDecomposition, chol: np.ndarray, coef: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """Rows of the node factor z = U E(t) L for a chunk of times, shape (r, T, 2n).
+
+    rows are sorted node quadrature indices (q_1..q_n, p_1..p_n), coef is
+    the chunk's :func:`_rotation` and chol = [L_q; L_p] the Cholesky factor
+    of the mode-basis initial covariance.  X = E(t) L is one (T, 2) by
+    (2, 2n) product per mode and half; z_q = F_q X_q and z_p = F_p X_p are
+    one matrix product each over the chunk's (n, T 2n) layout.  z z^T is
+    the covariance less its driven part (:func:`_driven`).
     """
     n = decomp.n
-    w = decomp.freqs
     nq = np.searchsorted(rows, n)
-    f_q = decomp.modes[rows[:nq]]
-    f_p = decomp.modes[rows[nq:] - n]
-    decay = np.exp(-0.5 * times[:, None] * decomp.damping[None, :])
-    cos = np.cos(times[:, None] * w[None, :]) * decay
-    sin = np.sin(times[:, None] * w[None, :]) * decay
-    prop = np.empty((times.shape[0], rows.shape[0], 2 * n))
-    np.multiply(np.tile(f_q, 2), np.hstack([cos, sin / w])[:, None, :], out=prop[:, :nq])
-    np.multiply(np.tile(f_p, 2), np.hstack([-w * sin, cos])[:, None, :], out=prop[:, nq:])
-    z = np.empty((times.shape[0], rows.shape[0], 4 * n))
-    np.matmul(prop, chol, out=z[..., : 2 * n])
-    root = np.sqrt(decomp.diffusion * _relaxation(decomp, times))[:, None, :]
-    np.multiply(f_q, root / w, out=z[:, :nq, 2 * n : 3 * n])
-    z[:, :nq, 3 * n :] = 0.0
-    z[:, nq:, 2 * n : 3 * n] = 0.0
-    np.multiply(f_p, root, out=z[:, nq:, 3 * n :])
-    return prop, z
+    f = decomp.modes[rows % n]
+    # each mode's rows [L_q; L_p], shape (n, 1, 2, 2n), under its coefficients
+    per_mode = chol.reshape(2, n, 1, 2 * n).transpose(1, 2, 0, 3)
+    x = np.matmul(coef, per_mode).reshape(n, 2, -1)
+    z = np.empty((rows.shape[0], x.shape[-1]))
+    np.matmul(f[:nq], x[:, 0], out=z[:nq])
+    np.matmul(f[nq:], x[:, 1], out=z[nq:])
+    return z.reshape(rows.shape[0], coef.shape[2], 2 * n)
+
+
+def _node_means(decomp: ModeDecomposition, coef: np.ndarray, mean0: np.ndarray) -> np.ndarray:
+    """Node means F E(t) m0 at the times of coef (:func:`_rotation`), shape (T, 2n).
+
+    E(t) m0 is formed per mode and half, then F takes each half onto the
+    nodes in one matrix product over all times.
+    """
+    n = decomp.n
+    mode_means = (coef @ mean0.reshape(2, n).T[:, None, :, None])[..., 0]
+    means = np.empty((coef.shape[2], 2 * n))
+    np.matmul(mode_means[:, 0].T, decomp.modes.T, out=means[:, :n])
+    np.matmul(mode_means[:, 1].T, decomp.modes.T, out=means[:, n:])
+    means += 0.0  # -0.0 + 0.0 is +0.0, so a zero mean prints as 0
+    return means
+
+
+def _driven(decomp: ModeDecomposition, times: np.ndarray):
+    """Driven mode-basis covariance diag(D phi / W^2, D phi) per time
+    (:func:`_relaxation`), as its q and p halves, each shape (T, n).  With
+    no q-p terms, it adds to a q-q or p-p node entry the per-mode product
+    of the two rows of F dotted with its half, and nothing to a q-p entry.
+    """
+    dphi = decomp.diffusion * _relaxation(decomp, times)
+    return dphi / decomp.freqs**2, dphi
 
 
 def _time_chunks(count: int, width: int):
     """Consecutive slices over count times, each holding at most
-    _CHUNK_ELEMENTS entries when a time holds width of them."""
-    step = max(1, _CHUNK_ELEMENTS // width)
-    return (slice(start, start + step) for start in range(0, count, step))
+    _CHUNK_ELEMENTS entries when a time holds width of them, and at least
+    two times (the last may hold one more time than that): for a lone time
+    :func:`_square_root` would take numpy's matrix-vector product, whose
+    rounding differs from a row of the matrix product."""
+    step = max(2, _CHUNK_ELEMENTS // width)
+    bounds = [*range(0, count - 1, step), count]
+    return (slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
 
 
 class _CovarianceView:
@@ -289,12 +327,22 @@ class _CovarianceView:
     The first index picks times (an int, a slice, or an int or bool
     array).  When the row and column indices after it are both integers or
     integer arrays, only the quadrature rows they read are evaluated, so
-    ``covs[::s, r[:, None], r[None, :]]`` computes len(r) rows of the
-    factor per time instead of 2n; any other key evaluates every row.  The entries are row dot products
-    of the factor of :func:`_square_root`, worked through in time chunks
-    into a fresh array, and are bit for bit those of ``np.asarray(view)``,
-    which evaluates every time.  Nothing is cached, so memory holds only
-    what the caller asked for.
+    ``covs[::s, r[:, None], r[None, :]]`` computes len(r) rows of the node
+    factor per time instead of 2n; any other key evaluates every row.
+    Reading r rows costs one E(t) L per chunk of times ((2n)^2 entries per
+    time), then r n 2n multiply-adds per time for the rows of the node
+    factor of :func:`_square_root` and r^2 2n for their dot products, plus
+    the driven part of :func:`_driven` within the q rows and within the p
+    rows.  Entries go, a time chunk at a time, into a fresh array, and
+    nothing is cached.
+
+    They are bit for bit those of ``np.asarray(view)`` wherever numpy's
+    matrix product rounds an entry whatever the product's shape, so a lone
+    q or p row, or a lone time, which would take a matrix-vector product,
+    is read with every row or evaluated twice.  With OpenBLAS's Haswell
+    kernels the shape does not matter for n < 16 or 2n a multiple of 8;
+    otherwise (n = 17, say) an entry read among other rows or times can
+    differ in its last bit.
     """
 
     def __init__(self, decomp: ModeDecomposition, chol: np.ndarray, rel: np.ndarray):
@@ -312,9 +360,10 @@ class _CovarianceView:
         if len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest):
             row, col = every[rest[0]], every[rest[1]]
             rows = np.union1d(row, col)
-            # One row would take numpy's matrix-vector product, whose
-            # rounding differs from a row of the matrix product.
-            if rows.shape[0] != 1:
+            nq = np.searchsorted(rows, self.shape[-1] // 2)
+            # A lone q or p row would take numpy's matrix-vector product,
+            # whose rounding differs from a row of the matrix product.
+            if 1 not in (nq, rows.shape[0] - nq):
                 return rows, (np.searchsorted(rows, row), np.searchsorted(rows, col))
         return every, rest
 
@@ -322,15 +371,26 @@ class _CovarianceView:
         first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
         picked = np.arange(self.shape[0])[first]
         rows, rest = self._rows_read(rest)
+        nq = np.searchsorted(rows, self._decomp.n)
         rel = self._rel[picked.ravel()]
+        if rel.shape[0] == 1:  # a lone time is evaluated twice (see _time_chunks)
+            rel = np.repeat(rel, 2)
+        coef = _rotation(self._decomp, rel)
         out = np.empty((rel.shape[0], rows.shape[0], rows.shape[0]))
-        for chunk in _time_chunks(rel.shape[0], rows.shape[0] * self.shape[-1]):
-            z = _square_root(self._decomp, self._chol, rel[chunk], rows)[1]
-            out[chunk] = np.einsum("tak,tbk->tab", z, z)
+        for chunk in _time_chunks(rel.shape[0], self.shape[-1] ** 2):
+            z = _square_root(self._decomp, self._chol, coef[:, :, chunk], rows)
+            np.einsum("atk,btk->tab", z, z, out=out[chunk])
+        n = self._decomp.n
+        for (lo, hi), weight in zip(((0, nq), (nq, rows.shape[0])), _driven(self._decomp, rel)):
+            f = self._decomp.modes[rows[lo:hi] % n]
+            pairs = (f[:, None, :] * f[None, :, :]).reshape(-1, n)
+            block = out[:, lo:hi, lo:hi]
+            block += np.einsum("tm,pm->tp", weight, pairs).reshape(block.shape)
         # An index array for the times broadcasts with the trailing ones, as
         # it would on an array.
-        lead = slice(None) if isinstance(first, slice) else np.arange(rel.shape[0]).reshape(picked.shape)
-        return out[(lead,) + rest]
+        lead = np.arange(picked.size).reshape(picked.shape)
+        out = out[: picked.size]
+        return out[(slice(None) if isinstance(first, slice) else lead,) + rest]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = self[:]
@@ -365,21 +425,21 @@ def evolve(
     (stored verbatim in the trajectory); their spacing is free.  Every
     stored time is evaluated in closed form from the initial state, so
     ``method`` accepts only ``"exact"``: with the initial moments m0, S0
-    rotated into the normal-mode basis and M(t) = U E(t) the node-from-mode
-    propagator, the means are M m0 and the covariances M S0 M^T plus the
-    relaxation towards the stationary covariance, F diag(D phi / W^2) F^T
+    rotated into the normal-mode basis and U E(t) the node-from-mode
+    propagator, the means are U E m0 and the covariances U E S0 E^T U^T plus
+    the relaxation towards the stationary covariance, F diag(D phi / W^2) F^T
     in the q block and F diag(D phi) F^T in the p block.  Only the initial
     state and the mode channel are checked, once (PhysicalityViolation);
     complete positivity then keeps every stored covariance physical.
 
-    The covariance is never formed: with S0 = L L^T, Z(t) = [M L, U
-    Delta^{1/2}] is a square-root factor of it, and each node's block
-    (var_q, var_p, cov_qp) is three dot products of its q and p rows of Z.
-    The energy comes from each mode's own 2x2 moments.  The times are
-    worked through in chunks of at most _CHUNK_ELEMENTS propagator
-    entries, and a non-finite moment raises IntegratorStepFailure.  The
-    trajectory's ``covs`` recomputes, from the same factor, the entries
-    it is indexed with.
+    The covariance is never formed: with S0 = L L^T, each node's block
+    (var_q, var_p, cov_qp) is three dot products of its q and p rows of the
+    node factor U E(t) L (:func:`_square_root`), plus its entries of the
+    relaxation (:func:`_driven`), in time chunks of at most _CHUNK_ELEMENTS
+    entries of E(t) L.  The means come from :func:`_node_means` and the
+    energy from each mode's own 2x2 moments.  A non-finite moment raises
+    IntegratorStepFailure.  The trajectory's ``covs`` recomputes, the same
+    way, the entries it is indexed with.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -402,19 +462,20 @@ def evolve(
     _check_physical(cov0, decomp)
     chol = np.linalg.cholesky(cov0)
     rel = times - times[0]
+    energy = _mode_energy(decomp, mean0, cov0, rel)
+    coef = _rotation(decomp, rel)
+    means = _node_means(decomp, coef, mean0)
     rows = np.arange(2 * n)
-    means = np.empty((times.shape[0], 2 * n))
+    squares = decomp.modes**2
     blocks = np.empty((times.shape[0], n, 3))
     for chunk in _time_chunks(times.shape[0], (2 * n) ** 2):
-        prop, z = _square_root(decomp, chol, rel[chunk], rows)
-        zq, zp = z[:, :n], z[:, n:]
-        means[chunk] = prop @ mean0
-        blocks[chunk, :, 0] = np.einsum("tjk,tjk->tj", zq, zq)
-        blocks[chunk, :, 1] = np.einsum("tjk,tjk->tj", zp, zp)
-        blocks[chunk, :, 2] = np.einsum("tjk,tjk->tj", zq, zp)
-        if not (np.all(np.isfinite(means[chunk])) and np.all(np.isfinite(blocks[chunk]))):
-            raise IntegratorStepFailure("non-finite moments produced during integration")
-    energy = _mode_energy(decomp, mean0, cov0, rel)
+        z = _square_root(decomp, chol, coef[:, :, chunk], rows)
+        for col, (a, b) in enumerate(((z[:n], z[:n]), (z[n:], z[n:]), (z[:n], z[n:]))):
+            np.einsum("jtk,jtk->tj", a, b, out=blocks[chunk, :, col])
+        for col, weight in enumerate(_driven(decomp, rel[chunk])):
+            blocks[chunk, :, col] += np.einsum("tm,jm->tj", weight, squares)
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(blocks))):
+        raise IntegratorStepFailure("non-finite moments produced during integration")
 
     covs = _CovarianceView(decomp, chol, rel)
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)

@@ -63,11 +63,14 @@ _NETWORK_SOURCES = ("inline", "file", "random")
 #: fastest mode period.
 _STEP_FRACTION = 0.02
 #: Largest second moment <x^2> = var + mean^2 a scenario accepts, initial
-#: or stationary.  S(t) correlates <q^2> over windows and sums the squares
-#: of its deviations, so second moments near 1e154 would overflow those
-#: sums (float max 1.8e308).  1e100 leaves that margin for any window
-#: length and for the growth a mode rotation gives a node's moments.
-_MAX_SECOND_MOMENT = 1e100
+#: or stationary.  The discord kernel sets it: the branch test of
+#: measures._conditional_det_infimum, (D - AB)^2 <= (1 + B) C^2 (A + D),
+#: multiplies pair invariants to tenth order in the second moments, with
+#: prefactors up to 4 * 16 * 16 = 1024, so moments near
+#: (1.8e308 / 1024)^(1/10) = 3.3e30 overflow it (S(t), which squares <q^2>,
+#: would only overflow near 1e154).  Five decades below that leave margin
+#: for the growth a mode rotation gives a node's moments.
+_MAX_SECOND_MOMENT = 1e-5 * (np.finfo(float).max / 1024.0) ** 0.1
 
 
 @dataclass
@@ -462,7 +465,7 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     if not np.all(second <= _MAX_SECOND_MOMENT):
         raise ConfigError(
             f"[initial] a second moment reaches {second.max():.3g}; "
-            f"the windowed correlation squares them and needs at most {_MAX_SECOND_MOMENT:.0e}"
+            f"the discord kernel needs at most {_MAX_SECOND_MOMENT:.1e}"
         )
     # a damped mode relaxes to D/(2 G W^2) = coth(W/2T)/(2W) in q and
     # D/(2 G) = W coth(W/2T)/2 in p, whatever its rate
@@ -473,7 +476,7 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     if not np.all(stationary <= _MAX_SECOND_MOMENT):
         raise ConfigError(
             f"[bath] a damped mode's stationary variance reaches {stationary.max():.3g}; "
-            f"the windowed correlation needs at most {_MAX_SECOND_MOMENT:.0e}"
+            f"the discord kernel needs at most {_MAX_SECOND_MOMENT:.1e}"
         )
 
     spacing = cfg.time.step

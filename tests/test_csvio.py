@@ -228,3 +228,29 @@ def test_text_and_tables_create_their_directory(tmp_path):
     csvio.write_sweep_map(csv_path, "omega_1", np.array([[1.5, 0.0, 0.25, -0.0]]))
     with open(csv_path, "rb") as fh:
         assert fh.read() == b"omega_1,t,S,avg_discord\n1.5,0,0.25,-0\n"
+
+
+def test_constant_columns_compare_bits():
+    table = np.column_stack([
+        np.zeros(4), np.full(4, -0.0), [0.0, -0.0, 0.0, 0.0], np.full(4, np.nan),
+        np.full(4, -np.inf), np.full(4, 2.5e-7), [1.0, 1.0, 1.0, 1.0 + 2**-52],
+    ])
+    assert csvio._constant_columns(table).tolist() == [True, True, False, True, True, True, False]
+    assert csvio._constant_columns(table[:1]).all()
+    assert not csvio._constant_columns(table[:0]).any()
+
+
+@pytest.mark.parametrize("constant", [
+    np.zeros(6), np.full(6, -0.0), np.array([0.0, -0.0, 0.0, 0.0, -0.0, 0.0]),
+    np.full(6, np.nan), np.full(6, np.inf), np.full(6, -np.inf), np.full(6, 2.5e-7),
+], ids=["zero", "negative_zero", "mixed_zero", "nan", "inf", "minus_inf", "value"])
+def test_constant_columns_match_per_row_format(tmp_path, constant):
+    # a column with the same bits in every row is formatted once; the bytes
+    # must be those of the per-row "%" join, next to varying columns and
+    # when every column is constant
+    for cols in ([special((6,), 2), constant, special((6,), 5), constant, np.arange(6.0)],
+                 [constant] * 5):
+        text = same_bytes(tmp_path, csvio.write_aggregate, oracle_aggregate, *cols)
+        line = ",".join(["%.12g"] * 5) + "\n"
+        rows = np.column_stack(cols).tolist()
+        assert text.split("\n", 1)[1] == "".join(line % tuple(row) for row in rows)

@@ -345,9 +345,11 @@ class TestMomentsOnDemand:
         0, 17, -1,
         slice(None), slice(3, 50, 6), slice(None, None, -4), slice(10, 10),
         np.array([52, 0, 7, 7, 30]), np.arange(53) % 3 == 0,
-        (slice(None), slice(0, 3), slice(0, 3)), (5, 1, 4), (np.array([2, 9]), 0),
+        (slice(None), slice(0, 3), slice(0, 3)), (5, 1, 4), (5, 0, 2),
+        (np.array([2, 9]), np.array([5, 3]), 4), (np.array([2, 9]), 0),
     ], ids=["int", "int17", "negative", "all", "strided", "reversed", "empty",
-            "int_array", "bool_mask", "tuple_block", "tuple_entry", "tuple_array"])
+            "int_array", "bool_mask", "tuple_block", "tuple_entry", "tuple_q_only",
+            "tuple_p_only", "tuple_array"])
     def test_view_keys_match_stack(self, trajs, key):
         _, stack, chunked = trajs
         got = chunked.covs[key]
@@ -382,6 +384,17 @@ class TestMomentsOnDemand:
         assert np.array_equal(whole.var_q, stack[:, idx, idx])
         assert np.array_equal(whole.var_p, stack[:, n + idx, n + idx])
         assert np.array_equal(whole.cov_qp, stack[:, idx, n + idx])
+
+    def test_zero_mean_is_positive_zero(self, chain3, common_bath):
+        # a zero-mean state keeps means of exactly +0.0, so trajectory.csv
+        # prints 0 and never -0 (fig5's 34 mean columns)
+        fig5 = prepare(load_config(str(PRESETS / "fig5_entangle.ini")))
+        chain = on.initial_state(chain3, squeeze_r=[0.4, 0.0, 0.2], squeeze_angle=0.3)
+        for state, dec, times in ((chain, on.analyze(chain3, common_bath), self.TIMES),
+                                  (fig5.state0, fig5.decomp, fig5.times)):
+            assert not np.any(state.mean)
+            means = on.evolve(state, dec, times).means
+            assert np.all(means == 0.0) and not np.any(np.signbit(means))
 
     def test_non_finite_mean_raises(self, chain3, common_bath, monkeypatch):
         # the exit-3 path of the CLI: IntegratorStepFailure from the chunked pass

@@ -419,9 +419,10 @@ class TestCli:
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = 1e300"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = 1e300 0.0 1.0"),
         ("temperature = 10.0", "temperature = 1e300"),
+        ("temperature = 10.0", "temperature = 1e33"),
     ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge",
             "sync_subset", "thermal_n", "squeeze_r", "huge_thermal_n", "huge_mean_q",
-            "huge_temperature"])
+            "huge_temperature", "discord_temperature"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         assert preset.count(old) == 1
@@ -430,6 +431,22 @@ class TestCli:
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, code", [(0.99, EXIT_OK), (1.01, EXIT_CONFIG)],
+                             ids=["inside", "outside"])
+    def test_hottest_bath_at_the_moment_bound(self, tmp_path, scale, code):
+        # At T >> W a damped mode's stationary variances are T / W^2 and T,
+        # so this temperature puts the largest at scale * _MAX_SECOND_MOMENT.
+        # Inside, the run must be clean: pytest turns every overflow
+        # RuntimeWarning (the discord kernel's first) into an error.
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        freqs = scenarios.prepare(scenarios.load_config(write_ini(tmp_path, preset))).decomp.freqs
+        temperature = float(scale * scenarios._MAX_SECOND_MOMENT / max(1.0, freqs.min() ** -2))
+        path = write_ini(tmp_path, preset.replace("temperature = 10.0",
+                                                  f"temperature = {temperature!r}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == code
+        assert out.exists() == (code == EXIT_OK)
 
     RANDOM_NETWORK = ("source = random\nnodes = {nodes}\nconnect_prob = {prob}\n"
                       "freq_low = 0.9\nfreq_high = 1.2\ncoupling_mean = -0.1\n"
