@@ -10,12 +10,15 @@ pinned to one thread, which records:
 - ``evolve_s``: the in-process ``oscnet.evolve`` time, best of 3;
 - ``simulate_s``: one ``run_simulate`` call (2 pairs, analysis on, CSVs
   written to a temporary directory);
+- ``write_s``: the part of ``simulate_s`` spent in the CSV writers, timed
+  by wrapping every ``csvio.write_*`` attribute, as perfbench does;
 - ``peak_rss_mb``: the child's peak resident set.
 
 At n = 10, 20 and 40 a second fresh child makes one ``run_simulate`` call
 with ``pairs = all`` (n(n - 1)/2 pairs) and records:
 
 - ``simulate_all_pairs_s``: that call's time;
+- ``all_pairs_write_s``: the part of it spent in the CSV writers;
 - ``all_pairs_peak_rss_mb``: that child's peak resident set.
 
 Run it from the root of a source checkout; the package is imported from
@@ -102,17 +105,43 @@ def _peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
 
+def _time_writers() -> list:
+    """Wrap every ``csvio.write_*`` so that its calls add their wall time to
+    the returned one-element list.  The pipelines look the writers up on
+    the module at call time, so the wrappers see every call."""
+    from oscnet import csvio
+
+    spent = [0.0]
+
+    def timed(write):
+        def call(*args, **kwargs):
+            t0 = perf_counter()
+            try:
+                return write(*args, **kwargs)
+            finally:
+                spent[0] += perf_counter() - t0
+        return call
+
+    for name in dir(csvio):
+        if name.startswith("write_"):
+            setattr(csvio, name, timed(getattr(csvio, name)))
+    return spent
+
+
 def child_all_pairs(n: int) -> dict:
     """Time one simulate over every pair in this process."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from oscnet.scenarios import load_config, run_simulate
 
+    spent = _time_writers()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(_write_config(tmp, n, "all"))
         t0 = perf_counter()
         run_simulate(cfg, out_dir=os.path.join(tmp, "out"))
         elapsed = perf_counter() - t0
-    return {"simulate_all_pairs_s": round(elapsed, 4), "all_pairs_peak_rss_mb": _peak_rss_mb()}
+    return {"simulate_all_pairs_s": round(elapsed, 4),
+            "all_pairs_write_s": round(spent[0], 4),
+            "all_pairs_peak_rss_mb": _peak_rss_mb()}
 
 
 def child(n: int) -> dict:
@@ -124,6 +153,7 @@ def child(n: int) -> dict:
 
     import_s = perf_counter() - t0
 
+    spent = _time_writers()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(_write_config(tmp, n, "0 1; 2 3"))
         prep = prepare(cfg)
@@ -145,6 +175,7 @@ def child(n: int) -> dict:
         "import_s": round(import_s, 4),
         "evolve_s": round(best, 4),
         "simulate_s": round(simulate_s, 4),
+        "write_s": round(spent[0], 4),
         "peak_rss_mb": _peak_rss_mb(),
     }
 

@@ -71,6 +71,11 @@ _STEP_FRACTION = 0.02
 #: would only overflow near 1e154).  Five decades below that leave margin
 #: for the growth a mode rotation gives a node's moments.
 _MAX_SECOND_MOMENT = 1e-5 * (np.finfo(float).max / 1024.0) ** 0.1
+#: Largest |squeeze_r| a scenario accepts.  A squeezed node's 2x2 block has
+#: variances e^(-2r)/2 and e^(2r)/2, so its condition number is e^(4r);
+#: double precision holds the block only while that stays below
+#: 1/eps = 2^52, that is r <= ln(2^52)/4 = 9.01.
+_MAX_SQUEEZE = np.log(2.0**52) / 4.0
 
 
 @dataclass
@@ -453,6 +458,11 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
                 f"[initial] {key} has {values.shape[0]} entries; need 1 or {n}"
             )
     ib = cfg.initial  # one entry or one per node, broadcast by initial_state
+    if not np.all(np.abs(ib.squeeze_r) <= _MAX_SQUEEZE):
+        raise ConfigError(
+            f"[initial] squeeze_r reaches {np.abs(ib.squeeze_r).max():.3g}; a node block's "
+            f"condition number e^(4r) needs r <= {_MAX_SQUEEZE:.4g} in double precision"
+        )
     try:
         state0 = initial_state(
             net, mean_q=ib.mean_q, mean_p=ib.mean_p, squeeze_r=ib.squeeze_r,

@@ -6,10 +6,15 @@ format whole rows at once.
 """
 
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oscnet as on
 from oscnet import csvio
@@ -254,3 +259,98 @@ def test_constant_columns_match_per_row_format(tmp_path, constant):
         line = ",".join(["%.12g"] * 5) + "\n"
         rows = np.column_stack(cols).tolist()
         assert text.split("\n", 1)[1] == "".join(line % tuple(row) for row in rows)
+
+
+_EDGES = np.array([1e-5, 1e-4, 1e11, 1e12])
+#: Cells where a product of floats could round the 12th digit the wrong
+#: way, or misjudge the exponent: exact 12th-digit ties, one ulp either
+#: side of the notation and exponent edges, the extremes of float64, and
+#: doubles nearest 13-digit decimal ties whose scaled value m lands within
+#: 1.3e-4 of 1/2 on the side opposite the exact value's.
+HARD = np.array([
+    100000000000.5, 100000000001.5, 999999999999.5,
+    *np.nextafter(_EDGES, 0.0), *_EDGES, *np.nextafter(_EDGES, np.inf),
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    5.053969309935e-201, 4.984439889545e+222, 9.059290052425e-219, 9.054825118245e-58,
+])
+HARD = np.concatenate([HARD, -HARD])
+
+#: x = (d + f)·10^e with d a 12-digit integer and f near 1/2: the digit
+#: kernel must hand such cells to "%" or round them as "%" does.
+NEAR_TIES = st.builds(
+    lambda d, f, e: (d + f) * 10.0 ** e,
+    st.integers(10**11, 10**12 - 1),
+    st.sampled_from([0.5, 0.4999, 0.5001, 0.499, 0.501, 0.49, 0.51]),
+    st.integers(-310, 290),
+)
+
+
+def per_row(table):
+    """The body the writer must produce: the per-row "%.12g" join."""
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in table.tolist())
+
+
+def table_body(tmp_path, table):
+    path = os.path.join(tmp_path, "table.csv")
+    csvio._write_table(path, [f"c{k}" for k in range(table.shape[1])], [table])
+    with open(path, "rb") as fh:
+        header, body = fh.read().decode().split("\n", 1)
+    assert header == ",".join(f"c{k}" for k in range(table.shape[1]))
+    return body
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arrays(np.float64, st.tuples(st.integers(0, 24), st.integers(1, 8)),
+              elements=st.one_of(st.floats(), st.sampled_from(HARD), NEAR_TIES)))
+def test_random_tables_match_per_row_format(tmp_path, table):
+    # st.floats() covers the full range with nan, +-inf, +-0 and subnormals
+    assert table_body(tmp_path, table) == per_row(table)
+
+
+def test_hard_cells_match_per_row_format(tmp_path):
+    table = np.column_stack([HARD, HARD[::-1], np.roll(HARD, 5)])
+    body = table_body(tmp_path, table)
+    assert body == per_row(table)
+    # ties go to the even 12th digit, and the last one carries into 1e+12
+    assert [line.split(",")[0] for line in body.splitlines()[:3]] == [
+        "100000000000", "100000000002", "1e+12",
+    ]
+
+
+#: Rows in one block of a table with three varying columns.
+BLOCK = csvio._BLOCK_CELLS // 3
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1],
+                         ids=["0", "1", "block-1", "block", "block+1"])
+@pytest.mark.parametrize("pattern", ["vvv", "ccvvv", "vvvcc", "cvcvcvc", "ccc"],
+                         ids=["no_constant", "leading", "trailing", "everywhere", "all"])
+def test_blocks_and_constant_columns_match_per_row_format(tmp_path, rows, pattern):
+    # "v" is a varying column, "c" a constant one; constant cells are
+    # folded into the separators, and the rows stream in blocks
+    rng = np.random.default_rng(len(pattern) * 1000 + rows)
+    values = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-12, 13, (rows, 3))
+    values = np.where(rng.random((rows, 3)) < 0.1, rng.choice(np.append(HARD, SPECIAL), (rows, 3)),
+                      values)
+    constants = iter([2.5e-7, -0.0, np.nan, 123456789012.0])
+    columns, v = [], iter(values.T)
+    for kind in pattern:
+        columns.append(next(v) if kind == "v" else np.full(rows, next(constants)))
+    table = np.column_stack(columns)
+    assert table_body(tmp_path, table) == per_row(table)
+
+
+def test_digit_tables_are_built_on_first_use():
+    # importing the package and loading a config build none of the
+    # kernel's tables, so set-up time pays nothing for them
+    package = os.path.dirname(os.path.dirname(os.path.abspath(on.__file__)))
+    preset = os.path.join(package, "oscnet", "presets", "fig5_entangle.ini")
+    code = ("import oscnet.cli\nfrom oscnet import csvio\n"
+            f"from oscnet.scenarios import load_config\nload_config({preset!r})\n"
+            "assert csvio._digit_tables.cache_info().currsize == 0")
+    path = os.pathsep.join([package, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr

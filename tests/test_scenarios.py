@@ -416,13 +416,14 @@ class TestCli:
         ("window = 8.0", "window = 8.0\nsync_subset = a b"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = -1"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nsqueeze_r = 400"),
+        ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nsqueeze_r = 10"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = 1e300"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = 1e300 0.0 1.0"),
         ("temperature = 10.0", "temperature = 1e300"),
         ("temperature = 10.0", "temperature = 1e33"),
     ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge",
-            "sync_subset", "thermal_n", "squeeze_r", "huge_thermal_n", "huge_mean_q",
-            "huge_temperature", "discord_temperature"])
+            "sync_subset", "thermal_n", "squeeze_r", "squeeze_r_precision", "huge_thermal_n",
+            "huge_mean_q", "huge_temperature", "discord_temperature"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         assert preset.count(old) == 1
@@ -447,6 +448,17 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == code
         assert out.exists() == (code == EXIT_OK)
+
+    def test_largest_squeeze_runs_clean(self, tmp_path):
+        # r = ln(2^52)/4 is the largest squeeze_r prepare accepts; the run
+        # must be clean, and pytest turns every RuntimeWarning into an error
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        r = float(scenarios._MAX_SQUEEZE)
+        path = write_ini(tmp_path, preset.replace(
+            "mean_q = -1.0 0.0 1.0", f"mean_q = -1.0 0.0 1.0\nsqueeze_r = {r!r}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert out.exists()
 
     RANDOM_NETWORK = ("source = random\nnodes = {nodes}\nconnect_prob = {prob}\n"
                       "freq_low = 0.9\nfreq_high = 1.2\ncoupling_mean = -0.1\n"
