@@ -223,11 +223,9 @@ def write_trajectory(path, traj) -> None:
             f"mean_q_{j}", f"mean_p_{j}", f"var_q_{j}", f"var_p_{j}", f"cov_qp_{j}",
         ]
     header.append("total_energy")
-    per_node = np.stack(
-        [traj.mean_q, traj.mean_p, traj.var_q, traj.var_p, traj.cov_qp], axis=2
-    )
+    series = (traj.mean_q, traj.mean_p, traj.var_q, traj.var_p, traj.cov_qp)
     _write_table(path, header, [
-        traj.times, per_node.reshape(traj.times.shape[0], -1), traj.energy,
+        traj.times, *(s[:, j] for j in range(traj.n) for s in series), traj.energy,
     ])
 
 

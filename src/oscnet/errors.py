@@ -17,7 +17,7 @@ class NonSymmetricCoupling(OscnetError):
 
 
 class NonPositiveFrequency(OscnetError):
-    """A node frequency is zero or negative."""
+    """A node frequency is zero or negative, or its square overflows."""
 
 
 class NonPositiveDefinite(OscnetError):

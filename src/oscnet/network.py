@@ -44,6 +44,10 @@ __all__ = [
     "load_network",
 ]
 
+#: Bound on node frequencies: below it, omega^2, the Hamiltonian's diagonal
+#: entry, is a finite double.
+_MAX_OMEGA = np.sqrt(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -132,8 +136,10 @@ def build_network(omega, coupling) -> NetworkSpec:
         raise DimensionMismatch(
             f"coupling shape {coupling.shape} does not match {n} nodes"
         )
-    if not np.all(omega > 0.0):
-        raise NonPositiveFrequency("all node frequencies must be > 0")
+    if not np.all((omega > 0.0) & (omega < _MAX_OMEGA)):
+        raise NonPositiveFrequency(
+            f"all node frequencies must be > 0 and below {_MAX_OMEGA:.3g}, where omega^2 overflows"
+        )
     if not np.array_equal(coupling, coupling.T):
         raise NonSymmetricCoupling("coupling matrix must be exactly symmetric")
     if np.any(np.diag(coupling) != 0.0):

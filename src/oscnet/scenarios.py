@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .network import (
     save_network,
 )
 from .spectral import (
-    COMMON,
     LOCAL,
     SEPARATE,
     BathConfig,
@@ -58,7 +58,6 @@ from .tuning import (
     parameter_scan,
 )
 
-_NETWORK_SOURCES = ("inline", "file", "random")
 #: Default [time] step, the spacing of the time grid, as a fraction of the
 #: fastest mode period.
 _STEP_FRACTION = 0.02
@@ -79,68 +78,17 @@ _MAX_SQUEEZE = np.log(2.0**52) / 4.0
 
 
 @dataclass
-class NetworkBlock:
-    source: str
-    omega: np.ndarray | None = None
-    edges: tuple[tuple[int, int, float], ...] | None = None
-    path: str | None = None
-    nodes: int | None = None
-    connect_prob: float | None = None
-    freq_low: float | None = None
-    freq_high: float | None = None
-    coupling_mean: float | None = None
-    coupling_sd: float | None = None
-    seed: int | None = None
-    max_retries: int = 100
-
-
-@dataclass
-class InitialBlock:
-    mean_q: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    mean_p: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    squeeze_r: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    squeeze_angle: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    thermal_n: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-
-
-@dataclass
-class TimeBlock:
-    t_end: float
-    step: float | None = None
-    method: str = "exact"
-
-
-@dataclass
-class AnalysisBlock:
-    window: float | None = None  # None means 10 periods of the slow mode
-    pairs: tuple[tuple[int, int], ...] | None = None
-    sync_subset: tuple[int, ...] | None = None
-    stride: int = 10
-
-
-@dataclass
-class TuningBlock:
-    param: tuple
-    bracket: tuple[float, float]
-    tol: float = 1e-10
-    grid_points: int = 33  # resolution of scan.csv; the tuning itself is closed-form
-
-
-@dataclass
-class SweepBlock:
-    param: tuple
-    values: np.ndarray
-
-
-@dataclass
 class ScenarioConfig:
-    network: NetworkBlock
+    """[bath] as a BathConfig; every other section as a namespace whose
+    attributes are its _SCHEMA keys, and whose [sweep] values is the grid."""
+
+    network: SimpleNamespace
     bath: BathConfig
-    initial: InitialBlock
-    time: TimeBlock
-    analysis: AnalysisBlock | None  # None without [analysis]: trajectory only
-    tuning: TuningBlock | None = None
-    sweep: SweepBlock | None = None
+    initial: SimpleNamespace
+    time: SimpleNamespace
+    analysis: SimpleNamespace | None  # None without [analysis]: trajectory only
+    tuning: SimpleNamespace | None = None
+    sweep: SimpleNamespace | None = None
     out_dir: str = "out"
     base_dir: str = "."
 
@@ -158,24 +106,19 @@ def _float(text: str) -> float:
 
 
 def _floats(text: str) -> np.ndarray:
-    try:
-        return np.array([_float(tok) for tok in text.split()])
-    except ValueError as exc:
-        raise ConfigError(f"expected finite numbers, got {text!r}") from exc
+    return np.array([_float(tok) for tok in text.split()])
 
 
-def _get(parser, section, key, conv, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key {key!r}")
-        return default
-    raw = parser.get(section, key).strip()
+def _grid(lo, hi, count, what: str) -> np.ndarray:
+    """np.linspace(lo, hi, count), with a count numpy refuses as ConfigError.
+
+    Above the intp maximum numpy refuses before it allocates, with ValueError
+    (IndexError near 2^63); int() refuses inf, and malloc what it cannot hold.
+    """
     try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is invalid") from exc
+        return np.linspace(lo, hi, int(count))
+    except (OverflowError, ValueError, IndexError, MemoryError) as exc:
+        raise ConfigError(f"{what} asks for {count:.3g} grid points") from exc
 
 
 def _parse_param(text: str) -> tuple:
@@ -184,7 +127,7 @@ def _parse_param(text: str) -> tuple:
         return ("omega", int(toks[1]))
     if len(toks) == 3 and toks[0] == "coupling":
         return ("coupling", int(toks[1]), int(toks[2]))
-    raise ConfigError(
+    raise ValueError(
         f"parameter must be 'omega <node>' or 'coupling <i> <j>', got {text!r}"
     )
 
@@ -196,13 +139,11 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...] | None:
     for chunk in text.split(";"):
         toks = chunk.split()
         if len(toks) != 2:
-            raise ConfigError(f"pair list entry {chunk!r} is not 'i j'")
+            raise ValueError(f"pair list entry {chunk!r} is not 'i j'")
         i, j = int(toks[0]), int(toks[1])
         if i == j:
-            raise ConfigError(f"pair ({i}, {j}) repeats a node")
+            raise ValueError(f"pair ({i}, {j}) repeats a node")
         pairs.append((min(i, j), max(i, j)))
-    if not pairs:
-        raise ConfigError("pair list is empty")
     return tuple(pairs)
 
 
@@ -220,25 +161,77 @@ def _parse_edges(text: str) -> tuple[tuple[int, int, float], ...]:
             continue
         toks = line.split()
         if len(toks) != 3:
-            raise ConfigError(f"edge entry {line!r} is not 'i j lambda'")
+            raise ValueError(f"edge entry {line!r} is not 'i j lambda'")
         edges.append((int(toks[0]), int(toks[1]), _float(toks[2])))
     return tuple(edges)
 
 
-_KNOWN_KEYS = {
+def _parse_window(text: str) -> float | None:
+    return None if text == "auto" else _float(text)  # None: 10 slow periods
+
+
+#: Marks a key that its section must set.
+_REQUIRED = object()
+#: Every config key: section -> key -> (converter, default).  A default is
+#: the key's INI text, converted like a written value, so each load gets
+#: fresh arrays; None leaves an optional key unset.
+_SCHEMA = {
     "network": {
-        "source", "omega", "edges", "path", "nodes", "connect_prob",
-        "freq_low", "freq_high", "coupling_mean", "coupling_sd", "seed",
-        "max_retries",
+        "source": (str, _REQUIRED), "omega": (_floats, None), "edges": (_parse_edges, None),
+        "path": (str, None), "nodes": (int, None), "connect_prob": (_float, None),
+        "freq_low": (_float, None), "freq_high": (_float, None),
+        "coupling_mean": (_float, None), "coupling_sd": (_float, None),
+        "seed": (int, None), "max_retries": (int, "100"),
     },
-    "bath": {"kind", "gamma", "temperature", "cutoff", "node"},
-    "initial": {"mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"},
-    "time": {"t_end", "step", "method"},
-    "analysis": {"window", "pairs", "sync_subset", "stride"},
-    "tuning": {"parameter", "bracket", "tol", "grid"},
-    "sweep": {"parameter", "values", "list"},
-    "output": {"directory"},
+    "bath": {
+        "kind": (str, _REQUIRED), "gamma": (_float, _REQUIRED),
+        "temperature": (_float, _REQUIRED), "cutoff": (_float, _REQUIRED), "node": (int, None),
+    },
+    "initial": dict.fromkeys(
+        ("mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"), (_floats, "0")
+    ),
+    "time": {"t_end": (_float, _REQUIRED), "step": (_float, None), "method": (str, "exact")},
+    "analysis": {
+        "window": (_parse_window, "auto"), "pairs": (_parse_pairs, "all"),
+        "sync_subset": (_parse_subset, "all"), "stride": (int, "10"),
+    },
+    "tuning": {  # grid: the resolution of scan.csv; the tuning itself is closed-form
+        "parameter": (_parse_param, _REQUIRED), "bracket": (_floats, _REQUIRED),
+        "tol": (_float, "1e-10"), "grid": (int, "33"),
+    },
+    "sweep": {
+        "parameter": (_parse_param, _REQUIRED), "values": (_floats, None),
+        "list": (_floats, None),
+    },
+    "output": {"directory": (str, "out")},
 }
+#: The [network] keys each source requires.
+_SOURCE_KEYS = {
+    "inline": ("omega", "edges"),
+    "file": ("path",),
+    "random": ("nodes", "connect_prob", "freq_low", "freq_high",
+               "coupling_mean", "coupling_sd", "seed"),
+}
+
+
+def _section(parser, name: str) -> SimpleNamespace:
+    """Every key of one _SCHEMA section, converted; absent keys take defaults."""
+    values = {}
+    for key, (conv, default) in _SCHEMA[name].items():
+        if parser.has_option(name, key):
+            raw = parser.get(name, key).strip()
+        elif default is _REQUIRED:
+            raise ConfigError(f"[{name}] is missing required key {key!r}")
+        elif default is None:
+            values[key] = None
+            continue
+        else:
+            raw = default
+        try:
+            values[key] = conv(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key} = {raw!r} is invalid: {exc}") from exc
+    return SimpleNamespace(**values)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -255,69 +248,36 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     for required in ("network", "bath", "time"):
         if not parser.has_section(required):
             raise ConfigError(f"config is missing the [{required}] section")
 
-    source = _get(parser, "network", "source", str, required=True)
-    if source not in _NETWORK_SOURCES:
-        raise ConfigError(f"network source must be one of {_NETWORK_SOURCES}")
-    network = NetworkBlock(source=source)
-    if source == "inline":
-        network.omega = _get(parser, "network", "omega", _floats, required=True)
-        network.edges = _get(parser, "network", "edges", _parse_edges, required=True)
-    elif source == "file":
-        network.path = _get(parser, "network", "path", str, required=True)
-    else:
-        network.nodes = _get(parser, "network", "nodes", int, required=True)
-        network.connect_prob = _get(parser, "network", "connect_prob", _float, required=True)
-        network.freq_low = _get(parser, "network", "freq_low", _float, required=True)
-        network.freq_high = _get(parser, "network", "freq_high", _float, required=True)
-        network.coupling_mean = _get(parser, "network", "coupling_mean", _float, required=True)
-        network.coupling_sd = _get(parser, "network", "coupling_sd", _float, required=True)
-        network.seed = _get(parser, "network", "seed", int, required=True)
-        network.max_retries = _get(parser, "network", "max_retries", int, default=100)
+    network = _section(parser, "network")
+    if network.source not in _SOURCE_KEYS:
+        raise ConfigError(f"network source must be one of {tuple(_SOURCE_KEYS)}")
+    for key in _SOURCE_KEYS[network.source]:
+        if getattr(network, key) is None:
+            raise ConfigError(f"[network] is missing required key {key!r}")
 
-    kind = _get(parser, "bath", "kind", str, required=True)
-    if kind not in (SEPARATE, COMMON, LOCAL):
-        raise ConfigError(f"bath kind must be one of {(SEPARATE, COMMON, LOCAL)}")
-    node = _get(parser, "bath", "node", int)
-    if kind == LOCAL and node is None:
-        raise ConfigError("a local bath needs [bath] node")
-    try:
-        bath = BathConfig(
-            kind=kind,
-            gamma=_get(parser, "bath", "gamma", _float, required=True),
-            temperature=_get(parser, "bath", "temperature", _float, required=True),
-            cutoff=_get(parser, "bath", "cutoff", _float, required=True),
-            node=node if kind == LOCAL else None,
-        )
-    except OscnetError as exc:
+    bath = _section(parser, "bath")
+    if bath.kind != LOCAL:
+        bath.node = None
+    try:  # BathConfig checks the kind, and that a local bath names its node
+        bath = BathConfig(**vars(bath))
+    except (ValueError, OscnetError) as exc:
         raise ConfigError(f"[bath] {exc}") from exc
 
-    initial = InitialBlock()
-    if parser.has_section("initial"):
-        for key in ("mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"):
-            value = _get(parser, "initial", key, _floats)
-            if value is not None:
-                setattr(initial, key, value)
-
-    method = _get(parser, "time", "method", str, default="exact")
-    if method != "exact":
+    time = _section(parser, "time")
+    if time.method != "exact":
         raise ConfigError(
-            f"time method {method!r} is not available; the only method is 'exact' "
+            f"time method {time.method!r} is not available; the only method is 'exact' "
             "(the closed-form propagator)"
         )
-    time = TimeBlock(
-        t_end=_get(parser, "time", "t_end", _float, required=True),
-        step=_get(parser, "time", "step", _float),
-        method=method,
-    )
     if time.t_end <= 0.0:
         raise ConfigError("t_end must be positive")
     if time.step is not None and time.step <= 0.0:
@@ -325,67 +285,49 @@ def load_config(path: str) -> ScenarioConfig:
 
     analysis = None
     if parser.has_section("analysis"):
-        analysis = AnalysisBlock()
-        window = _get(parser, "analysis", "window", str, default="auto")
-        if window != "auto":
-            analysis.window = _get(parser, "analysis", "window", _float)
-            if analysis.window <= 0.0:
-                raise ConfigError("analysis window must be positive")
-        analysis.pairs = _get(parser, "analysis", "pairs", _parse_pairs, default=None)
-        analysis.sync_subset = _get(parser, "analysis", "sync_subset", _parse_subset)
-        analysis.stride = _get(parser, "analysis", "stride", int, default=10)
+        analysis = _section(parser, "analysis")
+        if analysis.window is not None and analysis.window <= 0.0:
+            raise ConfigError("analysis window must be positive")
         if analysis.stride < 1:
             raise ConfigError("analysis stride must be >= 1")
 
     tuning = None
     if parser.has_section("tuning"):
-        bracket = _get(parser, "tuning", "bracket", _floats, required=True)
-        if bracket.shape != (2,) or not bracket[0] < bracket[1]:
+        tuning = _section(parser, "tuning")
+        if tuning.bracket.shape != (2,) or not tuning.bracket[0] < tuning.bracket[1]:
             raise ConfigError("tuning bracket must be two increasing numbers")
-        tuning = TuningBlock(
-            param=_get(parser, "tuning", "parameter", _parse_param, required=True),
-            bracket=(float(bracket[0]), float(bracket[1])),
-            tol=_get(parser, "tuning", "tol", _float, default=1e-10),
-            grid_points=_get(parser, "tuning", "grid", int, default=33),
-        )
-        if tuning.param[0] != "omega":
+        if tuning.parameter[0] != "omega":
             raise ConfigError(
                 "tuning parameter must be 'omega <node>': a coupling is a rank-two, "
                 "indefinite update with no closed-form frozen points"
             )
         if tuning.tol <= 0.0:
             raise ConfigError("tuning tol must be positive")
-        if tuning.grid_points < 3:
+        if tuning.grid < 3:
             raise ConfigError("tuning grid must have at least 3 points")
 
     sweep = None
     if parser.has_section("sweep"):
-        param = _get(parser, "sweep", "parameter", _parse_param, required=True)
-        explicit = _get(parser, "sweep", "list", _floats)
-        spec3 = _get(parser, "sweep", "values", _floats)
-        if explicit is not None:
-            values = explicit
-        elif spec3 is not None:
-            if spec3.shape != (3,) or int(spec3[2]) < 2 or not spec3[0] < spec3[1]:
+        sweep = _section(parser, "sweep")
+        spec = sweep.values  # from here on, values holds the swept grid
+        if sweep.list is not None:
+            sweep.values = sweep.list
+        elif spec is not None:
+            if spec.shape != (3,) or int(spec[2]) < 2 or not spec[0] < spec[1]:
                 raise ConfigError("sweep values must be 'lo hi count' with lo < hi")
-            values = np.linspace(spec3[0], spec3[1], int(spec3[2]))
+            sweep.values = _grid(spec[0], spec[1], spec[2], "[sweep] values")
         else:
             raise ConfigError("[sweep] needs either 'values = lo hi count' or 'list = ...'")
-        sweep = SweepBlock(param=param, values=values)
-
-    out_dir = "out"
-    if parser.has_section("output"):
-        out_dir = _get(parser, "output", "directory", str, default="out")
 
     return ScenarioConfig(
         network=network,
         bath=bath,
-        initial=initial,
+        initial=_section(parser, "initial"),
         time=time,
         analysis=analysis,
         tuning=tuning,
         sweep=sweep,
-        out_dir=out_dir,
+        out_dir=_section(parser, "output").directory,
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
 
@@ -451,23 +393,19 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     except OscnetError as exc:
         raise ConfigError(f"spectral analysis rejected the scenario: {exc}") from exc
 
-    for key in ("mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"):
-        values = getattr(cfg.initial, key)
-        if values.shape[0] not in (1, n):
+    for key, values in vars(cfg.initial).items():
+        if values.shape[0] not in (1, n):  # one entry is broadcast by initial_state
             raise ConfigError(
                 f"[initial] {key} has {values.shape[0]} entries; need 1 or {n}"
             )
-    ib = cfg.initial  # one entry or one per node, broadcast by initial_state
-    if not np.all(np.abs(ib.squeeze_r) <= _MAX_SQUEEZE):
+    squeeze_r = cfg.initial.squeeze_r
+    if not np.all(np.abs(squeeze_r) <= _MAX_SQUEEZE):
         raise ConfigError(
-            f"[initial] squeeze_r reaches {np.abs(ib.squeeze_r).max():.3g}; a node block's "
+            f"[initial] squeeze_r reaches {np.abs(squeeze_r).max():.3g}; a node block's "
             f"condition number e^(4r) needs r <= {_MAX_SQUEEZE:.4g} in double precision"
         )
     try:
-        state0 = initial_state(
-            net, mean_q=ib.mean_q, mean_p=ib.mean_p, squeeze_r=ib.squeeze_r,
-            squeeze_angle=ib.squeeze_angle, thermal_n=ib.thermal_n,
-        )
+        state0 = initial_state(net, **vars(cfg.initial))
     except UnphysicalSpec as exc:
         raise ConfigError(f"[initial] {exc}") from exc
     with np.errstate(over="ignore"):
@@ -492,10 +430,10 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     spacing = cfg.time.step
     if spacing is None:
         spacing = _STEP_FRACTION * 2.0 * np.pi / float(decomp.freqs.max())
-    n_int = int(np.floor(cfg.time.t_end / spacing + 1e-9))
+    n_int = np.floor(cfg.time.t_end / spacing + 1e-9)  # inf past the float range
     if n_int < 1:
         raise ConfigError("t_end is shorter than one stored step")
-    times = np.linspace(0.0, n_int * spacing, n_int + 1)
+    times = _grid(0.0, n_int * spacing, n_int + 1, "[time] t_end / step")
 
     window = None
     if cfg.analysis is not None:
@@ -503,11 +441,11 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
         if window is None:
             slow = decomp.slowest if decomp.slowest is not None else 0
             window = 10.0 * 2.0 * np.pi / float(decomp.freqs[slow])
-        samples = int(round(window / (spacing * cfg.analysis.stride)))
-        full_samples = int(round(window / spacing))
+        samples = np.rint(window / (spacing * cfg.analysis.stride))
+        full_samples = np.rint(window / spacing)  # inf where the window dwarfs the step
         if full_samples < measures.MIN_WINDOW_SAMPLES:
             raise ConfigError(
-                f"window {window:.6g} spans {full_samples} stored samples; "
+                f"window {window:.6g} spans {full_samples:.0f} stored samples; "
                 f"need at least {measures.MIN_WINDOW_SAMPLES}"
             )
         if full_samples > n_int:
@@ -529,13 +467,13 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
                     raise ConfigError(f"sync_subset node {v} is out of range")
 
     if cfg.tuning is not None:
-        node = cfg.tuning.param[1]
+        node = cfg.tuning.parameter[1]
         if not 0 <= node < n:
             raise ConfigError(f"tuning parameter node {node} is out of range")
         if cfg.bath.kind == SEPARATE:
             raise ConfigError("tuning has no effect under separate baths")
     if cfg.sweep is not None:
-        nodes = cfg.sweep.param[1:]
+        nodes = cfg.sweep.parameter[1:]
         for v in nodes:
             if not 0 <= v < n:
                 raise ConfigError(f"sweep parameter node {v} is out of range")
@@ -691,7 +629,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
     for v in cfg.sweep.values:
         value = float(v)
         try:
-            net = _with_param(prep.net, cfg.sweep.param, value)
+            net = _with_param(prep.net, cfg.sweep.parameter, value)
             decomp = analyze(net, cfg.bath)
         except NonPositiveDefinite:
             skipped.append(value)
@@ -710,7 +648,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
     else:
         results = [_sweep_point(job) for job in jobs]
 
-    param_name = "_".join(str(p) for p in cfg.sweep.param)
+    param_name = "_".join(str(p) for p in cfg.sweep.parameter)
     csvio.write_sweep_map(
         os.path.join(out, "map.csv"), param_name,
         np.concatenate([np.empty((0, 4)), *results]),
@@ -730,11 +668,11 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
     prep = prepare(cfg, seed_override=seed)
     out = _resolve_out(cfg, out_dir)
     tb = cfg.tuning
-    grid = np.linspace(tb.bracket[0], tb.bracket[1], tb.grid_points)
-    result = find_sync_parameter(prep.net, tb.param, tb.bracket, cfg.bath, tb.tol)
-    scan = parameter_scan(prep.net, tb.param, grid, cfg.bath)
+    grid = _grid(tb.bracket[0], tb.bracket[1], tb.grid, "[tuning] grid")
+    result = find_sync_parameter(prep.net, tb.parameter, tb.bracket, cfg.bath, tb.tol)
+    scan = parameter_scan(prep.net, tb.parameter, grid, cfg.bath)
     csvio.write_scan(os.path.join(out, "scan.csv"), scan)
-    tuned_net = _with_param(prep.net, tb.param, result.value)
+    tuned_net = _with_param(prep.net, tb.parameter, result.value)
     save_network(tuned_net, os.path.join(out, "tuned_network.txt"))
     extra = [
         "",

@@ -250,7 +250,7 @@ def mode_rates(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition
 
     Raises
     ------
-    CutoffTooLow
+    CutoffTooLow, UnphysicalSpec
     """
     if decomp.eff_coupling is None:
         decomp = effective_couplings(decomp, bath)
@@ -263,7 +263,10 @@ def mode_rates(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition
         damping = np.full(decomp.n, bath.gamma)
     else:
         damping = bath.gamma * decomp.eff_coupling**2
-    diffusion = damping * freqs / np.tanh(freqs / (2.0 * bath.temperature))
+    with np.errstate(over="ignore", divide="ignore"):
+        diffusion = damping * freqs / np.tanh(freqs / (2.0 * bath.temperature))
+    if not np.all(np.isfinite(diffusion)):
+        raise UnphysicalSpec("a mode's diffusion rate D = Gamma Omega coth(Omega/2T) overflows")
     return replace(decomp, damping=damping, diffusion=diffusion)
 
 

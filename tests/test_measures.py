@@ -844,6 +844,27 @@ class TestPairSeries:
             alone = on.pair_measure_series(traj, measure, [together.pairs[k]], stride)
             assert np.array_equal(alone.values[:, 0], together.values[:, k])
 
+    @pytest.mark.parametrize("stride", [10, 1])
+    def test_fig5_pair_values_do_not_depend_on_the_batch(self, stride):
+        # n = 17, where the covariance view's matrix products have inner
+        # dimension n >= 16: fig5's attached pair (15, 16) alone and among
+        # random sets of the other 135 pairs, at a random place in each
+        cfg = load_config(str(resources.files("oscnet") / "presets" / "fig5_entangle.ini"))
+        traj = scenarios._run_traj(prepare(cfg))
+        others = [p for p in combinations(range(traj.n), 2) if p != (15, 16)]
+        rng = np.random.default_rng(17)
+        batches = []
+        for size in (1, 3, 8, 20):
+            batch = [others[k] for k in rng.choice(len(others), size, replace=False)]
+            batch.insert(int(rng.integers(size + 1)), (15, 16))
+            batches.append(batch)
+        for measure in (MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY):
+            alone = on.pair_measure_series(traj, measure, [(15, 16)], stride).values[:, 0]
+            for batch in batches:
+                together = on.pair_measure_series(traj, measure, batch, stride)
+                assert np.array_equal(together.values[:, batch.index((15, 16))], alone), (
+                    measure, len(batch))
+
     @pytest.mark.parametrize("measure", [MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY])
     def test_one_indefinite_column_excludes_only_it(self, measure):
         # pair (0, 1) is indefinite at one time only; the other columns are

@@ -1,10 +1,14 @@
 import csv
 import os
+import re
+import tempfile
 import textwrap
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oscnet as on
 from oscnet import measures, scenarios
@@ -109,6 +113,27 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             on.load_config(str(tmp_path / "absent.ini"))
+
+    def test_unused_source_key_is_still_parsed(self, tmp_path):
+        # every key of a section is converted, used by its source or not
+        text = CHAIN_INI.replace("source = inline", "source = inline\nseed = seven")
+        with pytest.raises(ConfigError, match="seed"):
+            on.load_config(write_ini(tmp_path, text))
+
+    def test_readme_lists_every_schema_key(self):
+        # the README's "Scenario configs" block names each key under its
+        # section, and no key that a config cannot hold
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("## Scenario configs", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        sections = dict(re.findall(r"^\[(\w+)\][^\n]*\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+        assert sections.keys() == scenarios._SCHEMA.keys()
+        for name, body in sections.items():
+            words = set(re.findall(r"\w+", body))
+            assert set(scenarios._SCHEMA[name]) <= words, name
+            assert set(re.findall(r"(\w+) =", body)) <= set(scenarios._SCHEMA[name]), name
 
     def test_seed_override_only_for_random(self, tmp_path):
         cfg = on.load_config(write_ini(tmp_path, CHAIN_INI))
@@ -433,6 +458,32 @@ class TestCli:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    # every grid is built through one helper, and a size above the intp
+    # maximum, which numpy refuses before it allocates, is a config error
+    GRID_TAIL = ("\n[sweep]\nparameter = omega 2\nlist = 1.8\n"
+                 "\n[tuning]\nparameter = omega 2\nbracket = 1.0 2.5\n")
+
+    @pytest.mark.parametrize("command, old, new", [
+        *(pytest.param(command, "t_end = 160.0", "t_end = 1e300", id=f"t_end-{command}")
+          for command in ("simulate", "sweep", "tune", "spectrum")),
+        *(pytest.param(command, "step = 0.05", "step = 1e-300", id=f"step-{command}")
+          for command in ("simulate", "sweep", "tune", "spectrum")),
+        pytest.param("simulate", "t_end = 160.0\nstep = 0.05", "t_end = 1e300\nstep = 1e-300",
+                     id="infinite_t_end_over_step"),
+        pytest.param("tune", "bracket = 1.0 2.5", f"bracket = 1.0 2.5\ngrid = {10**30}",
+                     id="tuning_grid"),
+        pytest.param("sweep", "list = 1.8", "values = 0.9 1.5 1e30", id="sweep_values"),
+    ])
+    def test_grid_beyond_numpy_exit_code(self, tmp_path, capsys, command, old, new):
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        text = preset + self.GRID_TAIL
+        assert text.count(old) == 1
+        path = write_ini(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "grid points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale, code", [(0.99, EXIT_OK), (1.01, EXIT_CONFIG)],
                              ids=["inside", "outside"])
     def test_hottest_bath_at_the_moment_bound(self, tmp_path, scale, code):
@@ -559,3 +610,53 @@ class TestCli:
                      "--out", str(tmp_path / "cli_sweep"), "--workers", "2"])
         assert code == EXIT_OK
         assert os.path.exists(tmp_path / "cli_sweep" / "map.csv")
+
+
+# a fig2_cb-like chain, cut to t_end = 20, with [sweep] and [tuning]
+FUZZ_CONFIG = {
+    "network": {"source": "inline", "omega": "1.2 1.0 1.8", "edges": "\n 0 1 0.4\n 1 2 0.4"},
+    "bath": {"kind": "common", "gamma": "0.07", "temperature": "10.0", "cutoff": "50.0"},
+    "initial": {"mean_q": "-1.0 0.0 1.0"},
+    "time": {"t_end": "20.0", "step": "0.05", "method": "exact"},
+    "analysis": {"window": "8.0"},
+    "sweep": {"parameter": "omega 2", "values": "1.6 2.0 3"},
+    "tuning": {"parameter": "omega 2", "bracket": "1.0 2.5"},
+}
+# Edge values for any key.  From FUZZ_CONFIG, each keeps every grid (the
+# time grid, the tuning grid, the sweep values) at a few hundred points, or
+# sends its size above the intp maximum, where numpy refuses it before it
+# allocates anything.  A size in between would be allocated, gigabytes of
+# it, so no value here may produce one.
+EDGE_VALUES = ("0", "-1", "1e-300", "1e300", "fish", "", str(10**30), "all", "auto")
+# keys of a random network are left out: the chain is an inline network
+FUZZ_KEYS = tuple(
+    (section, key) for section, keys in scenarios._SCHEMA.items() for key in keys
+    if key not in (*scenarios._SOURCE_KEYS["random"], "max_retries")
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(edits={})
+@example(edits={("sweep", "list"): "1e300"})  # omega^2 overflows
+@example(edits={("time", "t_end"): "1e-300", ("time", "step"): "1e-300",
+                ("analysis", "window"): "1e300"})  # window / step overflows
+@example(edits={("bath", "gamma"): "1e300", ("bath", "temperature"): "1e300"})  # D overflows
+@given(edits=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(EDGE_VALUES),
+                             min_size=1, max_size=3))
+def test_exit_code_contract_over_the_schema(edits):
+    # nothing escapes main, the code is 0, 2 or 3, and a config error
+    # writes no output directory; the unedited chain runs on every command
+    config = {section: dict(keys) for section, keys in FUZZ_CONFIG.items()}
+    for (section, key), value in edits.items():
+        config.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.ini")
+        with open(path, "w") as fh:
+            for section, keys in config.items():
+                fh.write(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        for command in ("simulate", "sweep", "tune", "spectrum"):
+            out = os.path.join(tmp, command)
+            code = main([command, "--config", path, "--out", out])
+            assert code in ((EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC) if edits else (EXIT_OK,))
+            if code == EXIT_CONFIG:
+                assert not os.path.exists(out)
