@@ -1,8 +1,8 @@
 """Scaling harness: `evolve` and `simulate` time and peak memory against n.
 
-Runs random common-bath networks of n = 10, 20, 40 and 80 nodes over
-T = 5001 stored times. Each size runs in a fresh child process, with BLAS
-pinned to one thread, which records:
+Runs random common-bath networks of n = 10, 20, 40, 80 and 160 nodes
+over T = 5001 stored times. Each size runs in a fresh child process,
+with BLAS pinned to one thread, which records:
 
 - ``import_s``: the child's first import of the package (``oscnet`` and
   ``oscnet.scenarios``), timed before anything else runs, as every CLI
@@ -34,11 +34,12 @@ it there with ``--out`` pointing at the same JSON file.
 Peak memory grows as T n: ``evolve`` works through time chunks and keeps
 only the means, the node blocks and the energy, and the pair measures read
 only their pairs' quadrature rows of every ``stride``-th time.  n = 80
-peaks at about 125 MB; while ``evolve`` held the whole (T, 2n, 2n)
-covariance stack it peaked at 3.0 GB.  With every pair, the pair measures
-also work through time chunks and the correlation C is computed on the
-measure grid only, so the outputs, (T / stride) by n(n - 1)/2 per column,
-are what grows: n = 40 (780 pairs) peaks at about 123 MB.
+peaks at about 80 MB and n = 160 at about 122 MB; while ``evolve`` held
+the whole (T, 2n, 2n) covariance stack, n = 80 peaked at 3.0 GB.  With
+every pair, the pair measures also work through time chunks and the
+correlation C is computed on the measure grid only, so the outputs,
+(T / stride) by n(n - 1)/2 per column, are what grows: n = 40 (780
+pairs) peaks at about 76 MB.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SIZES = (10, 20, 40, 80)
+SIZES = (10, 20, 40, 80, 160)
 ALL_PAIRS_SIZES = (10, 20, 40)
 STORED_TIMES = 5001
 STEP = 0.5

@@ -12,21 +12,20 @@ time-invariant, so it is solved in closed form and reported straight in
 the node basis: the propagator is U E(t), with U = blockdiag(F, F) the
 normal-mode transform and E(t) each mode's damped rotation.  There is no
 step and no accumulated stepping error, and the stored times need not be
-uniform.  The covariance is never formed as a congruence: with L the
-Cholesky factor of the mode-basis initial covariance, E(t) L is built for
-every mode and a chunk of stored times at once, and F maps it onto the
-node rows a caller reads, one matrix product per quadrature half.  The
-relaxation towards the stationary covariance, diag(D phi / W^2, D phi) in
-the mode basis, has no q-p terms and is added apart: F diag(D phi / W^2)
-F^T to the q-q block and F diag(D phi) F^T to the p-p block.  Each entry
-is thus a dot product of two node factor rows, plus, within a half, two
-rows of F weighted per mode.  A trajectory keeps the means, each node's
-2x2 block and the energy, all O(T n); its (2n, 2n) covariances are
-recomputed, the same way, for the times and rows a caller indexes, so
-memory does not grow as T n^2.  Each mode's map is a thermal attenuator,
-completely positive when D >= G W (Heinosaari, Holevo & Wolf, QIC 10,
-619 (2010)), so a physical initial state stays physical at every stored
-time.
+uniform.  The initial covariance is split as sigma (x) I, with sigma the
+most common node 2x2 block, plus a signed deviation of rank r <= 2n.  In
+the mode basis sigma propagates mode by mode, E(t) sigma E(t)^T, and
+merges with the relaxation towards the stationary covariance,
+diag(D phi / W^2, D phi), into three per-mode weight series.  A node
+entry is those weights summed against two rows of F, plus r products of
+the rows of the propagated deviation vectors U E(t) u_k; one kernel
+forms every entry, rounded the same whatever it is read with.  A
+trajectory keeps the means, each node's 2x2 block and the energy, all
+O(T n); its (2n, 2n) covariances are recomputed, the same way, for the
+times and rows a caller indexes, so memory does not grow as T n^2.  Each mode's map is a
+thermal attenuator, completely positive when D >= G W (Heinosaari,
+Holevo & Wolf, QIC 10, 619 (2010)), so a physical initial state stays
+physical at every stored time.
 
 :func:`evolve_node_reference` propagates the same physics straight in
 the node basis as one dense 2n-dimensional system, advancing each stored
@@ -54,9 +53,9 @@ from .errors import (
 from .network import NetworkSpec, hamiltonian_matrix
 from .spectral import ModeDecomposition, _frozen_mask
 
-#: Most entries of E(t) L, (2n)^2 per time, one time chunk of the moments
-#: holds.  That and the chunk's node factor (at most as large) then stay
-#: within a core's L2 cache, and no (T, 2n, 2n) stack is allocated at any T.
+#: Most products, (r + 1) per entry for a deviation of rank r, one time
+#: chunk of covariance entries holds: its temporaries then stay within a
+#: core's L2 cache, and no (T, 2n, 2n) stack is allocated at any T.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -230,8 +229,9 @@ def _check_physical(cov0: np.ndarray, decomp: ModeDecomposition) -> None:
         raise PhysicalityViolation(f"initial state has symplectic eigenvalue {nu_min:.6g} (< 1/2)")
 
 
-def _relaxation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
-    """phi = (1 - e^{-G t}) / 2G per time and mode, shape (T, n); t / 2 where G = 0.
+def _driven(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
+    """D phi per time and mode, shape (T, n), with phi = (1 - e^{-G t}) / 2G
+    (t / 2 where G = 0).
 
     A mode's driven covariance is diag(D phi / W^2, D phi): the stationary
     covariance is invariant under the rotational part of E(t), so the
@@ -240,7 +240,8 @@ def _relaxation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
     """
     g = decomp.damping[None, :]
     g_safe = np.where(g > 0.0, g, 1.0)
-    return np.where(g > 0.0, -np.expm1(-g * times[:, None]) / (2.0 * g_safe), 0.5 * times[:, None])
+    phi = np.where(g > 0.0, -np.expm1(-g * times[:, None]) / (2.0 * g_safe), 0.5 * times[:, None])
+    return decomp.diffusion * phi
 
 
 def _rotation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
@@ -262,29 +263,6 @@ def _rotation(decomp: ModeDecomposition, times: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _square_root(decomp: ModeDecomposition, chol: np.ndarray, coef: np.ndarray,
-                 rows: np.ndarray) -> np.ndarray:
-    """Rows of the node factor z = U E(t) L for a chunk of times, shape (r, T, 2n).
-
-    rows are sorted node quadrature indices (q_1..q_n, p_1..p_n), coef is
-    the chunk's :func:`_rotation` and chol = [L_q; L_p] the Cholesky factor
-    of the mode-basis initial covariance.  X = E(t) L is one (T, 2) by
-    (2, 2n) product per mode and half; z_q = F_q X_q and z_p = F_p X_p are
-    one matrix product each over the chunk's (n, T 2n) layout.  z z^T is
-    the covariance less its driven part (:func:`_driven`).
-    """
-    n = decomp.n
-    nq = np.searchsorted(rows, n)
-    f = decomp.modes[rows % n]
-    # each mode's rows [L_q; L_p], shape (n, 1, 2, 2n), under its coefficients
-    per_mode = chol.reshape(2, n, 1, 2 * n).transpose(1, 2, 0, 3)
-    x = np.matmul(coef, per_mode).reshape(n, 2, -1)
-    z = np.empty((rows.shape[0], x.shape[-1]))
-    np.matmul(f[:nq], x[:, 0], out=z[:nq])
-    np.matmul(f[nq:], x[:, 1], out=z[nq:])
-    return z.reshape(rows.shape[0], coef.shape[2], 2 * n)
-
-
 def _node_means(decomp: ModeDecomposition, coef: np.ndarray, mean0: np.ndarray) -> np.ndarray:
     """Node means F E(t) m0 at the times of coef (:func:`_rotation`), shape (T, 2n).
 
@@ -300,25 +278,39 @@ def _node_means(decomp: ModeDecomposition, coef: np.ndarray, mean0: np.ndarray) 
     return means
 
 
-def _driven(decomp: ModeDecomposition, times: np.ndarray):
-    """Driven mode-basis covariance diag(D phi / W^2, D phi) per time
-    (:func:`_relaxation`), as its q and p halves, each shape (T, n).  With
-    no q-p terms, it adds to a q-q or p-p node entry the per-mode product
-    of the two rows of F dotted with its half, and nothing to a q-p entry.
+def _weights(decomp: ModeDecomposition, sigma, rot: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """Per-mode (qq, qp, pp) entries of E(t) sigma E(t)^T plus the driven
+    covariance diag(D phi / W^2, D phi), shape (3, T, n).
+
+    rot is :func:`_rotation` as (2, 2, T, n), and dphi :func:`_driven`.
+    blockdiag(F, F) maps sigma (x) I onto itself, so the common node block
+    sigma (:func:`_deviation`) sits on every mode in the mode basis.
     """
-    dphi = decomp.diffusion * _relaxation(decomp, times)
-    return dphi / decomp.freqs**2, dphi
+    (var_q, var_p, cov_qp), ((q0, q1), (p0, p1)) = sigma, rot
+    return np.stack([
+        var_q * q0 * q0 + 2.0 * cov_qp * q0 * q1 + var_p * q1 * q1 + dphi / decomp.freqs**2,
+        var_q * q0 * p0 + cov_qp * (q0 * p1 + q1 * p0) + var_p * q1 * p1,
+        var_q * p0 * p0 + 2.0 * cov_qp * p0 * p1 + var_p * p1 * p1 + dphi,
+    ])
 
 
-def _time_chunks(count: int, width: int):
-    """Consecutive slices over count times, each holding at most
-    _CHUNK_ELEMENTS entries when a time holds width of them, and at least
-    two times (the last may hold one more time than that): for a lone time
-    :func:`_square_root` would take numpy's matrix-vector product, whose
-    rounding differs from a row of the matrix product."""
-    step = max(2, _CHUNK_ELEMENTS // width)
-    bounds = [*range(0, count - 1, step), count]
-    return (slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
+def _deviation(cov: np.ndarray):
+    """Split a node-basis covariance as sigma (x) I + v diag(lam) v^T.
+
+    sigma = (var_q, var_p, cov_qp) is the most common node block, and
+    (lam, v), v of shape (2n, r), the eigenpairs on the rows where cov
+    differs from sigma (x) I: r <= 2k when k nodes differ from sigma.
+    """
+    n = cov.shape[0] // 2
+    cov = 0.5 * (cov + cov.T)
+    blocks, counts = np.unique(_node_blocks(cov[None])[0], axis=0, return_counts=True)
+    var_q, var_p, cov_qp = sigma = blocks[np.argmax(counts)]
+    deviation = cov - np.kron([[var_q, cov_qp], [cov_qp, var_p]], np.eye(n))
+    rows = np.flatnonzero(np.any(deviation != 0.0, axis=1))
+    lam, vecs = np.linalg.eigh(deviation[np.ix_(rows, rows)])
+    v = np.zeros((2 * n, rows.shape[0]))
+    v[rows] = vecs
+    return sigma, lam, v
 
 
 class _CovarianceView:
@@ -326,70 +318,81 @@ class _CovarianceView:
 
     The first index picks times (an int, a slice, or an int or bool
     array).  When the row and column indices after it are both integers or
-    integer arrays, only the quadrature rows they read are evaluated, so
-    ``covs[::s, r[:, None], r[None, :]]`` computes len(r) rows of the node
-    factor per time instead of 2n; any other key evaluates every row.
-    Reading r rows costs one E(t) L per chunk of times ((2n)^2 entries per
-    time), then r n 2n multiply-adds per time for the rows of the node
-    factor of :func:`_square_root` and r^2 2n for their dot products, plus
-    the driven part of :func:`_driven` within the q rows and within the p
-    rows.  Entries go, a time chunk at a time, into a fresh array, and
-    nothing is cached.
-
-    They are bit for bit those of ``np.asarray(view)`` wherever numpy's
-    matrix product rounds an entry whatever the product's shape, so a lone
-    q or p row, or a lone time, which would take a matrix-vector product,
-    is read with every row or evaluated twice.  With OpenBLAS's Haswell
-    kernels the shape does not matter for n < 16 or 2n a multiple of 8;
-    otherwise (n = 17, say) an entry read among other rows or times can
-    differ in its last bit.
+    integer arrays, only the entries among the quadrature rows they read
+    are evaluated, so ``covs[::s, r[:, None], r[None, :]]`` computes
+    len(r)^2 entries per time instead of (2n)^2; any other key evaluates
+    every row.  Every entry comes from :meth:`_entries`, so a read holds
+    bit for bit the same entries as ``np.asarray(view)``.  They go into a
+    fresh array, and nothing is cached.
     """
 
-    def __init__(self, decomp: ModeDecomposition, chol: np.ndarray, rel: np.ndarray):
+    def __init__(self, decomp: ModeDecomposition, sigma, lam: np.ndarray, dev: np.ndarray,
+                 rel: np.ndarray):
         self._decomp = decomp
-        self._chol = chol
+        self._sigma = sigma
+        self._lam = lam
+        self._dev = dev
         self._rel = rel
         self.shape = (rel.shape[0], 2 * decomp.n, 2 * decomp.n)
 
     def __len__(self) -> int:
         return self.shape[0]
 
-    def _rows_read(self, rest):
-        """Rows the trailing indices read, and those indices remapped into them."""
-        every = np.arange(self.shape[-1])
-        if len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest):
-            row, col = every[rest[0]], every[rest[1]]
-            rows = np.union1d(row, col)
-            nq = np.searchsorted(rows, self.shape[-1] // 2)
-            # A lone q or p row would take numpy's matrix-vector product,
-            # whose rounding differs from a row of the matrix product.
-            if 1 not in (nq, rows.shape[0] - nq):
-                return rows, (np.searchsorted(rows, row), np.searchsorted(rows, col))
-        return every, rest
+    def _entries(self, coef: np.ndarray, dphi: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+        """Covariance entries (a_p, b_p) per time, shape (T, P), from
+        :func:`_rotation` and :func:`_driven` at those times.
+
+        With u_k the initial deviation's vectors in the mode basis (dev)
+        and z_k = U E(t) u_k, the entry between node quadratures i and j is
+
+            sum_m F_im F_jm w_m(t) + sum_k lam_k z_k,i(t) z_k,j(t),
+
+        with w the qq, qp or pp series of :func:`_weights`.  A q row of z_k
+        is sum_m F_im (E_m,qq u_k,qm + E_m,qp u_k,pm), a p row the same
+        with E's p row.  Each sum is one c-einsum reduction along a
+        contiguous last axis, in an order fixed by n and r, so no entry's
+        rounding depends on the other entries or times computed with it.
+        """
+        decomp, lam = self._decomp, self._lam
+        n, f = decomp.n, decomp.modes
+        kinds = [(a >= n).astype(int) + (b >= n) == k for k in range(3)]  # qq, qp, pp
+        pairs = [f[a[kind] % n] * f[b[kind] % n] for kind in kinds]
+        rows, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+        # z's coefficients on a row of E(t), per row read and k, (rows r, 2n);
+        # C order, as every operand, puts each reduction on a contiguous axis
+        fr = f[rows % n][:, None, :]
+        factor = np.ascontiguousarray(np.concatenate(
+            [fr * self._dev[:n].T, fr * self._dev[n:].T], axis=2).reshape(-1, 2 * n))
+        split = np.searchsorted(rows, n) * lam.shape[0]
+        out = np.empty((dphi.shape[0], a.shape[0]))
+        step = max(1, _CHUNK_ELEMENTS // (a.shape[0] * (lam.shape[0] + 1)))
+        for chunk in (slice(t, t + step) for t in range(0, out.shape[0], step)):
+            rot = np.ascontiguousarray(coef[:, :, chunk].transpose(1, 3, 2, 0))
+            for kind, w, pair in zip(kinds, _weights(decomp, self._sigma, rot, dphi[chunk]), pairs):
+                out[chunk, kind] = np.einsum("tm,pm->tp", w, pair)
+            e_q, e_p = rot.transpose(0, 2, 1, 3).reshape(2, -1, 2 * n)
+            z = np.concatenate([np.einsum("tm,pm->tp", e_q, factor[:split]),
+                                np.einsum("tm,pm->tp", e_p, factor[split:])], axis=1)
+            z = np.take(z.reshape(e_q.shape[0], rows.shape[0], lam.shape[0]), inverse, axis=1)
+            out[chunk] += np.einsum("tpk,tpk,k->tp", z[:, : a.shape[0]], z[:, a.shape[0]:], lam)
+        return out
 
     def __getitem__(self, key) -> np.ndarray:
         first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
         picked = np.arange(self.shape[0])[first]
-        rows, rest = self._rows_read(rest)
-        nq = np.searchsorted(rows, self._decomp.n)
+        rows = np.arange(self.shape[-1])
+        if len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest):
+            row, col = rows[rest[0]], rows[rest[1]]
+            rows = np.union1d(row, col)
+            rest = (np.searchsorted(rows, row), np.searchsorted(rows, col))
+        width = rows.shape[0]
         rel = self._rel[picked.ravel()]
-        if rel.shape[0] == 1:  # a lone time is evaluated twice (see _time_chunks)
-            rel = np.repeat(rel, 2)
-        coef = _rotation(self._decomp, rel)
-        out = np.empty((rel.shape[0], rows.shape[0], rows.shape[0]))
-        for chunk in _time_chunks(rel.shape[0], self.shape[-1] ** 2):
-            z = _square_root(self._decomp, self._chol, coef[:, :, chunk], rows)
-            np.einsum("atk,btk->tab", z, z, out=out[chunk])
-        n = self._decomp.n
-        for (lo, hi), weight in zip(((0, nq), (nq, rows.shape[0])), _driven(self._decomp, rel)):
-            f = self._decomp.modes[rows[lo:hi] % n]
-            pairs = (f[:, None, :] * f[None, :, :]).reshape(-1, n)
-            block = out[:, lo:hi, lo:hi]
-            block += np.einsum("tm,pm->tp", weight, pairs).reshape(block.shape)
+        out = self._entries(_rotation(self._decomp, rel), _driven(self._decomp, rel),
+                            np.repeat(rows, width), np.tile(rows, width)).reshape(-1, width, width)
         # An index array for the times broadcasts with the trailing ones, as
         # it would on an array.
         lead = np.arange(picked.size).reshape(picked.shape)
-        out = out[: picked.size]
         return out[(slice(None) if isinstance(first, slice) else lead,) + rest]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -398,8 +401,9 @@ class _CovarianceView:
 
 
 def _mode_energy(decomp: ModeDecomposition, mean0: np.ndarray, cov0: np.ndarray,
-                 rel: np.ndarray) -> np.ndarray:
-    """<H> at relative times rel from each mode's own moments, O(n) per time.
+                 rel: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """<H> at relative times rel from each mode's own moments, O(n) per time;
+    dphi is :func:`_driven` at rel.
 
     In the mode basis H = sum_m (P_m^2 + W_m^2 Q_m^2) / 2.  E(t) rotates
     (W Q, P) and scales it by e^{-G t / 2}, so a mode's W^2 <Q^2> + <P^2>,
@@ -410,7 +414,7 @@ def _mode_energy(decomp: ModeDecomposition, mean0: np.ndarray, cov0: np.ndarray,
     w2 = decomp.freqs**2
     initial = w2 * (np.diagonal(cov0)[:n] + mean0[:n] ** 2) + np.diagonal(cov0)[n:] + mean0[n:] ** 2
     decay = np.exp(-rel[:, None] * decomp.damping[None, :])
-    return 0.5 * (decay * initial + 2.0 * decomp.diffusion * _relaxation(decomp, rel)).sum(axis=1)
+    return 0.5 * (decay * initial + 2.0 * dphi).sum(axis=1)
 
 
 def evolve(
@@ -424,22 +428,17 @@ def evolve(
     times must be strictly increasing and start at the state's own epoch
     (stored verbatim in the trajectory); their spacing is free.  Every
     stored time is evaluated in closed form from the initial state, so
-    ``method`` accepts only ``"exact"``: with the initial moments m0, S0
-    rotated into the normal-mode basis and U E(t) the node-from-mode
-    propagator, the means are U E m0 and the covariances U E S0 E^T U^T plus
-    the relaxation towards the stationary covariance, F diag(D phi / W^2) F^T
-    in the q block and F diag(D phi) F^T in the p block.  Only the initial
-    state and the mode channel are checked, once (PhysicalityViolation);
-    complete positivity then keeps every stored covariance physical.
-
-    The covariance is never formed: with S0 = L L^T, each node's block
-    (var_q, var_p, cov_qp) is three dot products of its q and p rows of the
-    node factor U E(t) L (:func:`_square_root`), plus its entries of the
-    relaxation (:func:`_driven`), in time chunks of at most _CHUNK_ELEMENTS
-    entries of E(t) L.  The means come from :func:`_node_means` and the
-    energy from each mode's own 2x2 moments.  A non-finite moment raises
-    IntegratorStepFailure.  The trajectory's ``covs`` recomputes, the same
-    way, the entries it is indexed with.
+    ``method`` accepts only ``"exact"``: with m0 the initial mean in the
+    mode basis and U E(t) the node-from-mode propagator, the means are
+    U E m0.  The covariance is never formed: each node's block
+    (var_q, var_p, cov_qp) comes from the entry kernel
+    :meth:`_CovarianceView._entries`, at O(T n (n + r)) for an initial
+    deviation of rank r (:func:`_deviation`), and the trajectory's
+    ``covs`` recomputes the entries it is indexed with the same way.  The
+    energy comes from each mode's own 2x2 moments.  Only the initial state
+    and the mode channel are checked, once (PhysicalityViolation);
+    complete positivity then keeps every stored covariance physical.  A
+    non-finite moment raises IntegratorStepFailure.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -460,24 +459,19 @@ def evolve(
     cov0 = u @ state.cov @ u.T
     cov0 = 0.5 * (cov0 + cov0.T)
     _check_physical(cov0, decomp)
-    chol = np.linalg.cholesky(cov0)
+    sigma, lam, v = _deviation(state.cov)
     rel = times - times[0]
-    energy = _mode_energy(decomp, mean0, cov0, rel)
+    dphi = _driven(decomp, rel)
+    energy = _mode_energy(decomp, mean0, cov0, rel, dphi)
     coef = _rotation(decomp, rel)
     means = _node_means(decomp, coef, mean0)
-    rows = np.arange(2 * n)
-    squares = decomp.modes**2
-    blocks = np.empty((times.shape[0], n, 3))
-    for chunk in _time_chunks(times.shape[0], (2 * n) ** 2):
-        z = _square_root(decomp, chol, coef[:, :, chunk], rows)
-        for col, (a, b) in enumerate(((z[:n], z[:n]), (z[n:], z[n:]), (z[:n], z[n:]))):
-            np.einsum("jtk,jtk->tj", a, b, out=blocks[chunk, :, col])
-        for col, weight in enumerate(_driven(decomp, rel[chunk])):
-            blocks[chunk, :, col] += np.einsum("tm,jm->tj", weight, squares)
+    covs = _CovarianceView(decomp, sigma, lam, u @ v, rel)
+    # node j's (q_j, q_j), (p_j, p_j) and (q_j, p_j) entries, node by node
+    rows, cols = (np.arange(n)[:, None, None] + [[0, 0], [n, n], [0, n]]).reshape(-1, 2).T
+    blocks = covs._entries(coef, dphi, rows, cols).reshape(times.shape[0], n, 3)
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(blocks))):
         raise IntegratorStepFailure("non-finite moments produced during integration")
 
-    covs = _CovarianceView(decomp, chol, rel)
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)
 
 

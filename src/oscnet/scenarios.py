@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import sys
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -441,7 +442,8 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
         if window is None:
             slow = decomp.slowest if decomp.slowest is not None else 0
             window = 10.0 * 2.0 * np.pi / float(decomp.freqs[slow])
-        samples = np.rint(window / (spacing * cfg.analysis.stride))
+        # a stride past the float range leaves no sample, as a long one does
+        samples = np.rint(window / (spacing * min(cfg.analysis.stride, sys.float_info.max)))
         full_samples = np.rint(window / spacing)  # inf where the window dwarfs the step
         if full_samples < measures.MIN_WINDOW_SAMPLES:
             raise ConfigError(

@@ -262,7 +262,10 @@ def mode_rates(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition
     if bath.kind == SEPARATE:
         damping = np.full(decomp.n, bath.gamma)
     else:
-        damping = bath.gamma * decomp.eff_coupling**2
+        with np.errstate(over="ignore"):
+            damping = bath.gamma * decomp.eff_coupling**2
+    if not np.all(np.isfinite(damping)):
+        raise UnphysicalSpec("a mode's damping rate Gamma = gamma kappa^2 overflows")
     with np.errstate(over="ignore", divide="ignore"):
         diffusion = damping * freqs / np.tanh(freqs / (2.0 * bath.temperature))
     if not np.all(np.isfinite(diffusion)):

@@ -426,7 +426,8 @@ class TestMomentsOnDemand:
 
 
 class TestSquareRootMoments:
-    """evolve and the view form entries as row dot products of one factor."""
+    """evolve and the view build every entry with one kernel: per-mode
+    weights against two rows of F, plus the low-rank initial deviation."""
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_preset_moments_match_node_reference(self, preset):
@@ -440,36 +441,91 @@ class TestSquareRootMoments:
         assert np.allclose(traj.blocks, ref.blocks, rtol=1e-10, atol=1e-10)
         assert np.allclose(traj.energy, ref.energy, rtol=1e-10, atol=1e-10)
 
+    # fig5 squeezes nodes 15 and 16 of a vacuum network: two 2x2 blocks
+    # differ from the common one, each by a rank-2 difference
+    DEVIATION_RANK = {"fig2_cb": 0, "fig2_sb": 0, "fig3_sweep": 0, "fig4_motif": 0,
+                      "fig5_entangle": 4}
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_preset_deviation_rank(self, preset):
+        cov = prepare(load_config(str(PRESETS / f"{preset}.ini"))).state0.cov
+        (var_q, var_p, cov_qp), lam, v = dynamics._deviation(cov)
+        assert lam.shape[0] == self.DEVIATION_RANK[preset]
+        common = np.kron([[var_q, cov_qp], [cov_qp, var_p]], np.eye(cov.shape[0] // 2))
+        assert np.allclose(common + (v * lam) @ v.T, cov, rtol=1e-14, atol=1e-15)
+
+    @staticmethod
+    def _subset_case(net, state):
+        dec = on.analyze(net, BathConfig(kind="common", gamma=0.02, temperature=2.0, cutoff=50.0))
+        traj = on.evolve(state, dec, np.linspace(0.0, 60.0, 121))
+        return traj, np.asarray(traj.covs), (state, net, dec)
+
+    @pytest.fixture(scope="class")
+    def subset_trajs(self):
+        """(trajectory, its whole stack, its inputs) at n = 6 and n = 17 from
+        product states, and at n = 17 from a correlated state, whose
+        deviation has rank 2n."""
+        small = on.random_network(6, 0.6, 0.8, 1.5, -0.1, 0.05, seed=3)
+        large = on.random_network(17, 0.6, 0.8, 1.5, -0.1, 0.05, seed=5)
+        squeeze = np.zeros(17)
+        squeeze[[2, 9, 16]] = [0.9, 0.3, 0.6]
+        product = on.initial_state(large, mean_q=0.4, squeeze_r=squeeze, squeeze_angle=0.2)
+        # a passive (orthogonal symplectic) mix of every node correlates them all
+        mix = np.kron(np.eye(2), np.linalg.qr(np.random.default_rng(17).normal(size=(17, 17)))[0])
+        correlated = on.GaussianState(mix @ product.mean, mix @ product.cov @ mix.T)
+        assert dynamics._deviation(correlated.cov)[1].shape[0] == 34
+        return [
+            self._subset_case(small, on.initial_state(
+                small, mean_q=0.4, squeeze_r=[0.0, 0.9, 0.0, 0.3, 0.0, 0.6], squeeze_angle=0.2)),
+            self._subset_case(large, product),
+            self._subset_case(large, correlated),
+        ]
+
     @pytest.fixture
-    def pair_trajs(self):
-        """(evolved trajectory, its whole stack, the same as a plain-array trajectory)."""
-        net = on.random_network(6, 0.6, 0.8, 1.5, -0.1, 0.05, seed=3)
-        bath = BathConfig(kind="common", gamma=0.02, temperature=2.0, cutoff=50.0)
-        state = on.initial_state(net, mean_q=0.4, squeeze_r=[0.0, 0.9, 0.0, 0.3, 0.0, 0.6],
-                                 squeeze_angle=0.2)
-        traj = on.evolve(state, on.analyze(net, bath), np.linspace(0.0, 60.0, 121))
-        stack = np.asarray(traj.covs)
+    def pair_trajs(self, subset_trajs):
+        """(the n = 6 trajectory, its whole stack, the same as a plain-array trajectory)."""
+        traj, stack, _ = subset_trajs[0]
         plain = on.Trajectory(times=traj.times, means=traj.means, covs=stack,
                               energy=traj.energy)
         return traj, stack, plain
 
     @pytest.mark.parametrize("rows", [
-        [1, 4, 7, 10],                    # the pair (1, 4)
-        [4, 1, 10, 7],                    # the same rows, unsorted
-        [0, 1, 4, 5, 6, 7, 10, 11],       # the union of (0, 5) and (1, 4)
-        [3, 9],                           # one node's (q, p)
-        [11, 0, 11],                      # repeats
-    ], ids=["pair", "pair_unsorted", "union", "node", "repeats"])
+        lambda n: [1, 4, n + 1, n + 4],                    # the pair (1, 4)
+        lambda n: [4, 1, n + 4, n + 1],                    # the same rows, unsorted
+        lambda n: [0, 1, 4, 5, n, n + 1, n + 4, n + 5],    # the union of (0, 5) and (1, 4)
+        lambda n: [3, n + 3],                              # one node's (q, p)
+        lambda n: [2 * n - 1, 0, 2 * n - 1],               # repeats
+        lambda n: [2],                                     # a lone q row
+        lambda n: [n + 2],                                 # a lone p row
+    ], ids=["pair", "pair_unsorted", "union", "node", "repeats", "lone_q", "lone_p"])
     @pytest.mark.parametrize("times", [slice(None, None, 10), np.array([120, 3, 3])[:, None, None], 7],
                              ids=["strided", "int_array", "int"])
-    def test_row_subset_is_bitwise_stack(self, pair_trajs, rows, times):
-        traj, stack, plain = pair_trajs
-        r = np.array(rows)
-        for key in ((times, r[:, None], r[None, :]), (times, r, r[::-1]), (times, r[0], r[-1])):
-            got = traj.covs[key]
-            assert np.shape(got) == np.shape(stack[key])
-            assert np.array_equal(got, stack[key])
-            assert np.array_equal(plain.covs[key], got)
+    def test_row_subset_is_bitwise_stack(self, subset_trajs, rows, times):
+        for traj, stack, _ in subset_trajs:
+            r = np.array(rows(traj.n))
+            plain = on.Trajectory(times=traj.times, means=traj.means, covs=stack,
+                                  energy=traj.energy)
+            for key in ((times, r[:, None], r[None, :]), (times, r, r[::-1]),
+                        (times, r[0], r[-1])):
+                got = traj.covs[key]
+                assert np.shape(got) == np.shape(stack[key])
+                assert np.array_equal(got, stack[key])
+                assert np.array_equal(plain.covs[key], got)
+
+    def test_blocks_are_the_stack_diagonal(self, subset_trajs):
+        for traj, stack, _ in subset_trajs:
+            n = traj.n
+            idx = np.arange(n)
+            assert np.array_equal(traj.blocks, np.stack(
+                [stack[:, idx, idx], stack[:, n + idx, n + idx], stack[:, idx, n + idx]], axis=-1))
+            assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
+
+    def test_correlated_state_matches_node_reference(self, subset_trajs):
+        # the full-rank deviation against the dense expm route
+        traj, stack, (state, net, dec) = subset_trajs[2]
+        ref = on.evolve_node_reference(state, net, dec, traj.times)
+        assert np.allclose(stack, ref.covs, rtol=1e-10, atol=1e-10)
+        assert np.allclose(traj.means, ref.means, rtol=1e-10, atol=1e-10)
 
     def test_row_subset_index_errors(self, pair_trajs):
         traj, _, _ = pair_trajs
@@ -485,19 +541,20 @@ class TestSquareRootMoments:
             assert got.excluded == ref.excluded == ()
 
     def test_fig5_simulate_reads_pair_rows_only(self, tmp_path, monkeypatch):
-        # Each of the three pair series makes one read, of the 8 quadrature
-        # rows of the pairs (15, 16) and (3, 7); no read evaluates all 2n = 34.
-        reads = []
-        real = dynamics._CovarianceView._rows_read
+        # evolve asks the entry kernel for each node's three block entries;
+        # then each of the three pair series makes one read, of the 8
+        # quadrature rows of the pairs (15, 16) and (3, 7), 8 x 8 entries
+        # per time, and no read evaluates all 2n = 34 rows.
+        calls = []
+        real = dynamics._CovarianceView._entries
 
-        def spy(self, rest):
-            rows, remapped = real(self, rest)
-            reads.append(rows.shape[0])
-            return rows, remapped
+        def spy(self, coef, dphi, a, b):
+            calls.append((np.unique(np.concatenate([a, b])).shape[0], a.shape[0]))
+            return real(self, coef, dphi, a, b)
 
-        monkeypatch.setattr(dynamics._CovarianceView, "_rows_read", spy)
+        monkeypatch.setattr(dynamics._CovarianceView, "_entries", spy)
         run_simulate(load_config(str(PRESETS / "fig5_entangle.ini")), out_dir=str(tmp_path))
-        assert reads == [8, 8, 8]
+        assert calls == [(34, 3 * 17), (8, 64), (8, 64), (8, 64)]
 
 
 class TestPhysicalityOracle:

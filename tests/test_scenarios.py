@@ -458,6 +458,24 @@ class TestCli:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "spectrum"])
+    @pytest.mark.parametrize("old, new", [
+        ("window = 8.0", "window = 8.0\nstride = 1" + "0" * 400),
+        ("gamma = 0.07", "gamma = 1.7e308"),
+    ], ids=["stride_past_float", "damping_overflows"])
+    def test_overflowing_number_exit_code(self, tmp_path, capsys, command, old, new):
+        # a stride too large for a float, and a common-bath damping
+        # gamma kappa^2 past the float range; pytest turns the overflow
+        # RuntimeWarning into an error, so nothing may raise one
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        preset = preset.replace("t_end = 160.0", "t_end = 20.0")
+        assert preset.count(old) == 1
+        path = write_ini(tmp_path, preset.replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
     # every grid is built through one helper, and a size above the intp
     # maximum, which numpy refuses before it allocates, is a config error
     GRID_TAIL = ("\n[sweep]\nparameter = omega 2\nlist = 1.8\n"
