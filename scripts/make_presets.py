@@ -276,7 +276,7 @@ def emit() -> dict:
     # fast structural verification
     dec3 = on.analyze(fig3_net, bath)
     rep3 = on.frozen_mode_report(dec3, bath)
-    assert len(rep3.frozen) == 1 and rep3.global_sync_common, rep3
+    assert len(rep3.frozen) == 1 and rep3.participation[:, rep3.frozen[0]].all(), rep3
     others = np.delete(np.abs(dec3.eff_coupling), rep3.frozen[0])
     print(f"fig3: kappa_sigma={dec3.eff_coupling[rep3.frozen[0]]:.2e}, "
           f"min other |kappa|={others.min():.3f}, "

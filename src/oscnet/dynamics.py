@@ -14,11 +14,13 @@ normal-mode transform and E(t) each mode's damped rotation.  There is no
 step and no accumulated stepping error, and the stored times need not be
 uniform.  The initial covariance is split as sigma (x) I, with sigma the
 most common node 2x2 block, plus a signed deviation of rank r <= 2n.  In
-the mode basis sigma propagates mode by mode, E(t) sigma E(t)^T, and
-merges with the relaxation towards the stationary covariance,
-diag(D phi / W^2, D phi), into three per-mode weight series.  A node
-entry is those weights summed against two rows of F, plus r products of
-the rows of the propagated deviation vectors U E(t) u_k; one kernel
+the mode basis sigma propagates mode by mode, and its change
+E(t) sigma E(t)^T - sigma merges with the relaxation towards the
+stationary covariance, diag(D phi / W^2, D phi), into three per-mode
+weight series.  A node entry is those weights summed against two rows of
+F, plus sigma itself on a node's own entries (so a product state reads
+back its own bits at t = 0), plus r products of the rows of the
+propagated deviation vectors U E(t) u_k; one kernel
 forms every entry, rounded the same whatever it is read with.  A
 trajectory keeps the means, each node's 2x2 block and the energy, all
 O(T n); its (2n, 2n) covariances are recomputed, the same way, for the
@@ -279,18 +281,21 @@ def _node_means(decomp: ModeDecomposition, coef: np.ndarray, mean0: np.ndarray) 
 
 
 def _weights(decomp: ModeDecomposition, sigma, rot: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-    """Per-mode (qq, qp, pp) entries of E(t) sigma E(t)^T plus the driven
-    covariance diag(D phi / W^2, D phi), shape (3, T, n).
+    """Per-mode (qq, qp, pp) entries of E(t) sigma E(t)^T - sigma plus the
+    driven covariance diag(D phi / W^2, D phi), shape (3, T, n).
 
     rot is :func:`_rotation` as (2, 2, T, n), and dphi :func:`_driven`.
     blockdiag(F, F) maps sigma (x) I onto itself, so the common node block
-    sigma (:func:`_deviation`) sits on every mode in the mode basis.
+    sigma (:func:`_deviation`) sits on every mode in the mode basis; it is
+    taken out here and added back on the node entries, so that at t = 0
+    (E = I, phi = 0) every weight is exactly zero.
     """
     (var_q, var_p, cov_qp), ((q0, q1), (p0, p1)) = sigma, rot
     return np.stack([
-        var_q * q0 * q0 + 2.0 * cov_qp * q0 * q1 + var_p * q1 * q1 + dphi / decomp.freqs**2,
-        var_q * q0 * p0 + cov_qp * (q0 * p1 + q1 * p0) + var_p * q1 * p1,
-        var_q * p0 * p0 + 2.0 * cov_qp * p0 * p1 + var_p * p1 * p1 + dphi,
+        var_q * q0 * q0 + 2.0 * cov_qp * q0 * q1 + var_p * q1 * q1 - var_q
+        + dphi / decomp.freqs**2,
+        var_q * q0 * p0 + cov_qp * (q0 * p1 + q1 * p0) + var_p * q1 * p1 - cov_qp,
+        var_q * p0 * p0 + 2.0 * cov_qp * p0 * p1 + var_p * p1 * p1 - var_p + dphi,
     ])
 
 
@@ -346,9 +351,11 @@ class _CovarianceView:
         With u_k the initial deviation's vectors in the mode basis (dev)
         and z_k = U E(t) u_k, the entry between node quadratures i and j is
 
-            sum_m F_im F_jm w_m(t) + sum_k lam_k z_k,i(t) z_k,j(t),
+            sum_m F_im F_jm w_m(t) + [i, j one node] sigma_ij
+                + sum_k lam_k z_k,i(t) z_k,j(t),
 
-        with w the qq, qp or pp series of :func:`_weights`.  A q row of z_k
+        with w the qq, qp or pp series of :func:`_weights` and sigma_ij the
+        matching entry of the common node block.  A q row of z_k
         is sum_m F_im (E_m,qq u_k,qm + E_m,qp u_k,pm), a p row the same
         with E's p row.  Each sum is one c-einsum reduction along a
         contiguous last axis, in an order fixed by n and r, so no entry's
@@ -358,6 +365,10 @@ class _CovarianceView:
         n, f = decomp.n, decomp.modes
         kinds = [(a >= n).astype(int) + (b >= n) == k for k in range(3)]  # qq, qp, pp
         pairs = [f[a[kind] % n] * f[b[kind] % n] for kind in kinds]
+        # (sigma (x) I)_ab: sigma on a node's own entries, and +0.0 elsewhere,
+        # whose addition changes no entry (bar -0.0 to 0.0)
+        offsets = [np.where(a[kind] % n == b[kind] % n, s, 0.0)
+                   for kind, s in zip(kinds, self._sigma[[0, 2, 1]])]
         rows, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
         # z's coefficients on a row of E(t), per row read and k, (rows r, 2n);
         # C order, as every operand, puts each reduction on a contiguous axis
@@ -369,8 +380,11 @@ class _CovarianceView:
         step = max(1, _CHUNK_ELEMENTS // (a.shape[0] * (lam.shape[0] + 1)))
         for chunk in (slice(t, t + step) for t in range(0, out.shape[0], step)):
             rot = np.ascontiguousarray(coef[:, :, chunk].transpose(1, 3, 2, 0))
-            for kind, w, pair in zip(kinds, _weights(decomp, self._sigma, rot, dphi[chunk]), pairs):
-                out[chunk, kind] = np.einsum("tm,pm->tp", w, pair)
+            weights = _weights(decomp, self._sigma, rot, dphi[chunk])
+            for kind, w, pair, offset in zip(kinds, weights, pairs, offsets):
+                entries = np.einsum("tm,pm->tp", w, pair)
+                entries += offset
+                out[chunk, kind] = entries
             e_q, e_p = rot.transpose(0, 2, 1, 3).reshape(2, -1, 2 * n)
             z = np.concatenate([np.einsum("tm,pm->tp", e_q, factor[:split]),
                                 np.einsum("tm,pm->tp", e_p, factor[split:])], axis=1)

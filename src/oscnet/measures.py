@@ -128,13 +128,15 @@ def energy(state, net: NetworkSpec) -> float:
 
 @dataclass(frozen=True)
 class WindowedSeries:
-    """A sliding-window statistic: value[k] covers [times[k], times[k] + window)."""
+    """A sliding-window statistic: value[k] covers [times[k], times[k] + window).
+
+    A window with zero variance in a series it reads is NaN in ``values``.
+    """
 
     times: np.ndarray
     values: np.ndarray
     window: float
     samples: int
-    degenerate: np.ndarray
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -205,11 +207,10 @@ def windowed_correlation(times, series, window: float, pairs, stride: int = 1) -
     """Pearson C(t) of column pairs of ``series`` over sliding windows.
 
     series: (T, K) samples of K series on the time grid; pairs: (P, 2)
-    column indices.  ``values`` and ``degenerate`` are (windows, P), one
-    column per pair, from one pass over the union of the named columns.
-    Windows start at every ``stride``-th sample, the grid the pair measures
-    use with the same stride.  Windows with zero variance in either series
-    yield NaN and are marked in the ``degenerate`` mask.
+    column indices.  ``values`` is (windows, P), one column per pair, from
+    one pass over the union of the named columns.  Windows start at every
+    ``stride``-th sample, the grid the pair measures use with the same
+    stride.  Windows with zero variance in either series yield NaN.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -226,7 +227,6 @@ def windowed_correlation(times, series, window: float, pairs, stride: int = 1) -
         values=values,
         window=actual,
         samples=samples,
-        degenerate=np.isnan(values),
     )
 
 
@@ -237,7 +237,7 @@ def collective_sync(traj, window: float, subset=None, stride: int = 1) -> Window
     Windows start at every ``stride``-th sample, as in
     :func:`windowed_correlation`; each window is computed on its own, so
     a strided series equals every ``stride``-th value of the full one.
-    Any degenerate pair window makes S(t) NaN there, with the mask set.
+    A zero-variance window of any node read makes S(t) NaN there.
     """
     signal = traj.second_moment_q
     nodes = np.arange(traj.n) if subset is None else np.asarray(subset, dtype=np.int64)
@@ -251,18 +251,15 @@ def collective_sync(traj, window: float, subset=None, stride: int = 1) -> Window
     pairs = np.array(list(combinations(range(nodes.shape[0]), 2)), dtype=np.int64)
     # Reduced block by block: the (windows, pairs) correlations are never
     # held whole, since they grow as n^2 T.
-    values, degenerate = [], []
-    for corr in _pearson_blocks(signal[:, nodes], samples, pairs, stride):
-        values.append(np.abs(corr).prod(axis=1))
-        degenerate.append(np.isnan(corr).any(axis=1))
-    values = np.concatenate(values)
-    degenerate = np.concatenate(degenerate)
+    values = np.concatenate([
+        np.abs(corr).prod(axis=1)
+        for corr in _pearson_blocks(signal[:, nodes], samples, pairs, stride)
+    ])
     return WindowedSeries(
         times=traj.times[::stride][: values.shape[0]].copy(),
         values=values,
         window=actual,
         samples=samples,
-        degenerate=degenerate,
     )
 
 

@@ -50,6 +50,7 @@ from .spectral import (
     LOCAL,
     SEPARATE,
     BathConfig,
+    _slowest_order,
     analyze,
 )
 from .tuning import (
@@ -440,8 +441,7 @@ def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
     if cfg.analysis is not None:
         window = cfg.analysis.window
         if window is None:
-            slow = decomp.slowest if decomp.slowest is not None else 0
-            window = 10.0 * 2.0 * np.pi / float(decomp.freqs[slow])
+            window = 10.0 * 2.0 * np.pi / float(decomp.freqs[_slowest_order(decomp)[0]])
         # a stride past the float range leaves no sample, as a long one does
         samples = np.rint(window / (spacing * min(cfg.analysis.stride, sys.float_info.max)))
         full_samples = np.rint(window / spacing)  # inf where the window dwarfs the step
@@ -534,18 +534,18 @@ def _summary_text(prep: PreparedScenario, extra_lines=()) -> str:
             f"{m}  {csvio.fmt(decomp.freqs[m])}  {csvio.fmt(decomp.eff_coupling[m])}  "
             f"{csvio.fmt(decomp.damping[m])}  {csvio.fmt(decomp.diffusion[m])}"
         )
+    order = _slowest_order(decomp)
+    slow, runner_up = np.abs(decomp.eff_coupling[order[:2]])
+    ratio = slow / runner_up if runner_up > 0.0 else 0.0  # two frozen modes: 0
     lines.append("")
-    lines.append(
-        f"slowest mode: {decomp.slowest} (damping ratio "
-        f"{csvio.fmt(decomp.damping_ratio)})"
-    )
+    lines.append(f"slowest mode: {order[0]} (damping ratio {csvio.fmt(ratio)})")
     if cfg.bath.kind != SEPARATE:
         try:
             est = estimate_sync_times(decomp)
             lines.append(f"estimated t_sync: {csvio.fmt(est.t_sync)}")
             for j in range(prep.net.n):
-                tag = "unreachable" if est.unreachable[j] else csvio.fmt(est.node_times[j])
-                lines.append(f"  node {j}: {tag}")
+                t_j = est.node_times[j]
+                lines.append(f"  node {j}: {'unreachable' if np.isinf(t_j) else csvio.fmt(t_j)}")
         except NoDominantMode:
             lines.append("estimated t_sync: undefined (no dominant slow mode)")
     lines.extend(extra_lines)

@@ -99,10 +99,7 @@ class ModeDecomposition:
     ``modes`` is the orthogonal transform (columns are normal modes) and
     ``freqs`` the mode frequencies, sorted ascending.  After
     :func:`effective_couplings` the per-mode bath weights ``eff_coupling``
-    and the indices of the two least-dissipative modes (``slowest``,
-    ``second_slowest``) are set, along with their magnitude ratio
-    ``damping_ratio``.  After :func:`mode_rates` the damping and diffusion
-    rates are set.
+    are set, and after :func:`mode_rates` the damping and diffusion rates.
     """
 
     modes: np.ndarray
@@ -110,9 +107,6 @@ class ModeDecomposition:
     eff_coupling: np.ndarray | None = None
     damping: np.ndarray | None = None
     diffusion: np.ndarray | None = None
-    slowest: int | None = None
-    second_slowest: int | None = None
-    damping_ratio: float | None = None
 
     def __post_init__(self):
         self.modes.setflags(write=False)
@@ -191,7 +185,7 @@ def _concentrate_group(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def effective_couplings(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition:
-    """Per-mode bath coupling weights; sets the two slowest-mode indices.
+    """Per-mode bath coupling weights.
 
     Within a degenerate eigenspace the coupling weights are basis
     dependent, so the eigenspace is rotated to expose the minimal-coupling
@@ -225,20 +219,17 @@ def effective_couplings(decomp: ModeDecomposition, bath: BathConfig) -> ModeDeco
             kappa = modes.sum(axis=0)
         else:
             kappa = modes[d, :].copy()
-    order = np.argsort(np.abs(kappa), kind="stable")
-    sigma, eta = int(order[0]), int(order[1])
-    if np.abs(kappa[eta]) > 0.0:
-        ratio = float(np.abs(kappa[sigma]) / np.abs(kappa[eta]))
-    else:
-        ratio = 0.0  # two frozen modes: ratio of damping rates is trivially 0
-    return replace(
-        decomp,
-        modes=modes,
-        eff_coupling=kappa,
-        slowest=sigma,
-        second_slowest=eta,
-        damping_ratio=ratio,
-    )
+    return replace(decomp, modes=modes, eff_coupling=kappa)
+
+
+def _slowest_order(decomp: ModeDecomposition) -> np.ndarray:
+    """Mode indices by ascending |kappa|, ties in index order.
+
+    The first is the least-coupled, slowest-damped mode sigma.  Gamma =
+    gamma kappa^2 grows with |kappa|, so this is also the order of the
+    damping rates wherever those differ.
+    """
+    return np.argsort(np.abs(decomp.eff_coupling), kind="stable")
 
 
 def mode_rates(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition:
@@ -288,13 +279,11 @@ class FrozenModeReport:
     """Which modes are dissipation-free and which nodes take part in them.
 
     ``participation[k, m]`` is True when node k overlaps mode m above the
-    threshold.  ``global_sync_common`` flags a frozen mode involving every
-    node under a common bath.
+    threshold.
     """
 
     frozen: tuple[int, ...]
     participation: np.ndarray
-    global_sync_common: bool
 
     def participants(self, mode: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.nonzero(self.participation[:, mode])[0])
@@ -311,9 +300,4 @@ def frozen_mode_report(decomp: ModeDecomposition, bath: BathConfig) -> FrozenMod
         decomp = effective_couplings(decomp, bath)
     participation = np.abs(decomp.modes) > _OVERLAP_RTOL * float(np.max(np.abs(decomp.modes)))
     frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(decomp)))
-    global_sync = bath.kind == COMMON and any(participation[:, m].all() for m in frozen)
-    return FrozenModeReport(
-        frozen=frozen,
-        participation=participation,
-        global_sync_common=global_sync,
-    )
+    return FrozenModeReport(frozen=frozen, participation=participation)

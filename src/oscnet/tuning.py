@@ -36,6 +36,7 @@ from .spectral import (
     BathConfig,
     FrozenModeReport,
     ModeDecomposition,
+    _slowest_order,
     diagonalize,
     effective_couplings,
     frozen_mode_report,
@@ -256,12 +257,11 @@ class SyncTimeEstimate:
     Node j locks once every faster mode has decayed below the slow mode's
     weight there: t_j = max_k 2 (ln|F_jk| - ln|F_j sigma|) / (G_k - G_sigma),
     clipped at zero.  Nodes the slow mode misses entirely never lock
-    (infinite entry, flagged in ``unreachable``).
+    (infinite entry).
     """
 
     node_times: np.ndarray
     t_sync: float
-    unreachable: np.ndarray
     sigma: int
 
 
@@ -269,7 +269,7 @@ def estimate_sync_times(decomp: ModeDecomposition) -> SyncTimeEstimate:
     if decomp.damping is None:
         raise ValueError("decomposition carries no bath rates; run spectral.analyze first")
     gamma = decomp.damping
-    order = np.argsort(gamma, kind="stable")
+    order = _slowest_order(decomp)
     sigma = int(order[0])
     n = decomp.n
     if n > 1:
@@ -299,9 +299,4 @@ def estimate_sync_times(decomp: ModeDecomposition) -> SyncTimeEstimate:
         node_times[j] = t_j
     finite = node_times[np.isfinite(node_times)]
     t_sync = float(finite.max()) if finite.size else np.inf
-    return SyncTimeEstimate(
-        node_times=node_times,
-        t_sync=t_sync,
-        unreachable=unreachable,
-        sigma=sigma,
-    )
+    return SyncTimeEstimate(node_times=node_times, t_sync=t_sync, sigma=sigma)

@@ -1,8 +1,20 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oscnet as on
+
+# When a @given test fails, hypothesis's pytest plugin imports this module
+# to suggest a patch; its dependencies (libcst, mypy_extensions) raise a
+# DeprecationWarning on import, which filterwarnings = error turns into an
+# INTERNALERROR that ends the run.  Importing it once here, with that
+# warning ignored, lets every later test still run and report.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def random_symplectic(rng, n):

@@ -454,6 +454,17 @@ class TestSquareRootMoments:
         common = np.kron([[var_q, cov_qp], [cov_qp, var_p]], np.eye(cov.shape[0] // 2))
         assert np.allclose(common + (v * lam) @ v.T, cov, rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("preset", [p for p, r in DEVIATION_RANK.items() if r == 0])
+    def test_product_state_reads_back_at_t0(self, preset):
+        # sigma (x) I is added to a node's own entries as it is, not passed
+        # through F F^T, so a product state's t = 0 moments are its own bits
+        prep = prepare(load_config(str(PRESETS / f"{preset}.ini")))
+        traj = on.evolve(prep.state0, prep.decomp, prep.times[:3])
+        cov0 = prep.state0.cov
+        assert np.array_equal(traj.blocks[0], dynamics._node_blocks(cov0[None])[0])
+        assert np.array_equal(np.asarray(traj.covs)[0], cov0)
+        assert np.array_equal(traj.covs[0], cov0)
+
     @staticmethod
     def _subset_case(net, state):
         dec = on.analyze(net, BathConfig(kind="common", gamma=0.02, temperature=2.0, cutoff=50.0))

@@ -294,7 +294,6 @@ class TestWindowedCorrelation:
         g = np.sin(times)
         out = on.windowed_correlation(times, np.column_stack([f, g]), 1.0, [(0, 1)])
         assert np.all(np.isnan(out.values))
-        assert np.all(out.degenerate)
 
     def test_grid_validation(self):
         times = np.concatenate([np.linspace(0, 1, 30), [1.5, 2.0, 2.6]])
@@ -319,13 +318,12 @@ class TestWindowedCorrelation:
         ref = pearson_two_pass(series, out.samples, pairs)
         assert out.values.shape == (150 - 20 + 1, 5)
         assert np.allclose(out.values, ref, rtol=0.0, atol=1e-12, equal_nan=True)
-        assert np.array_equal(out.degenerate, np.isnan(ref))
-        assert out.degenerate[:, 3].all() and not out.degenerate[:, :3].any()
+        nan = np.isnan(out.values)
+        assert nan[:, 3].all() and not nan[:, :3].any() and not nan[:, 4:].any()
         # windows at every 4th start only, each computed as before
         strided = on.windowed_correlation(times, series, 2.0, pairs, stride=4)
         assert np.array_equal(strided.times, out.times[::4])
         assert np.array_equal(strided.values, out.values[::4], equal_nan=True)
-        assert np.array_equal(strided.degenerate, out.degenerate[::4])
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -335,7 +333,7 @@ class TestWindowedCorrelation:
         f = rng.normal(size=64)
         g = rng.normal(size=64)
         out = on.windowed_correlation(times, np.column_stack([f, g]), 16.0, [(0, 1)])
-        finite = out.values[~out.degenerate]
+        finite = out.values[~np.isnan(out.values)]
         assert np.all(np.abs(finite) <= 1.0)
 
 
@@ -466,8 +464,8 @@ class TestCollectiveSync:
         out = on.collective_sync(self.make_traj(sig), window=1.2)
         assert out.samples == 12
         assert np.array_equal(out.values, np.abs(corr).prod(axis=1), equal_nan=True)
-        assert np.array_equal(out.degenerate, np.isnan(corr).any(axis=1))
-        assert out.degenerate.any()
+        assert np.array_equal(np.isnan(out.values), np.isnan(corr).any(axis=1))
+        assert np.isnan(out.values).any()
 
     @pytest.mark.parametrize("stride", [2, 3, 7])
     def test_stride_is_every_stride_th_window(self, monkeypatch, stride):
@@ -481,9 +479,8 @@ class TestCollectiveSync:
         full = on.collective_sync(traj, window=1.2)
         out = on.collective_sync(traj, window=1.2, stride=stride)
         assert np.array_equal(out.values, full.values[::stride], equal_nan=True)
-        assert np.array_equal(out.degenerate, full.degenerate[::stride])
         assert np.array_equal(out.times, full.times[::stride])
-        assert out.degenerate.any() and out.samples == full.samples
+        assert np.isnan(out.values).any() and out.samples == full.samples
         with pytest.raises(ValueError):
             on.collective_sync(traj, window=1.2, stride=0)
 

@@ -267,6 +267,23 @@ class TestRunSimulate:
         with open(os.path.join(out, "summary.txt")) as fh:
             assert f"analysis window: {on.csvio.fmt(pearson.window)}" in fh.read()
 
+    def test_slowest_mode_sets_summary_and_window(self, tmp_path):
+        # sigma is the least-coupled mode, its runner-up the next; the
+        # automatic window spans ten periods of sigma
+        text = CHAIN_INI.replace("window = 2.0\n", "").replace("t_end = 20.0", "t_end = 80.0")
+        cfg = on.load_config(write_ini(tmp_path, text))
+        assert cfg.analysis.window is None
+        prep = scenarios.prepare(cfg)
+        kappa = np.abs(prep.decomp.eff_coupling)
+        sigma = int(np.argmin(kappa))
+        eta = int(np.argmin(np.where(np.arange(3) == sigma, np.inf, kappa)))
+        assert prep.window == 10.0 * 2.0 * np.pi / prep.decomp.freqs[sigma]
+        out = on.run_spectrum(cfg, out_dir=str(tmp_path / "spec"))
+        with open(os.path.join(out, "summary.txt")) as fh:
+            text = fh.read()
+        ratio = on.csvio.fmt(kappa[sigma] / kappa[eta])
+        assert f"slowest mode: {sigma} (damping ratio {ratio})" in text
+
     def test_without_analysis_writes_trajectory_only(self, tmp_path):
         cfg = on.load_config(write_ini(tmp_path, CHAIN_INI_NO_ANALYSIS))
         assert cfg.analysis is None
@@ -528,6 +545,26 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
         assert out.exists()
+
+    def test_relaxed_windows_are_the_only_nan_s(self, tmp_path):
+        # gamma = 5 overdamps the fig2_cb chain, and it has fully relaxed
+        # long before t_end: from there every <q_j^2> is bit-constant, and
+        # S(t) is NaN (zero variance) in exactly those windows, plus the
+        # tail rows where no window fits
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        path = write_ini(tmp_path, preset.replace("gamma = 0.07", "gamma = 5"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+        sync = np.array(read_csv(out / "aggregate.csv")[1], dtype=float)[:, 1]
+        prep = scenarios.prepare(scenarios.load_config(path))
+        signal = on.evolve(prep.state0, prep.decomp, prep.times).second_moment_q
+        samples = int(round(prep.window / (prep.times[1] - prep.times[0])))
+        windows = np.lib.stride_tricks.sliding_window_view(signal, samples, axis=0)
+        windows = windows[:: prep.cfg.analysis.stride][: sync.shape[0]]
+        expected = np.ones(sync.shape, dtype=bool)
+        expected[: windows.shape[0]] = (windows == windows[..., :1]).all(axis=2).any(axis=1)
+        assert np.array_equal(np.isnan(sync), expected)
+        assert expected[: windows.shape[0]].sum() > 80
 
     RANDOM_NETWORK = ("source = random\nnodes = {nodes}\nconnect_prob = {prob}\n"
                       "freq_low = 0.9\nfreq_high = 1.2\ncoupling_mean = -0.1\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oscnet as on
+from oscnet import spectral
 from oscnet.errors import CutoffTooLow, LocalBathNodeOutOfRange, UnphysicalSpec
 from oscnet.spectral import BathConfig
 
@@ -83,11 +84,21 @@ class TestEffectiveCouplings:
     def test_slowest_mode_ordering(self, er10, common_bath):
         dec = on.effective_couplings(on.diagonalize(er10), common_bath)
         kappa = np.abs(dec.eff_coupling)
-        assert kappa[dec.slowest] == kappa.min()
+        order = spectral._slowest_order(dec)
+        assert sorted(order) == list(range(10))
+        assert kappa[order[0]] == kappa.min()
         mask = np.ones(10, dtype=bool)
-        mask[dec.slowest] = False
-        assert kappa[dec.second_slowest] == kappa[mask].min()
-        assert np.isclose(dec.damping_ratio, kappa[dec.slowest] / kappa[dec.second_slowest])
+        mask[order[0]] = False
+        assert kappa[order[1]] == kappa[mask].min()
+        assert np.all(np.diff(kappa[order]) >= 0.0)
+
+    def test_one_node_network(self, common_bath, separate_bath):
+        net = on.build_network(np.array([1.3]), np.zeros((1, 1)))
+        for bath in (common_bath, separate_bath):
+            dec = on.analyze(net, bath)
+            assert dec.n == 1 and dec.freqs[0] == pytest.approx(1.3)
+            assert abs(dec.eff_coupling[0]) == pytest.approx(1.0)
+            assert list(spectral._slowest_order(dec)) == [0]
 
     def test_degenerate_pair_concentration(self, common_bath):
         # identical attached pair: exactly one combination in the degenerate
@@ -140,4 +151,4 @@ class TestFrozenModeReport:
         rep = on.frozen_mode_report(dec, common_bath)
         assert len(rep.frozen) == 1
         assert rep.participants(rep.frozen[0]) == (2, 3)
-        assert not rep.global_sync_common
+        assert not rep.participation[:, rep.frozen[0]].all()
