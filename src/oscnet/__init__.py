@@ -11,7 +11,6 @@ and the surviving quantum correlations.
 from .dynamics import (
     GaussianState,
     Trajectory,
-    asymptotic_state,
     evolve,
     evolve_node_reference,
     initial_state,
@@ -19,14 +18,11 @@ from .dynamics import (
 from .errors import ConfigError, OscnetError, UnphysicalSpec
 from .measures import (
     collective_sync,
-    energy,
     gaussian_discord,
     log_negativity,
     mutual_information,
-    pair_covariance,
     pair_measure_series,
     symplectic_spectrum,
-    von_neumann_entropy,
     windowed_correlation,
 )
 from .network import (
@@ -74,13 +70,11 @@ __all__ = [
     "Trajectory",
     "UnphysicalSpec",
     "analyze",
-    "asymptotic_state",
     "attach_pair",
     "build_network",
     "collective_sync",
     "diagonalize",
     "effective_couplings",
-    "energy",
     "estimate_sync_times",
     "evolve",
     "evolve_node_reference",
@@ -94,7 +88,6 @@ __all__ = [
     "log_negativity",
     "mode_rates",
     "mutual_information",
-    "pair_covariance",
     "pair_measure_series",
     "parameter_scan",
     "random_network",
@@ -104,6 +97,5 @@ __all__ = [
     "run_tune",
     "save_network",
     "symplectic_spectrum",
-    "von_neumann_entropy",
     "windowed_correlation",
 ]

@@ -156,9 +156,13 @@ def _constant_columns(table) -> np.ndarray:
     return bits.min(axis=0, initial=np.iinfo(np.uint64).max) == bits.max(axis=0, initial=0)
 
 
-def _write_table(path, header, columns) -> None:
+def _write_table(path, header, columns, order=None) -> None:
     """Header line, then one "%.12g" row per row of the columns (1-D
-    columns, or 2-D blocks of them), stacked a block of rows at a time.
+    columns, or 2-D blocks of them), a block of rows at a time.
+
+    The table's columns are the given ones side by side, or those picked
+    by ``order``, an index into them, so a writer can pass the arrays it
+    holds without copying them into the table's column order.
 
     A column whose float64 bits are the same in every row (so 0.0 and -0.0
     do not match) is formatted once, with "%", into the separator after
@@ -171,12 +175,14 @@ def _write_table(path, header, columns) -> None:
     columns = [np.asarray(c, dtype=float) for c in columns]
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
     rows = columns[0].shape[0]
-    varying = np.flatnonzero(~np.concatenate([_constant_columns(c) for c in columns]))
+    if order is None:
+        order = np.arange(sum(c.shape[1] for c in columns))
+    varying = np.flatnonzero(~np.concatenate([_constant_columns(c) for c in columns])[order])
     with _open(path, binary=True) as fh:
         fh.write((",".join(header) + "\n").encode())
         if rows == 0:
             return
-        cells = [fmt(v) for c in columns for v in c[0]]
+        cells = [fmt(v) for v in np.concatenate([c[0] for c in columns])[order]]
         if varying.size == 0:
             fh.write((",".join(cells) + "\n").encode() * rows)
             return
@@ -205,9 +211,10 @@ def _write_table(path, header, columns) -> None:
         for j, sep in enumerate(seps):
             slots[:, j, _SLOT:_SLOT + len(sep)] = np.frombuffer(sep, np.uint8)
         keep = np.empty(slots.shape, bool)
+        gather = order[varying]
         fh.write(lead)
         for start in range(0, rows, block_rows):
-            block = np.hstack([c[start:start + block_rows] for c in columns])[:, varying]
+            block = np.hstack([c[start:start + block_rows] for c in columns])[:, gather]
             n = block.shape[0]
             _render(t, block, slots[:n], keep_table, column_keys, keep[:n])
             text = np.compress(keep[:n].ravel(), slots[:n].ravel())
@@ -223,10 +230,14 @@ def write_trajectory(path, traj) -> None:
             f"mean_q_{j}", f"mean_p_{j}", f"var_q_{j}", f"var_p_{j}", f"cov_qp_{j}",
         ]
     header.append("total_energy")
-    series = (traj.mean_q, traj.mean_p, traj.var_q, traj.var_p, traj.cov_qp)
+    # columns of [times, means (q..., p...), blocks (node by node), energy]
+    n = traj.n
+    node = np.arange(n)[:, None]
+    per_node = np.hstack([1 + node, 1 + n + node, 1 + 2 * n + 3 * node + np.arange(3)])
+    order = np.concatenate([[0], per_node.ravel(), [1 + 5 * n]])
     _write_table(path, header, [
-        traj.times, *(s[:, j] for j in range(traj.n) for s in series), traj.energy,
-    ])
+        traj.times, traj.means, np.reshape(traj.blocks, (-1, 3 * n)), traj.energy,
+    ], order)
 
 
 def write_pair_measures(path, times, pairs, corr, info, discord, logneg) -> None:

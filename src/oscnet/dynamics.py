@@ -33,9 +33,8 @@ physical at every stored time.
 the node basis as one dense 2n-dimensional system, advancing each stored
 interval with a block matrix exponential.  It shares no code with the
 closed-form path, which makes it the cross-check for :func:`evolve`.
-:func:`asymptotic_state` is the long-time limit in closed form, where
-only the frozen modes still remember the initial state: the oracle for
-the plateau the frozen modes keep.
+The tests hold the other oracles, among them the long-time limit in
+closed form that checks the plateau the frozen modes keep.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .errors import (
     UnphysicalSpec,
 )
 from .network import NetworkSpec, hamiltonian_matrix
-from .spectral import ModeDecomposition, _frozen_mask
+from .spectral import ModeDecomposition
 
 #: Most products, (r + 1) per entry for a deviation of rank r, one time
 #: chunk of covariance entries holds: its temporaries then stay within a
@@ -487,31 +486,6 @@ def evolve(
         raise IntegratorStepFailure("non-finite moments produced during integration")
 
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)
-
-
-def asymptotic_state(state: GaussianState, decomp: ModeDecomposition, t: float) -> GaussianState:
-    """Long-time limit of :func:`evolve` from a node-basis state, t after it.
-
-    Every damped mode has relaxed to its stationary covariance
-    diag(D / (2 G W^2), D / (2 G)) and forgotten its mean; the frozen modes
-    (``spectral._frozen_mask``, or no damping at all) keep rotating without
-    loss.  With U = blockdiag(F, F), m0 = U^T mean and S0 = U^T cov U, the
-    mean is U E m0 and the covariance U (E S0 E^T + stationary) U^T, with E
-    each frozen mode's rotation [[cos Wt, sin Wt / W], [-W sin Wt, cos Wt]]
-    and zero on the damped modes: cross terms between frozen modes persist,
-    those between a frozen and a damped mode drop out.  A test oracle for
-    the frozen-mode plateau; it shares no propagation code with evolve.
-    """
-    _require_rates(decomp)
-    w = decomp.freqs
-    frozen = _frozen_mask(decomp) | (decomp.damping == 0.0)
-    cos = np.where(frozen, np.cos(w * t), 0.0)
-    sin = np.where(frozen, np.sin(w * t), 0.0)
-    rot = np.block([[np.diag(cos), np.diag(sin / w)], [np.diag(-w * sin), np.diag(cos)]])
-    var_p = np.where(frozen, 0.0, decomp.diffusion / (2.0 * np.where(frozen, 1.0, decomp.damping)))
-    u = _block_diag2(decomp.modes)
-    cov = rot @ (u.T @ state.cov @ u) @ rot.T + np.diag(np.concatenate([var_p / w**2, var_p]))
-    return GaussianState(u @ rot @ u.T @ state.mean, u @ cov @ u.T)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ class OscnetError(Exception):
 # --- network construction ---------------------------------------------------
 
 class NonSymmetricCoupling(OscnetError):
-    """Coupling matrix is not exactly symmetric or has nonzero diagonal."""
+    """Coupling matrix is not finite, not exactly symmetric, or has nonzero diagonal."""
 
 
 class NonPositiveFrequency(OscnetError):

@@ -16,8 +16,9 @@ split of L^T J L for the symplectic pair and, from the same factor, for
 the partial transpose, and 2x2 algebra written out for the discord.  So
 one call serves every time and every pair of a trajectory, and a
 covariance that is not positive definite marks only its own entry.
-:func:`symplectic_spectrum` (an SVD) remains the n-mode route, used by
-:func:`von_neumann_entropy` and by the tests as the two-mode oracle.
+:func:`symplectic_spectrum` (an SVD) remains the n-mode route: ``evolve``
+checks its initial state with it, and the tests use it as the two-mode
+oracle.
 
 Vacuum variance is 1/2 throughout, so a symplectic eigenvalue below 1/2
 signals an unphysical covariance.
@@ -31,7 +32,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch, UnphysicalCovariance
-from .network import NetworkSpec, hamiltonian_matrix
 
 #: Minimum number of samples a correlation window must span.
 MIN_WINDOW_SAMPLES = 10
@@ -95,31 +95,6 @@ def _entropy_term(nu: np.ndarray) -> np.ndarray:
     nu = np.maximum(nu, 0.5)
     hi, lo = nu + 0.5, nu - 0.5
     return hi * np.log(hi) - lo * np.log(np.where(lo > 0.0, lo, 1.0))
-
-
-def von_neumann_entropy(cov: np.ndarray) -> float | np.ndarray:
-    """Entropy (nats) of a Gaussian state from its symplectic spectrum."""
-    nus = symplectic_spectrum(cov)
-    if np.any(nus < 0.5 - PHYSICALITY_TOL):
-        raise UnphysicalCovariance(
-            f"symplectic eigenvalue {nus.min():.6g} below the vacuum floor 1/2"
-        )
-    out = _entropy_term(nus).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def energy(state, net: NetworkSpec) -> float:
-    """Mean energy <H> of a node-basis state, first moments included."""
-    n = net.n
-    if state.n != n:
-        raise DimensionMismatch(f"state has {state.n} nodes, network has {n}")
-    ham = hamiltonian_matrix(net)
-    mq = state.mean[:n]
-    mp = state.mean[n:]
-    cov = state.cov
-    return 0.5 * float(
-        np.trace(cov[n:, n:]) + mp @ mp + mq @ ham @ mq + np.sum(ham * cov[:n, :n])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +247,6 @@ def collective_sync(traj, window: float, subset=None, stride: int = 1) -> Window
 # axes, so a (T, P, 4, 4) stack of P pairs at T times is one elementwise
 # pass, and each (time, pair) gets the same arithmetic whatever else shares
 # the stack.
-
-def pair_covariance(cov: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Extract the (x_i, x_j, p_i, p_j) covariance from a (2n, 2n) matrix.
-
-    Works on batched (..., 2n, 2n) input.
-    """
-    if i == j:
-        raise ValueError("pair needs two distinct nodes")
-    idx = np.array([i, j, n + i, n + j])
-    return np.asarray(cov)[..., idx[:, None], idx[None, :]]
-
 
 def _entries(cov4) -> np.ndarray:
     """A (..., 4, 4) stack as s with s[i, j] = sigma_ij, each contiguous."""

@@ -104,7 +104,7 @@ def hamiltonian_matrix(net: NetworkSpec) -> np.ndarray:
 
 def _check_positive_definite(h: np.ndarray) -> None:
     eigvals = np.linalg.eigvalsh(h)
-    if eigvals[0] <= 0.0:
+    if not eigvals[0] > 0.0:  # NaN fails too
         raise NonPositiveDefinite(
             f"network has unstable modes (min eigenvalue {eigvals[0]:.6g})"
         )
@@ -118,7 +118,7 @@ def build_network(omega, coupling) -> NetworkSpec:
     omega : array_like, shape (n,)
         Strictly positive node frequencies.
     coupling : array_like, shape (n, n)
-        Exactly symmetric coupling matrix with zero diagonal.
+        Finite, exactly symmetric coupling matrix with zero diagonal.
 
     Raises
     ------
@@ -140,6 +140,8 @@ def build_network(omega, coupling) -> NetworkSpec:
         raise NonPositiveFrequency(
             f"all node frequencies must be > 0 and below {_MAX_OMEGA:.3g}, where omega^2 overflows"
         )
+    if not np.all(np.isfinite(coupling)):
+        raise NonSymmetricCoupling("coupling matrix entries must be finite")
     if not np.array_equal(coupling, coupling.T):
         raise NonSymmetricCoupling("coupling matrix must be exactly symmetric")
     if np.any(np.diag(coupling) != 0.0):
@@ -235,6 +237,17 @@ def attach_pair(
     return build_network(omega, coupling)
 
 
+def _coupling_from_edges(n: int, edges) -> np.ndarray:
+    """The symmetric (n, n) coupling matrix of (i, j, weight) edges."""
+    coupling = np.zeros((n, n))
+    for i, j, w in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) is out of range for {n} nodes")
+        coupling[i, j] = w
+        coupling[j, i] = w
+    return coupling
+
+
 # --- file I/O ----------------------------------------------------------------
 
 def save_network(net: NetworkSpec, path) -> None:
@@ -281,10 +294,4 @@ def load_network(path) -> NetworkSpec:
     if sorted(omegas) != list(range(n)):
         raise ValueError(f"{path}: node indices must be 0..{n - 1}")
     omega = np.array([omegas[i] for i in range(n)])
-    coupling = np.zeros((n, n))
-    for i, j, w in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"{path}: edge ({i}, {j}) is out of range for {n} nodes")
-        coupling[i, j] = w
-        coupling[j, i] = w
-    return build_network(omega, coupling)
+    return build_network(omega, _coupling_from_edges(n, edges))

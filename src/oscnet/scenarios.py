@@ -41,6 +41,7 @@ from .errors import (
 )
 from .network import (
     NetworkSpec,
+    _coupling_from_edges,
     build_network,
     load_network,
     random_network,
@@ -354,14 +355,7 @@ def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpe
         raise ConfigError("--seed only applies to scenarios with a random network")
     try:
         if nb.source == "inline":
-            n = nb.omega.shape[0]
-            coupling = np.zeros((n, n))
-            for i, j, lam in nb.edges:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ConfigError(f"edge ({i}, {j}) is out of range for {n} nodes")
-                coupling[i, j] = lam
-                coupling[j, i] = lam
-            return build_network(nb.omega, coupling)
+            return build_network(nb.omega, _coupling_from_edges(nb.omega.shape[0], nb.edges))
         if nb.source == "file":
             path = nb.path
             if not os.path.isabs(path):
@@ -641,6 +635,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
                 f"sweep value {csvio.fmt(value)} is rejected: {exc}"
             ) from exc
         jobs.append((value, replace(prep, net=net, decomp=decomp)))
+    # a pool forks all its workers at once, so it gets no more than there
+    # are points, and none at all for one point
+    workers = min(workers, len(jobs))
     if workers > 1:
         # imported here: a serial sweep never pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -145,7 +145,7 @@ def diagonalize(net: NetworkSpec) -> ModeDecomposition:
         eigvals, eigvecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    if eigvals[0] <= 0.0:
+    if not eigvals[0] > 0.0:  # NaN fails too
         raise NonPositiveEigenvalue(
             f"squared mode frequency {eigvals[0]:.6g} is not positive"
         )

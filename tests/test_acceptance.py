@@ -17,6 +17,14 @@ import pytest
 
 import oscnet as on
 from conftest import tmsv_cov
+from oracles import (
+    asymptotic_state,
+    mode_variances,
+    pair_covariance,
+    single_mode_series,
+    thermal_mode_variances,
+    von_neumann_entropy,
+)
 from oscnet.scenarios import load_config, run_simulate, run_sweep
 
 PRESETS = resources.files("oscnet") / "presets"
@@ -49,32 +57,6 @@ def chain_network():
 
 def alternating(n: int) -> np.ndarray:
     return np.where(np.arange(n) % 2 == 0, 2.0, -2.0)
-
-
-def mode_variances(traj, dec, k: int):
-    """Project one stored covariance onto the normal modes: (var_Q, var_P)."""
-    n, f = traj.n, dec.modes
-    cov = traj.covs[k]
-    vq = np.einsum("im,ij,jm->m", f, cov[:n, :n], f)
-    vp = np.einsum("im,ij,jm->m", f, cov[n:, n:], f)
-    return vq, vp
-
-
-def thermal_mode_variances(dec, temperature: float):
-    """Per-mode thermal <Q^2> = coth(W/2T)/(2W) and <P^2> = W coth(W/2T)/2."""
-    coth = 1.0 / np.tanh(dec.freqs / (2.0 * temperature))
-    return coth / (2.0 * dec.freqs), 0.5 * dec.freqs * coth
-
-
-def single_mode_series(traj, dec, m: int):
-    """Time series of one mode's (mean_Q, mean_P, var_Q, var_P, cov_QP)."""
-    n, f = traj.n, dec.modes[:, m]
-    mq = traj.mean_q @ f
-    mp = traj.mean_p @ f
-    vq = np.einsum("tij,i,j->t", traj.covs[:, :n, :n], f, f)
-    vp = np.einsum("tij,i,j->t", traj.covs[:, n:, n:], f, f)
-    cqp = np.einsum("tij,i,j->t", traj.covs[:, :n, n:], f, f)
-    return mq, mp, vq, vp, cqp
 
 
 def test_01_effective_coupling_exactness(capsys):
@@ -111,7 +93,7 @@ def test_02_thermal_fixed_point(capsys):
         state = on.initial_state(net, mean_q=1.0, squeeze_r=0.4)
         t_relax = 20.0 / dec.damping.min()
         traj = on.evolve(state, dec, np.array([0.0, t_relax]), method="exact")
-        vq, vp = mode_variances(traj, dec, -1)
+        vq, vp = mode_variances(traj.state(-1), dec)
         target_q, target_p = thermal_mode_variances(dec, bath.temperature)
         dev_q = np.abs(vq / target_q - 1.0).max()
         dev_p = np.abs(vp / target_p - 1.0).max()
@@ -145,7 +127,7 @@ def test_03_frozen_mode_conservation(capsys):
         t_th = 8.0 / dec2.damping.min()
         st2 = on.initial_state(net2, mean_q=alternating(10))
         tr2 = on.evolve(st2, dec2, np.array([0.0, t_th]), method="exact")
-        vq2, vp2 = mode_variances(tr2, dec2, -1)
+        vq2, vp2 = mode_variances(tr2.state(-1), dec2)
         target_q, target_p = thermal_mode_variances(dec2, NETWORK_BATH.temperature)
         dev = max(np.abs(vq2 / target_q - 1.0).max(),
                   np.abs(vp2 / target_p - 1.0).max())
@@ -329,8 +311,8 @@ def test_09_pair_entanglement(capsys):
     # moves E_N by up to 7.1e-4; 2e-3 allows that and no more than 0.4% of
     # the plateau, far below what a wrong frozen-mode block would shift.
     picked = slice(0, 8000, 50)
-    limits = [on.asymptotic_state(state, dec, t).cov for t in fine.times[picked]]
-    predicted = on.log_negativity(on.pair_covariance(np.array(limits), *PAIR, 17))
+    limits = [asymptotic_state(state, dec, t).cov for t in fine.times[picked]]
+    predicted = on.log_negativity(pair_covariance(np.array(limits), *PAIR, 17))
     measured = ser_fine.values[picked, 0]
     gap = float(np.abs(measured - predicted).max())
 
@@ -376,7 +358,7 @@ def _dense_grid_discord(cov4: np.ndarray) -> float:
             ent = _entropy_from_cov1(cond)
             best = min(best, ent)
     i_ab = (_entropy_from_cov1(a) + _entropy_from_cov1(b)
-            - float(on.von_neumann_entropy(cov)))
+            - float(von_neumann_entropy(cov)))
     return i_ab - (_entropy_from_cov1(a) - best)
 
 

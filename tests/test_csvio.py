@@ -129,6 +129,8 @@ class TestTrajectory:
             var_q=special((steps, n), 3), var_p=special((steps, n), 4),
             cov_qp=special((steps, n), 5), energy=special((steps,), 6),
         )
+        traj.means = np.hstack([traj.mean_q, traj.mean_p])
+        traj.blocks = np.stack([traj.var_q, traj.var_p, traj.cov_qp], axis=-1)
         text = same_bytes(tmp_path, csvio.write_trajectory, oracle_trajectory, traj)
         assert len(text.splitlines()) == steps + 1
 

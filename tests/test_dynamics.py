@@ -15,23 +15,13 @@ from oscnet.measures import DISCORD, LOG_NEGATIVITY, MUTUAL_INFORMATION
 from oscnet.scenarios import _run_traj, load_config, prepare, run_simulate
 from oscnet.spectral import BathConfig
 
+from oracles import asymptotic_state, mode_variances, thermal_mode_variances, to_modes
+
 PRESETS = resources.files("oscnet") / "presets"
 
 
 def min_symplectic_eigenvalue(covs):
     return float(on.symplectic_spectrum(covs)[..., 0].min())
-
-
-def to_modes(state, dec):
-    """A node-basis state's mean and covariance in the normal-mode basis."""
-    u = np.kron(np.eye(2), dec.modes)  # blockdiag(F, F)
-    return u.T @ state.mean, u.T @ state.cov @ u
-
-
-def thermal_mode_variances(dec, temperature):
-    """Per-mode thermal <Q^2> = coth(W/2T)/(2W) and <P^2> = W coth(W/2T)/2."""
-    coth = 1.0 / np.tanh(dec.freqs / (2.0 * temperature))
-    return coth / (2.0 * dec.freqs), 0.5 * dec.freqs * coth
 
 
 def single_mode_rhs(sigma, gamma, w2, diff):
@@ -95,7 +85,7 @@ class TestThermalFixedPoint:
         # variances, and they must kill the hand-written ODE
         dec = on.analyze(er10, common_bath)
         st = on.initial_state(er10, mean_q=0.5, squeeze_r=0.3)
-        mean, cov = to_modes(on.asymptotic_state(st, dec, 7.0), dec)
+        mean, cov = to_modes(asymptotic_state(st, dec, 7.0), dec)
         vq, vp = thermal_mode_variances(dec, common_bath.temperature)
         n = dec.n
         assert np.array_equal(mean, np.zeros(2 * n))
@@ -111,12 +101,12 @@ class TestThermalFixedPoint:
         st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0])
         t_end = 20.0 / separate_bath.gamma
         traj = on.evolve(st, dec, np.linspace(0.0, t_end, 41), method="exact")
-        mean, cov = to_modes(traj.state(-1), dec)
-        vq, vp = thermal_mode_variances(dec, separate_bath.temperature)
-        n = dec.n
+        mean, _ = to_modes(traj.state(-1), dec)
+        vq, vp = mode_variances(traj.state(-1), dec)
+        target_q, target_p = thermal_mode_variances(dec, separate_bath.temperature)
         assert np.max(np.abs(mean)) < 1e-4
-        assert np.allclose(np.diag(cov)[:n], vq, rtol=1e-4)
-        assert np.allclose(np.diag(cov)[n:], vp, rtol=1e-4)
+        assert np.allclose(vq, target_q, rtol=1e-4)
+        assert np.allclose(vp, target_p, rtol=1e-4)
 
     def test_steady_state_matches_long_evolution(self, er10, common_bath):
         dec = on.analyze(er10, common_bath)
@@ -124,7 +114,7 @@ class TestThermalFixedPoint:
         st = on.initial_state(er10, mean_q=0.5)
         t = 30.0 / dec.damping.min()
         traj = on.evolve(st, dec, [0.0, t], method="exact")
-        assert np.allclose(traj.state(-1).cov, on.asymptotic_state(st, dec, t).cov, atol=1e-8)
+        assert np.allclose(traj.state(-1).cov, asymptotic_state(st, dec, t).cov, atol=1e-8)
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_asymptote_matches_evolve(self, preset):
@@ -136,7 +126,7 @@ class TestThermalFixedPoint:
         damped = np.setdiff1d(np.arange(dec.n), on.frozen_mode_report(dec, cfg.bath).frozen)
         t = 60.0 / dec.damping[damped].min()
         late = on.evolve(prep.state0, dec, [0.0, t]).state(-1)
-        limit = on.asymptotic_state(prep.state0, dec, t)
+        limit = asymptotic_state(prep.state0, dec, t)
         assert np.allclose(limit.cov, late.cov, rtol=0.0, atol=1e-12)
         assert np.allclose(limit.mean, late.mean, rtol=0.0, atol=1e-12)
 
@@ -157,7 +147,7 @@ class TestThermalFixedPoint:
             second = np.diag(cov) + mean**2
             return w2 * second[:n] + second[n:]
 
-        energy = mode_energy(on.asymptotic_state(prep.state0, dec, 123.4))
+        energy = mode_energy(asymptotic_state(prep.state0, dec, 123.4))
         vq, vp = thermal_mode_variances(dec, cfg.bath.temperature)
         kept = np.flatnonzero(np.isclose(energy, mode_energy(prep.state0), rtol=1e-12))
         relaxed = np.flatnonzero(np.isclose(energy, w2 * vq + vp, rtol=1e-12))
@@ -173,7 +163,7 @@ class TestThermalFixedPoint:
         times = np.array([0.0, 0.7, 13.0, 250.0])
         traj = on.evolve(st, dec, times)
         for k, t in enumerate(times):
-            limit = on.asymptotic_state(st, dec, t)
+            limit = asymptotic_state(st, dec, t)
             assert np.allclose(limit.mean, traj.means[k], rtol=0.0, atol=1e-12)
             assert np.allclose(limit.cov, traj.covs[k], rtol=0.0, atol=1e-12)
 

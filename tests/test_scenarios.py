@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import os
 import re
@@ -336,6 +337,37 @@ class TestRunSweep:
             b2 = fh.read()
         assert b1 == b2
 
+    @pytest.mark.parametrize("values, workers, pools", [
+        ("0.3 1.0 1.2", 64, [2]), ("0.3 1.0 1.2", 2, [2]), ("1.0", 8, []), ("0.3 1.0 1.2", 1, []),
+    ], ids=["capped", "fewer_workers", "one_point", "serial"])
+    def test_pool_size_is_capped_at_the_points(self, tmp_path, monkeypatch, values, workers,
+                                              pools):
+        # a process pool forks all its workers on the first submit, so it
+        # gets at most one per sweep point (0.3 is skipped as unstable), and
+        # one point or one worker runs with no pool; the stand-in records
+        # each pool it is asked for and runs the points serially
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        tail = self.SWEEP_TAIL.replace("0.3 1.0 1.2", values)
+        cfg = on.load_config(write_ini(tmp_path, CHAIN_INI + tail))
+        out = on.run_sweep(cfg, out_dir=str(tmp_path / "sweep"), workers=workers)
+        assert opened == pools
+        assert os.path.exists(os.path.join(out, "map.csv"))
+
     def test_requires_sweep_section(self, tmp_path):
         cfg = on.load_config(write_ini(tmp_path, CHAIN_INI))
         with pytest.raises(ConfigError):
@@ -570,15 +602,19 @@ class TestCli:
                       "freq_low = 0.9\nfreq_high = 1.2\ncoupling_mean = -0.1\n"
                       "coupling_sd = 0.05\nseed = 7\n")
 
-    @pytest.mark.parametrize("network, network_file", [
-        (RANDOM_NETWORK.format(nodes=3, prob=1.5), None),
-        (RANDOM_NETWORK.format(nodes=0, prob=0.5), None),
-        ("source = file\npath = net.txt\n", "[nodes]\n0 = 1.0\n1 = abc\n2 = 1.2\n"),
+    @pytest.mark.parametrize("network, network_file, detail", [
+        (RANDOM_NETWORK.format(nodes=3, prob=1.5), None, ""),
+        (RANDOM_NETWORK.format(nodes=0, prob=0.5), None, ""),
+        ("source = file\npath = net.txt\n", "[nodes]\n0 = 1.0\n1 = abc\n2 = 1.2\n", ""),
         ("source = file\npath = net.txt\n",
-         "[nodes]\n0 = 1.0\n1 = 1.1\n2 = 1.2\n[edges]\n0 3 = 0.1\n"),
-        ("source = inline\nomega = 1.0\nedges =\n", None),
-    ], ids=["connect_prob", "zero_nodes", "file_node_value", "file_edge_range", "one_node"])
-    def test_network_source_exit_code(self, tmp_path, capsys, network, network_file):
+         "[nodes]\n0 = 1.0\n1 = 1.1\n2 = 1.2\n[edges]\n0 3 = 0.1\n", "out of range"),
+        ("source = inline\nomega = 1.0\nedges =\n", None, ""),
+        ("source = file\npath = net.txt\n",
+         "[nodes]\n0 = 1.0\n1 = 1.1\n2 = 1.2\n[edges]\n0 1 = inf\n",
+         "coupling matrix entries must be finite"),
+    ], ids=["connect_prob", "zero_nodes", "file_node_value", "file_edge_range", "one_node",
+            "file_edge_inf"])
+    def test_network_source_exit_code(self, tmp_path, capsys, network, network_file, detail):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         inline = "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4\n"
         assert preset.count(inline) == 1
@@ -588,7 +624,9 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert detail in err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--config",
