@@ -275,7 +275,7 @@ def emit() -> dict:
 
     # fast structural verification
     dec3 = on.analyze(fig3_net, bath)
-    rep3 = on.frozen_mode_report(dec3, bath)
+    rep3 = on.frozen_mode_report(dec3)
     assert len(rep3.frozen) == 1 and rep3.participation[:, rep3.frozen[0]].all(), rep3
     others = np.delete(np.abs(dec3.eff_coupling), rep3.frozen[0])
     print(f"fig3: kappa_sigma={dec3.eff_coupling[rep3.frozen[0]]:.2e}, "
@@ -283,7 +283,7 @@ def emit() -> dict:
           f"t_sync={on.estimate_sync_times(dec3).t_sync:.0f}")
 
     dec4 = on.analyze(fig4_net, bath)
-    rep4 = on.frozen_mode_report(dec4, bath)
+    rep4 = on.frozen_mode_report(dec4)
     assert len(rep4.frozen) == 1, rep4
     sig4 = rep4.frozen[0]
     participants = rep4.participants(sig4)
@@ -295,13 +295,13 @@ def emit() -> dict:
           f"off-motif weight {off_motif:.1e}")
 
     dec5 = on.analyze(fig5_net, bath)
-    rep5 = on.frozen_mode_report(dec5, bath)
+    rep5 = on.frozen_mode_report(dec5)
     assert len(rep5.frozen) == 1, rep5
     vec = dec5.modes[:, rep5.frozen[0]]
     print(f"fig5: frozen mode weights on pair ({vec[15]:+.4f}, {vec[16]:+.4f}), "
           f"elsewhere {np.abs(vec[:15]).max():.1e}")
     decp = on.analyze(build_fig5(perturb=True), bath)
-    repp = on.frozen_mode_report(decp, bath)
+    repp = on.frozen_mode_report(decp)
     assert repp.frozen == (), repp
     print("fig5 perturbed: no frozen mode, as intended")
 

@@ -46,10 +46,7 @@ from .spectral import (
     BathConfig,
     ModeDecomposition,
     analyze,
-    diagonalize,
-    effective_couplings,
     frozen_mode_report,
-    mode_rates,
 )
 from .tuning import (
     estimate_sync_times,
@@ -73,8 +70,6 @@ __all__ = [
     "attach_pair",
     "build_network",
     "collective_sync",
-    "diagonalize",
-    "effective_couplings",
     "estimate_sync_times",
     "evolve",
     "evolve_node_reference",
@@ -86,7 +81,6 @@ __all__ = [
     "load_config",
     "load_network",
     "log_negativity",
-    "mode_rates",
     "mutual_information",
     "pair_measure_series",
     "parameter_scan",

@@ -261,13 +261,11 @@ def write_aggregate(path, times, sync, avg_discord, avg_info, avg_logneg) -> Non
 
 
 def write_modes(path, decomp) -> None:
-    """Mode table: mode, Omega, kappa, Gamma, D (rates nan if absent)."""
+    """Mode table: mode, Omega, kappa, Gamma, D."""
     header = ["mode", "Omega", "kappa", "Gamma", "D"]
-    rates = [
-        np.full(decomp.n, np.nan) if r is None else r
-        for r in (decomp.eff_coupling, decomp.damping, decomp.diffusion)
-    ]
-    _write_table(path, header, [np.arange(decomp.n), decomp.freqs, *rates])
+    _write_table(path, header, [
+        np.arange(decomp.n), decomp.freqs, decomp.eff_coupling, decomp.damping, decomp.diffusion,
+    ])
 
 
 def write_transform(path, decomp) -> None:

@@ -211,11 +211,6 @@ class Trajectory:
         return self.var_q + self.mean_q**2
 
 
-def _require_rates(decomp: ModeDecomposition) -> None:
-    if decomp.damping is None or decomp.diffusion is None:
-        raise ValueError("decomposition carries no bath rates; run spectral.analyze first")
-
-
 def _check_physical(cov0: np.ndarray, decomp: ModeDecomposition) -> None:
     """The initial state, and complete positivity (G >= 0, D >= G W) per mode."""
     tol = measures.PHYSICALITY_TOL
@@ -455,7 +450,6 @@ def evolve(
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
-    _require_rates(decomp)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2:
         raise ValueError("need at least two stored times")
@@ -529,7 +523,6 @@ def evolve_node_reference(
 
     if method != "expm":
         raise ValueError(f"unknown method {method!r}; only 'expm' is available")
-    _require_rates(decomp)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")

@@ -40,6 +40,13 @@ MIN_WINDOW_SAMPLES = 10
 #: pair covariance entries in the pair measures.
 _PEARSON_BLOCK_ELEMENTS = 1 << 18
 
+#: A window whose standard deviation is at most this many ulp of its mean's
+#: magnitude (std <= _FLAT_WINDOW_ULPS * eps * |mean|) is flat.  Its samples
+#: then differ only in roundoff: each is rounded to an ulp of the mean, and
+#: the window mean and its centring add a few more, so their correlation
+#: with any other series is an arbitrary number.  The correlation is NaN.
+_FLAT_WINDOW_ULPS = 64
+
 #: Slack on the vacuum bound when validating covariances.
 PHYSICALITY_TOL = 1e-8
 
@@ -105,7 +112,7 @@ def _entropy_term(nu: np.ndarray) -> np.ndarray:
 class WindowedSeries:
     """A sliding-window statistic: value[k] covers [times[k], times[k] + window).
 
-    A window with zero variance in a series it reads is NaN in ``values``.
+    A flat window (``_FLAT_WINDOW_ULPS``) in a series it reads is NaN in ``values``.
     """
 
     times: np.ndarray
@@ -139,8 +146,8 @@ def _pearson_blocks(series, window, pairs, step=1):
 
     series: (T, K) float array; pairs: (P, 2) int array of column indices.
     The blocks cover, in order, the windows that start at every step-th of
-    the T - window + 1 possible starts; windows with zero variance give
-    NaN.  Each window is centred on its own mean before its sums are
+    the T - window + 1 possible starts; flat windows (_FLAT_WINDOW_ULPS)
+    give NaN.  Each window is centred on its own mean before its sums are
     taken (a window-local two-pass), so no sum carries digits lost to an
     earlier transient into a later window.  The sums of a
     window are one (K, K) Gram product of its centred samples, one matrix
@@ -155,14 +162,18 @@ def _pearson_blocks(series, window, pairs, step=1):
     block = max(1, _PEARSON_BLOCK_ELEMENTS // (cols.shape[0] * window))
     k = cols.shape[0]
     i, j = pairs[:, 0], pairs[:, 1]
+    # the norm of a window's centred samples is sqrt(window) times its std
+    flat_scale = _FLAT_WINDOW_ULPS * np.finfo(float).eps * np.sqrt(window)
     for start in range(0, n_win, block):
         win = windows[:, start : start + block]
-        dev = np.swapaxes(win - win.mean(axis=2, keepdims=True), 0, 1)
+        mean = win.mean(axis=2, keepdims=True)
+        dev = np.swapaxes(win - mean, 0, 1)
         # One Gram matrix per window over every series; the pairs are
-        # gathered from it.  A zero variance leaves NaN in its scale.
+        # gathered from it.  A flat window leaves NaN in its scale.
         gram = (dev @ np.swapaxes(dev, 1, 2)).reshape(-1, k * k)
         norm = np.sqrt(gram[:, :: k + 1])
-        scale = np.divide(1.0, norm, out=np.full(norm.shape, np.nan), where=norm > 0.0)
+        live = norm > flat_scale * np.abs(mean[..., 0].T)
+        scale = np.divide(1.0, norm, out=np.full(norm.shape, np.nan), where=live)
         rows = gram[:, i * k + j] * scale[:, i] * scale[:, j]
         yield np.clip(rows, -1.0, 1.0, out=rows)
 
@@ -185,7 +196,7 @@ def windowed_correlation(times, series, window: float, pairs, stride: int = 1) -
     column indices.  ``values`` is (windows, P), one column per pair, from
     one pass over the union of the named columns.  Windows start at every
     ``stride``-th sample, the grid the pair measures use with the same
-    stride.  Windows with zero variance in either series yield NaN.
+    stride.  Windows flat in either series (``_FLAT_WINDOW_ULPS``) yield NaN.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -212,7 +223,7 @@ def collective_sync(traj, window: float, subset=None, stride: int = 1) -> Window
     Windows start at every ``stride``-th sample, as in
     :func:`windowed_correlation`; each window is computed on its own, so
     a strided series equals every ``stride``-th value of the full one.
-    A zero-variance window of any node read makes S(t) NaN there.
+    A flat window (``_FLAT_WINDOW_ULPS``) of any node read makes S(t) NaN there.
     """
     signal = traj.second_moment_q
     nodes = np.arange(traj.n) if subset is None else np.asarray(subset, dtype=np.int64)

@@ -17,11 +17,16 @@ diffusion rates are ``gamma * k**2`` and ``gamma * k**2 * W * coth(W / 2T)``
 per mode of frequency W (uniformly ``gamma`` for separate baths).  Modes
 with zero effective coupling are "frozen": they evolve unitarily and never
 thermalize.
+
+:func:`analyze` is the one constructor of :class:`ModeDecomposition`: it
+returns the modes, frequencies, couplings and rates together.  The tuning
+scans read the modes and couplings alone from ``_normal_modes``, since a
+scanned network may lift a mode past the bath cutoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +46,6 @@ __all__ = [
     "BathConfig",
     "ModeDecomposition",
     "FrozenModeReport",
-    "diagonalize",
-    "effective_couplings",
-    "mode_rates",
     "frozen_mode_report",
     "analyze",
 ]
@@ -94,26 +96,23 @@ class BathConfig:
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """Normal modes of a network, optionally annotated with bath data.
+    """Normal modes of a network under one bath, as :func:`analyze` builds them.
 
-    ``modes`` is the orthogonal transform (columns are normal modes) and
-    ``freqs`` the mode frequencies, sorted ascending.  After
-    :func:`effective_couplings` the per-mode bath weights ``eff_coupling``
-    are set, and after :func:`mode_rates` the damping and diffusion rates.
+    ``modes`` is the orthogonal transform (columns are normal modes),
+    ``freqs`` the mode frequencies sorted ascending, ``eff_coupling`` the
+    per-mode bath weights kappa, and ``damping`` and ``diffusion`` the
+    per-mode rates Gamma and D.
     """
 
     modes: np.ndarray
     freqs: np.ndarray
-    eff_coupling: np.ndarray | None = None
-    damping: np.ndarray | None = None
-    diffusion: np.ndarray | None = None
+    eff_coupling: np.ndarray
+    damping: np.ndarray
+    diffusion: np.ndarray
 
     def __post_init__(self):
-        self.modes.setflags(write=False)
-        self.freqs.setflags(write=False)
-        for arr in (self.eff_coupling, self.damping, self.diffusion):
-            if arr is not None:
-                arr.setflags(write=False)
+        for arr in (self.modes, self.freqs, self.eff_coupling, self.damping, self.diffusion):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -128,31 +127,6 @@ def _fix_column_signs(modes: np.ndarray) -> np.ndarray:
         if out[k, m] < 0.0:
             out[:, m] = -out[:, m]
     return out
-
-
-def diagonalize(net: NetworkSpec) -> ModeDecomposition:
-    """Symmetric eigendecomposition of the network Hamiltonian matrix.
-
-    Modes are sorted by ascending frequency; each column's sign is fixed so
-    its largest-magnitude entry is positive.
-
-    Raises
-    ------
-    EigensolverFailure, NonPositiveEigenvalue
-    """
-    h = hamiltonian_matrix(net)
-    try:
-        eigvals, eigvecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    if not eigvals[0] > 0.0:  # NaN fails too
-        raise NonPositiveEigenvalue(
-            f"squared mode frequency {eigvals[0]:.6g} is not positive"
-        )
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = _fix_column_signs(eigvecs[:, order])
-    return ModeDecomposition(modes=eigvecs, freqs=np.sqrt(eigvals))
 
 
 def _degenerate_groups(freqs: np.ndarray) -> list[np.ndarray]:
@@ -184,42 +158,54 @@ def _concentrate_group(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return block @ q
 
 
-def effective_couplings(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition:
-    """Per-mode bath coupling weights.
+def _normal_modes(net: NetworkSpec, bath: BathConfig):
+    """Modes, frequencies and per-mode bath couplings kappa of a network.
 
-    Within a degenerate eigenspace the coupling weights are basis
-    dependent, so the eigenspace is rotated to expose the minimal-coupling
-    combination (all weight concentrated on one mode, the rest exactly
-    zero).  Column signs are re-fixed after any rotation.
+    The Hamiltonian matrix's symmetric eigendecomposition, modes sorted by
+    ascending frequency, each column's sign fixed so its largest-magnitude
+    entry is positive.  Within a degenerate eigenspace the coupling weights
+    are basis dependent, so the eigenspace is rotated to expose the
+    minimal-coupling combination (all weight concentrated on one mode, the
+    rest exactly zero), and the column signs are fixed again.  A separate
+    bath couples every mode with weight 1 and rotates nothing.
+
+    Returns (modes, freqs, kappa).
 
     Raises
     ------
-    LocalBathNodeOutOfRange
+    EigensolverFailure, NonPositiveEigenvalue, LocalBathNodeOutOfRange
     """
-    modes = decomp.modes.copy()
-    n = decomp.n
+    h = hamiltonian_matrix(net)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    if not eigvals[0] > 0.0:  # NaN fails too
+        raise NonPositiveEigenvalue(
+            f"squared mode frequency {eigvals[0]:.6g} is not positive"
+        )
+    order = np.argsort(eigvals, kind="stable")
+    freqs = np.sqrt(eigvals[order])
+    modes = _fix_column_signs(eigvecs[:, order])
+    n = freqs.shape[0]
     if bath.kind == SEPARATE:
-        kappa = np.ones(n)
-    else:
-        if bath.kind == LOCAL:
-            d = int(bath.node)
-            if not 0 <= d < n:
-                raise LocalBathNodeOutOfRange(f"node {d} outside 0..{n - 1}")
-        for group in _degenerate_groups(decomp.freqs):
-            if len(group) < 2:
-                continue
-            block = modes[:, group]
-            if bath.kind == COMMON:
-                weights = block.sum(axis=0)
-            else:
-                weights = block[d, :].copy()
-            modes[:, group] = _concentrate_group(block, weights)
-        modes = _fix_column_signs(modes)
+        return modes, freqs, np.ones(n)
+    if bath.kind == LOCAL:
+        d = int(bath.node)
+        if not 0 <= d < n:
+            raise LocalBathNodeOutOfRange(f"node {d} outside 0..{n - 1}")
+    for group in _degenerate_groups(freqs):
+        if len(group) < 2:
+            continue
+        block = modes[:, group]
         if bath.kind == COMMON:
-            kappa = modes.sum(axis=0)
+            weights = block.sum(axis=0)
         else:
-            kappa = modes[d, :].copy()
-    return replace(decomp, modes=modes, eff_coupling=kappa)
+            weights = block[d, :].copy()
+        modes[:, group] = _concentrate_group(block, weights)
+    modes = _fix_column_signs(modes)
+    kappa = modes.sum(axis=0) if bath.kind == COMMON else modes[d, :].copy()
+    return modes, freqs, kappa
 
 
 def _slowest_order(decomp: ModeDecomposition) -> np.ndarray:
@@ -232,8 +218,8 @@ def _slowest_order(decomp: ModeDecomposition) -> np.ndarray:
     return np.argsort(np.abs(decomp.eff_coupling), kind="stable")
 
 
-def mode_rates(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition:
-    """Damping and diffusion rates per mode for an Ohmic bath.
+def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
+    """Normal modes of a network with their bath couplings and Ohmic rates.
 
     Requires the bath cutoff to exceed every mode frequency.  For separate
     baths the damping is uniformly ``gamma``; for common/local baths it is
@@ -241,37 +227,31 @@ def mode_rates(decomp: ModeDecomposition, bath: BathConfig) -> ModeDecomposition
 
     Raises
     ------
+    EigensolverFailure, NonPositiveEigenvalue, LocalBathNodeOutOfRange,
     CutoffTooLow, UnphysicalSpec
     """
-    if decomp.eff_coupling is None:
-        decomp = effective_couplings(decomp, bath)
-    freqs = decomp.freqs
+    modes, freqs, kappa = _normal_modes(net, bath)
     if bath.cutoff <= freqs[-1]:
         raise CutoffTooLow(
             f"cutoff {bath.cutoff:.6g} must exceed max mode frequency {freqs[-1]:.6g}"
         )
     if bath.kind == SEPARATE:
-        damping = np.full(decomp.n, bath.gamma)
+        damping = np.full(freqs.shape[0], bath.gamma)
     else:
         with np.errstate(over="ignore"):
-            damping = bath.gamma * decomp.eff_coupling**2
+            damping = bath.gamma * kappa**2
     if not np.all(np.isfinite(damping)):
         raise UnphysicalSpec("a mode's damping rate Gamma = gamma kappa^2 overflows")
     with np.errstate(over="ignore", divide="ignore"):
         diffusion = damping * freqs / np.tanh(freqs / (2.0 * bath.temperature))
     if not np.all(np.isfinite(diffusion)):
         raise UnphysicalSpec("a mode's diffusion rate D = Gamma Omega coth(Omega/2T) overflows")
-    return replace(decomp, damping=damping, diffusion=diffusion)
+    return ModeDecomposition(modes, freqs, kappa, damping, diffusion)
 
 
-def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
-    """Full pipeline: diagonalize, effective couplings, mode rates."""
-    return mode_rates(effective_couplings(diagonalize(net), bath), bath)
-
-
-def _frozen_mask(decomp: ModeDecomposition) -> np.ndarray:
-    """True for the frozen modes: |effective coupling| < _FROZEN_KAPPA_RTOL * max |F|."""
-    return np.abs(decomp.eff_coupling) < _FROZEN_KAPPA_RTOL * float(np.max(np.abs(decomp.modes)))
+def _frozen_mask(modes: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """True for the frozen modes: |kappa| < _FROZEN_KAPPA_RTOL * max |F|."""
+    return np.abs(kappa) < _FROZEN_KAPPA_RTOL * float(np.max(np.abs(modes)))
 
 
 @dataclass(frozen=True)
@@ -289,15 +269,18 @@ class FrozenModeReport:
         return tuple(int(k) for k in np.nonzero(self.participation[:, mode])[0])
 
 
-def frozen_mode_report(decomp: ModeDecomposition, bath: BathConfig) -> FrozenModeReport:
+def _frozen_report(modes: np.ndarray, kappa: np.ndarray) -> FrozenModeReport:
     """Detect frozen modes and node participation.
 
     A mode is frozen by ``_frozen_mask``; node k participates in mode m
     when ``|F[k, m]|`` exceeds _OVERLAP_RTOL times the largest magnitude
     entry of the transform.
     """
-    if decomp.eff_coupling is None:
-        decomp = effective_couplings(decomp, bath)
-    participation = np.abs(decomp.modes) > _OVERLAP_RTOL * float(np.max(np.abs(decomp.modes)))
-    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(decomp)))
+    participation = np.abs(modes) > _OVERLAP_RTOL * float(np.max(np.abs(modes)))
+    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(modes, kappa)))
     return FrozenModeReport(frozen=frozen, participation=participation)
+
+
+def frozen_mode_report(decomp: ModeDecomposition) -> FrozenModeReport:
+    """The frozen modes of an analyzed network and the nodes in each."""
+    return _frozen_report(decomp.modes, decomp.eff_coupling)

@@ -36,10 +36,9 @@ from .spectral import (
     BathConfig,
     FrozenModeReport,
     ModeDecomposition,
+    _frozen_report,
+    _normal_modes,
     _slowest_order,
-    diagonalize,
-    effective_couplings,
-    frozen_mode_report,
 )
 
 #: Relative roundoff scale of the pencil: imaginary parts and eigenvector
@@ -109,14 +108,14 @@ def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanRes
     stable = np.zeros(values.shape, dtype=bool)
     for k, val in enumerate(values):
         try:
-            decomp = effective_couplings(diagonalize(_with_param(net, param, val)), bath)
+            modes, _, kap = _normal_modes(_with_param(net, param, val), bath)
         except NonPositiveDefinite:
             continue
         stable[k] = True
-        amp = np.abs(decomp.modes)
+        amp = np.abs(modes)
         movable = np.flatnonzero(amp[nodes].max(axis=0) > _PENCIL_RTOL * amp.max())
-        sigma[k] = movable[np.argmin(np.abs(decomp.eff_coupling[movable]))]
-        kappa[k] = np.abs(decomp.eff_coupling[sigma[k]])
+        sigma[k] = movable[np.argmin(np.abs(kap[movable]))]
+        kappa[k] = np.abs(kap[sigma[k]])
     swapped = np.zeros(values.shape, dtype=bool)
     both = stable[1:] & stable[:-1]
     swapped[1:] = both & (sigma[1:] != sigma[:-1])
@@ -222,25 +221,25 @@ def find_sync_parameter(
         if not lo <= value <= hi:
             continue
         try:
-            decomp = effective_couplings(diagonalize(net.with_omega(d, value)), bath)
+            modes, freqs, kappa = _normal_modes(net.with_omega(d, value), bath)
         except NonPositiveDefinite:
             continue
-        mode = int(np.argmin(np.abs(decomp.freqs**2 - mu)))
-        residual = float(np.abs(decomp.eff_coupling[mode]))
+        mode = int(np.argmin(np.abs(freqs**2 - mu)))
+        residual = float(np.abs(kappa[mode]))
         if residual <= tol:
-            found.append((value, mode, residual, decomp))
+            found.append((value, mode, residual, modes, freqs, kappa))
     if not found:
         raise NoZeroInBracket(
             f"no frozen root of omega {d} with |kappa| <= {tol:.3g} in [{lo:.6g}, {hi:.6g}]"
         )
-    value, mode, residual, decomp = found[-1]
+    value, mode, residual, modes, freqs, kappa = found[-1]
     return TuneResult(
         param=("omega", d),
         value=value,
         residual=residual,
         mode_index=mode,
-        mode_freq=float(decomp.freqs[mode]),
-        report=frozen_mode_report(decomp, bath),
+        mode_freq=float(freqs[mode]),
+        report=_frozen_report(modes, kappa),
         roots=tuple(root[0] for root in found),
         always_frozen=tuple(sorted(float(np.sqrt(mu)) for mu in always)),
     )
@@ -266,8 +265,6 @@ class SyncTimeEstimate:
 
 
 def estimate_sync_times(decomp: ModeDecomposition) -> SyncTimeEstimate:
-    if decomp.damping is None:
-        raise ValueError("decomposition carries no bath rates; run spectral.analyze first")
     gamma = decomp.damping
     order = _slowest_order(decomp)
     sigma = int(order[0])

@@ -110,7 +110,7 @@ class TestThermalFixedPoint:
 
     def test_steady_state_matches_long_evolution(self, er10, common_bath):
         dec = on.analyze(er10, common_bath)
-        assert not on.frozen_mode_report(dec, common_bath).frozen
+        assert not on.frozen_mode_report(dec).frozen
         st = on.initial_state(er10, mean_q=0.5)
         t = 30.0 / dec.damping.min()
         traj = on.evolve(st, dec, [0.0, t], method="exact")
@@ -123,7 +123,7 @@ class TestThermalFixedPoint:
         cfg = load_config(str(PRESETS / f"{preset}.ini"))
         prep = prepare(cfg)
         dec = prep.decomp
-        damped = np.setdiff1d(np.arange(dec.n), on.frozen_mode_report(dec, cfg.bath).frozen)
+        damped = np.setdiff1d(np.arange(dec.n), on.frozen_mode_report(dec).frozen)
         t = 60.0 / dec.damping[damped].min()
         late = on.evolve(prep.state0, dec, [0.0, t]).state(-1)
         limit = asymptotic_state(prep.state0, dec, t)
@@ -138,7 +138,7 @@ class TestThermalFixedPoint:
         cfg = load_config(str(PRESETS / f"{preset}.ini"))
         prep = prepare(cfg)
         dec = prep.decomp
-        frozen = on.frozen_mode_report(dec, cfg.bath).frozen
+        frozen = on.frozen_mode_report(dec).frozen
         assert len(frozen) == 1
         n, w2 = dec.n, dec.freqs**2
 
@@ -284,11 +284,6 @@ class TestGuards:
             on.evolve(st, dec, [0.0, 1.0], method="rk4")
         with pytest.raises(ValueError):
             on.evolve_node_reference(st, chain3, dec, [0.0, 1.0], method="rk4")
-
-    def test_rates_required(self, chain3, common_bath):
-        dec = on.diagonalize(chain3)
-        with pytest.raises(ValueError):
-            on.evolve(on.initial_state(chain3), dec, [0.0, 1.0])
 
 
 class TestTrajectoryViews:

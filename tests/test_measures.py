@@ -50,17 +50,20 @@ def pearson_two_pass(series, window, pairs):
     """Windowed Pearson the slow way: per window, subtract its mean, then sum.
 
     Same contract as the kernel: (T - window + 1, P), NaN where either
-    column is constant over the window.  No sums carry across windows.
+    column is flat over the window (std at most _FLAT_WINDOW_ULPS ulp of
+    its mean).  No sums carry across windows.
     """
     n_win = series.shape[0] - window + 1
     out = np.full((n_win, len(pairs)), np.nan)
+    floor = measures._FLAT_WINDOW_ULPS * np.finfo(float).eps
     for t0 in range(n_win):
         block = series[t0:t0 + window]
         dev = block - block.mean(axis=0)
+        live = block.std(axis=0) > floor * np.abs(block.mean(axis=0))
         for ip, (i, j) in enumerate(pairs):
             sxx = dev[:, i] @ dev[:, i]
             syy = dev[:, j] @ dev[:, j]
-            if sxx > 0.0 and syy > 0.0:
+            if live[i] and live[j]:
                 out[t0, ip] = np.clip(dev[:, i] @ dev[:, j] / np.sqrt(sxx * syy), -1.0, 1.0)
     return out
 
@@ -119,6 +122,26 @@ def _local_squeezed_states():
     return out
 
 
+def _beam_splitter(theta):
+    """Mixing of the two modes by angle theta, in (x_i, x_j, p_i, p_j) order."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.kron(np.eye(2), np.array([[c, s], [-s, c]]))
+
+
+def _squeeze_edge_states(nus=((0.5, 0.5), (0.9, 2.3))):
+    # Both modes squeezed in the same quadrature, by r up to the largest
+    # |squeeze_r| a config accepts, then mixed: entangled wherever the two
+    # squeezings differ.  Mixing quadratures squeezed by r_a and r_b costs
+    # about eps e^(2|r_a - r_b|) of relative accuracy in nu_- on any route
+    # (it is the conditioning of the rounded entries), so r_b stays >= r_a / 2.
+    out = []
+    for r in (3.0, 6.0, scenarios._MAX_SQUEEZE):
+        for ratio, theta in ((1.0, np.pi / 4), (0.75, 1.2), (0.5, np.pi / 7)):
+            s = _beam_splitter(theta) @ _local_symplectic(r, 0.0, ratio * r, 0.0)
+            out.extend(_williamson(s, *nu) for nu in nus)
+    return out
+
+
 #: family -> builder of its two-mode covariances, (x_i, x_j, p_i, p_j) order
 TWO_MODE_FAMILIES = {
     "pure_tmsv": lambda: [tmsv_cov(r) for r in np.linspace(0.1, 2.5, 13)],
@@ -131,6 +154,7 @@ TWO_MODE_FAMILIES = {
                     0.5 + eps, 0.5 + 2.0 * eps)
         for eps in (1e-12, 1e-9, 1e-6, 1e-3) for r in (1e-4, 1e-2, 0.05)
     ],
+    "squeeze_edge": _squeeze_edge_states,
 }
 
 
@@ -168,6 +192,23 @@ class TestClosedFormPairSpectrum:
         # a factor 2 for that rounding.
         eps = np.finfo(float).eps
         assert worst["closed"] <= 2.0 * worst["svd"] + 4.0 * eps, worst
+
+    def test_squeeze_edge_log_negativity(self):
+        # E_N = max(0, -ln 2 nu~_-) with nu~_- of the partial transpose at 50 digits
+        for cov in _squeeze_edge_states():
+            exact = max(0.0, -np.log(2.0 * _mp_symplectic_pair(_partial_transpose(cov))[0]))
+            assert on.log_negativity(cov) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    def test_squeeze_edge_pure_discord_is_entanglement_entropy(self):
+        # measuring half of a pure state: discord is S(A), from nu_A =
+        # sqrt(det A) at 50 digits
+        for cov in _squeeze_edge_states(nus=((0.5, 0.5),)):
+            with mpmath.workdps(50):
+                nu = mpmath.sqrt(mpmath.det(mpmath.matrix(cov[np.ix_([0, 2], [0, 2])].tolist())))
+                s_a = (nu + 0.5) * mpmath.log(nu + 0.5)
+                if nu > 0.5:
+                    s_a -= (nu - 0.5) * mpmath.log(nu - 0.5)
+            assert on.gaussian_discord(cov) == pytest.approx(float(s_a), rel=1e-12, abs=1e-12)
 
     def test_indefinite_entries_are_masked(self):
         covs = np.stack([tmsv_cov(0.5), -0.6 * np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
@@ -294,6 +335,19 @@ class TestWindowedCorrelation:
         g = np.sin(times)
         out = on.windowed_correlation(times, np.column_stack([f, g]), 1.0, [(0, 1)])
         assert np.all(np.isnan(out.values))
+
+    def test_window_moving_in_last_bits_is_nan(self):
+        # a level that moves only by a few ulp has no correlation to speak
+        # of; the same wiggle a thousand times larger is a real signal
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, 5.0, 60)
+        bits = rng.integers(0, 8, size=60) * np.spacing(1.0)
+        g = np.sin(times)
+        flat = on.windowed_correlation(times, np.column_stack([1.0 + bits, g]), 1.0, [(0, 1)])
+        assert np.all(np.isnan(flat.values))
+        live = on.windowed_correlation(times, np.column_stack([1.0 + 1e3 * bits, g]), 1.0,
+                                       [(0, 1)])
+        assert not np.isnan(live.values).any()
 
     def test_grid_validation(self):
         times = np.concatenate([np.linspace(0, 1, 30), [1.5, 2.0, 2.6]])

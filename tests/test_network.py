@@ -53,12 +53,14 @@ def test_build_rejects_non_finite_coupling(weight):
 
 def test_nan_eigenvalue_is_not_positive():
     # an infinite coupling makes every eigenvalue NaN; both definiteness
-    # tests reject it, including on a spec that build_network never saw
+    # tests reject it, including on a spec that build_network never saw,
+    # and analyze raises before it computes any coupling
     coupling = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(NonPositiveDefinite):
         network._check_positive_definite(coupling + np.eye(2))
     with pytest.raises(NonPositiveEigenvalue):
-        on.diagonalize(on.NetworkSpec(omega=np.ones(2), coupling=coupling))
+        on.analyze(on.NetworkSpec(omega=np.ones(2), coupling=coupling),
+                   on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0))
 
 
 def test_build_rejects_bad_frequencies():

@@ -1,5 +1,7 @@
 """Guards on the shape of the package itself."""
 
+import dataclasses
+import importlib
 import os
 import pathlib
 import subprocess
@@ -37,6 +39,22 @@ def test_exports_resolve_once(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+#: The staged spectral constructors that ``spectral.analyze`` replaced.
+STAGED_SPECTRAL = ("diagonalize", "effective_couplings", "mode_rates")
+
+
+def test_analyze_is_the_only_constructor():
+    # no module brings back a stage that builds a partial decomposition,
+    # and every field of one is required
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "oscnet" if path.stem == "__init__" else f"oscnet.{path.stem}"
+        assert not set(STAGED_SPECTRAL) & set(vars(importlib.import_module(name))), name
+    defaults = [f.name for f in dataclasses.fields(spectral.ModeDecomposition)
+                if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING]
+    assert defaults == []
 
 
 GUARD_INI = """\

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oscnet as on
 from oscnet import measures, scenarios
 from oscnet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from oscnet.errors import ConfigError
+from oscnet.errors import ConfigError, NonPositiveDefinite
 
 CHAIN_INI = """\
 [network]
@@ -57,6 +57,31 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def read_table(path):
+    header, rows = read_csv(path)
+    return np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+def flat_windows(prep, decomp):
+    """Per window of the measure grid and per node: the node's <q^2> is flat
+    there (std at most 64 ulp of its mean), so C and S read NaN.  The rows
+    end with the last window that fits before the end of the run."""
+    signal = on.evolve(prep.state0, decomp, prep.times).second_moment_q
+    samples = int(round(prep.window / (prep.times[1] - prep.times[0])))
+    windows = np.lib.stride_tricks.sliding_window_view(signal, samples, axis=0)
+    windows = windows[:: prep.cfg.analysis.stride]
+    return windows.std(axis=2) <= 64 * np.finfo(float).eps * np.abs(windows.mean(axis=2))
+
+
+def nan_rows(flat, rows, nodes):
+    """Where a windowed column over ``nodes`` is NaN on ``rows`` rows: its
+    flat windows, then the tail rows where no window fits."""
+    out = np.ones(rows, dtype=bool)
+    fit = flat[:rows, nodes].any(axis=1)
+    out[: fit.shape[0]] = fit
+    return out
 
 
 class TestLoadConfig:
@@ -579,24 +604,20 @@ class TestCli:
         assert out.exists()
 
     def test_relaxed_windows_are_the_only_nan_s(self, tmp_path):
-        # gamma = 5 overdamps the fig2_cb chain, and it has fully relaxed
-        # long before t_end: from there every <q_j^2> is bit-constant, and
-        # S(t) is NaN (zero variance) in exactly those windows, plus the
+        # gamma = 5 overdamps the fig2_cb chain, and it has relaxed long
+        # before t_end: from there each <q_j^2> moves by at most a few ulp
+        # (at first a few tens, later none), and S(t) is NaN in exactly the
+        # windows flat in some node (std <= 64 ulp of its mean), plus the
         # tail rows where no window fits
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         path = write_ini(tmp_path, preset.replace("gamma = 0.07", "gamma = 5"))
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
-        sync = np.array(read_csv(out / "aggregate.csv")[1], dtype=float)[:, 1]
+        sync = read_table(out / "aggregate.csv")[:, 1]
         prep = scenarios.prepare(scenarios.load_config(path))
-        signal = on.evolve(prep.state0, prep.decomp, prep.times).second_moment_q
-        samples = int(round(prep.window / (prep.times[1] - prep.times[0])))
-        windows = np.lib.stride_tricks.sliding_window_view(signal, samples, axis=0)
-        windows = windows[:: prep.cfg.analysis.stride][: sync.shape[0]]
-        expected = np.ones(sync.shape, dtype=bool)
-        expected[: windows.shape[0]] = (windows == windows[..., :1]).all(axis=2).any(axis=1)
-        assert np.array_equal(np.isnan(sync), expected)
-        assert expected[: windows.shape[0]].sum() > 80
+        flat = flat_windows(prep, prep.decomp)
+        assert np.array_equal(np.isnan(sync), nan_rows(flat, sync.shape[0], slice(None)))
+        assert flat[: sync.shape[0]].any(axis=1).sum() > 120
 
     RANDOM_NETWORK = ("source = random\nnodes = {nodes}\nconnect_prob = {prob}\n"
                       "freq_low = 0.9\nfreq_high = 1.2\ncoupling_mean = -0.1\n"
@@ -728,6 +749,51 @@ FUZZ_KEYS = tuple(
 )
 
 
+def check_documented_nan(path, command, out):
+    """An exit-0 simulate or sweep writes NaN only in the cells the README
+    documents: the tail rows where no window fits, a window flat in a node
+    it reads (C and S), and the I, discord and logneg columns of a pair
+    that summary.txt lists as excluded (their pair mean only when every
+    pair is)."""
+    cfg = scenarios.load_config(path)
+    prep = scenarios.prepare(cfg)
+    if command == "simulate":
+        assert not np.isnan(read_table(os.path.join(out, "trajectory.csv"))).any()
+    if cfg.analysis is None:
+        return
+    subset = slice(None) if cfg.analysis.sync_subset is None else list(cfg.analysis.sync_subset)
+    if command == "sweep":
+        decomps = []
+        for value in cfg.sweep.values:
+            try:
+                net = scenarios._with_param(prep.net, cfg.sweep.parameter, float(value))
+                decomps.append(on.analyze(net, cfg.bath))
+            except NonPositiveDefinite:
+                continue
+        table = read_table(os.path.join(out, "map.csv"))
+        table = table.reshape(len(decomps), -1, table.shape[1])
+        for decomp, block in zip(decomps, table):
+            flat = flat_windows(prep, decomp)
+            assert np.array_equal(np.isnan(block[:, 2]), nan_rows(flat, len(block), subset))
+            assert not np.isnan(block[:, 3]).any()
+        return
+    flat = flat_windows(prep, prep.decomp)
+    with open(os.path.join(out, "summary.txt")) as fh:
+        listed = re.search(r"^excluded pairs: (.*)$", fh.read(), re.MULTILINE)
+    excluded = set() if listed is None else {
+        tuple(int(v) for v in pair.split()) for pair in listed.group(1).split("; ")
+    }
+    table = read_table(os.path.join(out, "measures.csv"))
+    table = table.reshape(-1, np.count_nonzero(table[:, 0] == table[0, 0]), table.shape[1])
+    for p in range(table.shape[1]):
+        i, j = (int(v) for v in table[0, p, 1:3])
+        assert np.array_equal(np.isnan(table[:, p, 3]), nan_rows(flat, len(table), [i, j]))
+        assert (i, j) in excluded or not np.isnan(table[:, p, 4:]).any()
+    agg = read_table(os.path.join(out, "aggregate.csv"))
+    assert np.array_equal(np.isnan(agg[:, 1]), nan_rows(flat, len(agg), subset))
+    assert len(excluded) == table.shape[1] or not np.isnan(agg[:, 2:]).any()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @example(edits={})
 @example(edits={("sweep", "list"): "1e300"})  # omega^2 overflows
@@ -738,7 +804,8 @@ FUZZ_KEYS = tuple(
                              min_size=1, max_size=3))
 def test_exit_code_contract_over_the_schema(edits):
     # nothing escapes main, the code is 0, 2 or 3, and a config error
-    # writes no output directory; the unedited chain runs on every command
+    # writes no output directory; the unedited chain runs on every command,
+    # and an exit-0 simulate or sweep writes NaN only where documented
     config = {section: dict(keys) for section, keys in FUZZ_CONFIG.items()}
     for (section, key), value in edits.items():
         config.setdefault(section, {})[key] = value
@@ -753,3 +820,5 @@ def test_exit_code_contract_over_the_schema(edits):
             assert code in ((EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC) if edits else (EXIT_OK,))
             if code == EXIT_CONFIG:
                 assert not os.path.exists(out)
+            if code == EXIT_OK and command in ("simulate", "sweep"):
+                check_documented_nan(path, command, out)

@@ -13,35 +13,38 @@ def coth_oracle(x):
 
 
 class TestDiagonalize:
-    def test_reconstructs_hamiltonian(self, er10):
-        dec = on.diagonalize(er10)
+    # a separate bath rotates and re-signs nothing: analyze returns the
+    # Hamiltonian's own sorted, sign-fixed eigenvectors
+
+    def test_reconstructs_hamiltonian(self, er10, separate_bath):
+        dec = on.analyze(er10, separate_bath)
         ham = on.hamiltonian_matrix(er10)
         rebuilt = dec.modes @ np.diag(dec.freqs**2) @ dec.modes.T
         assert np.allclose(rebuilt, ham, atol=1e-12)
 
-    def test_orthonormal_and_sorted(self, er10):
-        dec = on.diagonalize(er10)
+    def test_orthonormal_and_sorted(self, er10, separate_bath):
+        dec = on.analyze(er10, separate_bath)
         assert np.allclose(dec.modes.T @ dec.modes, np.eye(10), atol=1e-12)
         assert np.all(np.diff(dec.freqs) >= 0.0)
         assert np.all(dec.freqs > 0.0)
 
-    def test_eigen_residual(self, chain3):
+    def test_eigen_residual(self, chain3, separate_bath):
         # each column must satisfy H f = W^2 f directly
-        dec = on.diagonalize(chain3)
+        dec = on.analyze(chain3, separate_bath)
         ham = on.hamiltonian_matrix(chain3)
         for m in range(3):
             res = ham @ dec.modes[:, m] - dec.freqs[m] ** 2 * dec.modes[:, m]
             assert np.max(np.abs(res)) < 1e-12
 
-    def test_sign_convention(self, er10):
-        dec = on.diagonalize(er10)
+    def test_sign_convention(self, er10, separate_bath):
+        dec = on.analyze(er10, separate_bath)
         for m in range(dec.n):
             col = dec.modes[:, m]
             assert col[np.argmax(np.abs(col))] > 0.0
 
-    def test_deterministic(self, er10):
-        a = on.diagonalize(er10)
-        b = on.diagonalize(er10)
+    def test_deterministic(self, er10, separate_bath):
+        a = on.analyze(er10, separate_bath)
+        b = on.analyze(er10, separate_bath)
         assert np.array_equal(a.modes, b.modes)
         assert np.array_equal(a.freqs, b.freqs)
 
@@ -60,11 +63,11 @@ class TestBathConfig:
 
 class TestEffectiveCouplings:
     def test_separate_is_uniform(self, er10, separate_bath):
-        dec = on.effective_couplings(on.diagonalize(er10), separate_bath)
+        dec = on.analyze(er10, separate_bath)
         assert np.array_equal(dec.eff_coupling, np.ones(10))
 
     def test_common_column_sums(self, er10, common_bath):
-        dec = on.effective_couplings(on.diagonalize(er10), common_bath)
+        dec = on.analyze(er10, common_bath)
         expected = dec.modes.sum(axis=0)
         assert np.allclose(dec.eff_coupling, expected, atol=1e-12)
         # orthogonality invariant: sum of kappa^2 equals the node count
@@ -72,17 +75,17 @@ class TestEffectiveCouplings:
 
     def test_local_row(self, er10):
         bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, cutoff=50.0, node=3)
-        dec = on.effective_couplings(on.diagonalize(er10), bath)
+        dec = on.analyze(er10, bath)
         assert np.allclose(dec.eff_coupling, dec.modes[3, :], atol=1e-12)
         assert np.isclose(np.sum(dec.eff_coupling**2), 1.0, atol=1e-12)
 
     def test_local_node_out_of_range(self, er10):
         bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, cutoff=50.0, node=10)
         with pytest.raises(LocalBathNodeOutOfRange):
-            on.effective_couplings(on.diagonalize(er10), bath)
+            on.analyze(er10, bath)
 
     def test_slowest_mode_ordering(self, er10, common_bath):
-        dec = on.effective_couplings(on.diagonalize(er10), common_bath)
+        dec = on.analyze(er10, common_bath)
         kappa = np.abs(dec.eff_coupling)
         order = spectral._slowest_order(dec)
         assert sorted(order) == list(range(10))
@@ -105,7 +108,7 @@ class TestEffectiveCouplings:
         # eigenspace must decouple even though eigh returns arbitrary vectors
         base = on.build_network(np.array([1.3]), np.zeros((1, 1)))
         net = on.attach_pair(base, 1.0, 1.0, links_a={0: -0.1}, links_b={0: -0.1})
-        dec = on.effective_couplings(on.diagonalize(net), common_bath)
+        dec = on.analyze(net, common_bath)
         kappa = np.abs(dec.eff_coupling)
         assert kappa.min() < 1e-12
 
@@ -137,7 +140,7 @@ class TestModeRates:
 class TestFrozenModeReport:
     def test_no_frozen_modes_generic(self, er10, common_bath):
         dec = on.analyze(er10, common_bath)
-        rep = on.frozen_mode_report(dec, common_bath)
+        rep = on.frozen_mode_report(dec)
         # a generic random network has no exactly decoupled mode
         assert rep.frozen == ()
 
@@ -148,7 +151,7 @@ class TestFrozenModeReport:
                              links_a={0: -0.15, 1: -0.12},
                              links_b={0: -0.15, 1: -0.12})
         dec = on.analyze(net, common_bath)
-        rep = on.frozen_mode_report(dec, common_bath)
+        rep = on.frozen_mode_report(dec)
         assert len(rep.frozen) == 1
         assert rep.participants(rep.frozen[0]) == (2, 3)
         assert not rep.participation[:, rep.frozen[0]].all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oscnet as on
-from oscnet.errors import NoDominantMode, NoZeroInBracket
+from oscnet.errors import CutoffTooLow, NoDominantMode, NoZeroInBracket
 from oscnet.spectral import BathConfig
 
 
@@ -26,9 +26,7 @@ class TestParameterScan:
         out = on.parameter_scan(chain3, ("omega", 1), values, common_bath)
         assert np.array_equal(out.values, values)
         for k, v in enumerate(values):
-            dec = on.effective_couplings(
-                on.diagonalize(chain3.with_omega(1, v)), common_bath
-            )
+            dec = on.analyze(chain3.with_omega(1, v), common_bath)
             slowest = np.argmin(np.abs(dec.eff_coupling))
             assert out.sigma_index[k] == slowest
             assert out.kappa_sigma[k] == pytest.approx(
@@ -56,6 +54,19 @@ class TestParameterScan:
         changes = np.flatnonzero(np.diff(out.sigma_index) != 0) + 1
         assert set(changes) == set(np.flatnonzero(out.swapped))
 
+    def test_scan_reads_no_rates(self):
+        # the grid lifts fig3's top mode past the cutoff (1.3); the scan and
+        # the tuning read modes and couplings only, so neither rejects it
+        net = preset_network("fig3_network.txt")
+        bath = BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=1.3)
+        values = np.linspace(0.8, 2.0, 13)
+        out = on.parameter_scan(net, ("omega", 6), values, bath)
+        assert np.all(out.stable) and np.all(np.isfinite(out.kappa_sigma))
+        with pytest.raises(CutoffTooLow):
+            on.analyze(net.with_omega(6, 2.0), bath)
+        res = on.find_sync_parameter(net, ("omega", 6), (0.8, 2.0), bath)
+        assert res.value == pytest.approx(TestClosedFormRoots.FIG3_ROOTS[-1], rel=1e-12)
+
     def test_separate_bath_rejected(self, chain3, separate_bath):
         with pytest.raises(ValueError):
             on.parameter_scan(chain3, ("omega", 0), [1.0, 1.1], separate_bath)
@@ -69,7 +80,7 @@ class TestParameterScan:
         values = np.array([1.0, 1.1, 1.2, *roots])
         out = on.parameter_scan(net, ("omega", 3), values, common_bath)
         for k, v in enumerate(values):
-            dec = on.effective_couplings(on.diagonalize(net.with_omega(3, v)), common_bath)
+            dec = on.analyze(net.with_omega(3, v), common_bath)
             movable = np.abs(dec.modes[3]) > 1e-8 * np.abs(dec.modes).max()
             assert movable[out.sigma_index[k]]
             assert abs(dec.freqs[out.sigma_index[k]] - 1.0) > 1e-6
@@ -92,9 +103,7 @@ class TestFindSyncFrequency:
     def test_result_verified_against_fresh_decomposition(self, common_bath):
         net = detuned_pair_network()
         res = on.find_sync_parameter(net, ("omega", 3), (0.9, 1.15), common_bath)
-        dec = on.effective_couplings(
-            on.diagonalize(net.with_omega(3, res.value)), common_bath
-        )
+        dec = on.analyze(net.with_omega(3, res.value), common_bath)
         slowest = np.argmin(np.abs(dec.eff_coupling))
         assert abs(dec.eff_coupling[slowest]) <= 1e-10
         assert dec.freqs[slowest] == pytest.approx(res.mode_freq)
@@ -107,9 +116,7 @@ class TestFindSyncFrequency:
         grid = np.linspace(*bracket, 4001)
         kmin = np.empty(grid.shape)
         for k, v in enumerate(grid):
-            dec = on.effective_couplings(
-                on.diagonalize(er10.with_omega(4, v)), common_bath
-            )
+            dec = on.analyze(er10.with_omega(4, v), common_bath)
             kmin[k] = np.min(np.abs(dec.eff_coupling))
         assert abs(res.value - grid[np.argmin(kmin)]) < (grid[1] - grid[0]) * 1.5
 
@@ -149,9 +156,7 @@ class TestClosedFormRoots:
         assert res.value == res.roots[-1]
         assert res.always_frozen == ()
         for root in res.roots:
-            dec = on.effective_couplings(
-                on.diagonalize(net.with_omega(6, root)), common_bath
-            )
+            dec = on.analyze(net.with_omega(6, root), common_bath)
             assert np.min(np.abs(dec.eff_coupling)) <= 1e-12
 
     def test_fig3_tune_writes_shipped_frequency(self, tmp_path):
@@ -174,9 +179,7 @@ class TestClosedFormRoots:
         net = preset_network("fig5_network.txt")
 
         def second_smallest_kappa(omega_3):
-            dec = on.effective_couplings(
-                on.diagonalize(net.with_omega(3, omega_3)), common_bath
-            )
+            dec = on.analyze(net.with_omega(3, omega_3), common_bath)
             return np.sort(np.abs(dec.eff_coupling))[1]
 
         res = on.find_sync_parameter(net, ("omega", 3), (1.0, 1.3), common_bath)
@@ -226,10 +229,6 @@ class TestEstimateSyncTimes:
         with pytest.raises(NoDominantMode):
             on.estimate_sync_times(dec)
 
-    def test_requires_rates(self, chain3):
-        with pytest.raises(ValueError):
-            on.estimate_sync_times(on.diagonalize(chain3))
-
 
 class TestMotifFormulas:
     """A three-node motif (branches 0 and 1, hub 2) frozen by the pencil.
@@ -267,11 +266,11 @@ class TestMotifFormulas:
 
     def test_tuned_motif_mode_is_frozen(self, common_bath):
         net, target = self.tuned_motif(common_bath)
-        dec = on.effective_couplings(on.diagonalize(net), common_bath)
+        dec = on.analyze(net, common_bath)
         k = int(np.argmin(np.abs(dec.freqs - target)))
         assert dec.freqs[k] == pytest.approx(target, abs=1e-10)
         assert abs(dec.eff_coupling[k]) < 1e-10
-        assert on.frozen_mode_report(dec, common_bath).frozen == (k,)
+        assert on.frozen_mode_report(dec).frozen == (k,)
 
 
 class TestEmbeddingResiduals:
@@ -308,14 +307,14 @@ class TestEmbeddingResiduals:
         np.testing.assert_allclose(hv[3:], res, rtol=1e-13)
         assert np.any(np.abs(res) > 1e-3)
         dec = on.analyze(net, common_bath)
-        assert on.frozen_mode_report(dec, common_bath).frozen == ()
+        assert on.frozen_mode_report(dec).frozen == ()
 
     def test_rewired_embedding_freezes_mode(self, common_bath):
         # zero residuals must give the full network an exact eigenmode at
         # the motif frequency with vanishing common-bath weight
         net, target, _, res = self.build_embedded(True, common_bath)
         assert np.max(np.abs(res)) < 1e-15
-        dec = on.effective_couplings(on.diagonalize(net), common_bath)
+        dec = on.analyze(net, common_bath)
         k = int(np.argmin(np.abs(dec.freqs - target)))
         assert dec.freqs[k] == pytest.approx(target, abs=1e-10)
         assert abs(dec.eff_coupling[k]) < 1e-10
