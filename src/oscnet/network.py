@@ -47,6 +47,8 @@ __all__ = [
 #: Bound on node frequencies: below it, omega^2, the Hamiltonian's diagonal
 #: entry, is a finite double.
 _MAX_OMEGA = np.sqrt(np.finfo(float).max)
+#: Draws :func:`random_network` makes before it gives up.
+_MAX_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,13 @@ def random_network(
     coupling_mean: float,
     coupling_sd: float,
     seed: int,
-    max_retries: int = 100,
 ) -> NetworkSpec:
     """Sample a stable Erdos-Renyi network, deterministically per seed.
 
     Edges appear independently with probability ``p``; present-edge weights
     are normal(coupling_mean, coupling_sd); node frequencies are uniform on
     [freq_low, freq_high].  Unstable samples (Hamiltonian matrix not
-    positive definite) are rejected and resampled, up to ``max_retries``
+    positive definite) are rejected and resampled, up to ``_MAX_RETRIES``
     attempts.
 
     Raises
@@ -181,7 +182,7 @@ def random_network(
     if freq_low <= 0.0:
         raise NonPositiveFrequency("frequency range must be positive")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         omega = rng.uniform(freq_low, freq_high, size=n)
         coupling = np.zeros((n, n))
         for i in range(n):
@@ -195,7 +196,7 @@ def random_network(
         except NonPositiveDefinite:
             continue
     raise ExhaustedRetries(
-        f"no stable {n}-node network found in {max_retries} attempts"
+        f"no stable {n}-node network found in {_MAX_RETRIES} attempts"
     )
 
 

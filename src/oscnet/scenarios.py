@@ -184,7 +184,7 @@ _SCHEMA = {
         "path": (str, None), "nodes": (int, None), "connect_prob": (_float, None),
         "freq_low": (_float, None), "freq_high": (_float, None),
         "coupling_mean": (_float, None), "coupling_sd": (_float, None),
-        "seed": (int, None), "max_retries": (int, "100"),
+        "seed": (int, None),
     },
     "bath": {
         "kind": (str, _REQUIRED), "gamma": (_float, _REQUIRED),
@@ -200,7 +200,7 @@ _SCHEMA = {
     },
     "tuning": {  # grid: the resolution of scan.csv; the tuning itself is closed-form
         "parameter": (_parse_param, _REQUIRED), "bracket": (_floats, _REQUIRED),
-        "tol": (_float, "1e-10"), "grid": (int, "33"),
+        "grid": (int, "33"),
     },
     "sweep": {
         "parameter": (_parse_param, _REQUIRED), "values": (_floats, None),
@@ -304,8 +304,6 @@ def load_config(path: str) -> ScenarioConfig:
                 "tuning parameter must be 'omega <node>': a coupling is a rank-two, "
                 "indefinite update with no closed-form frozen points"
             )
-        if tuning.tol <= 0.0:
-            raise ConfigError("tuning tol must be positive")
         if tuning.grid < 3:
             raise ConfigError("tuning grid must have at least 3 points")
 
@@ -364,7 +362,7 @@ def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpe
         seed = nb.seed if seed_override is None else seed_override
         return random_network(
             nb.nodes, nb.connect_prob, nb.freq_low, nb.freq_high,
-            nb.coupling_mean, nb.coupling_sd, seed, nb.max_retries,
+            nb.coupling_mean, nb.coupling_sd, seed,
         )
     except ConfigError:
         raise
@@ -668,7 +666,7 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
     out = _resolve_out(cfg, out_dir)
     tb = cfg.tuning
     grid = _grid(tb.bracket[0], tb.bracket[1], tb.grid, "[tuning] grid")
-    result = find_sync_parameter(prep.net, tb.parameter, tb.bracket, cfg.bath, tb.tol)
+    result = find_sync_parameter(prep.net, tb.parameter, tb.bracket, cfg.bath)
     scan = parameter_scan(prep.net, tb.parameter, grid, cfg.bath)
     csvio.write_scan(os.path.join(out, "scan.csv"), scan)
     tuned_net = _with_param(prep.net, tb.parameter, result.value)

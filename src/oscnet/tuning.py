@@ -36,6 +36,7 @@ from .spectral import (
     BathConfig,
     FrozenModeReport,
     ModeDecomposition,
+    _frozen_mask,
     _frozen_report,
     _normal_modes,
     _slowest_order,
@@ -193,14 +194,14 @@ def find_sync_parameter(
     param,
     bracket,
     bath: BathConfig,
-    tol: float = 1e-10,
 ) -> TuneResult:
     """Tune node d's frequency, ``param = ("omega", d)``, until a mode freezes.
 
     Candidates come from the bordered pencil (module docstring).  One is
     a root when it lies in the bracket, the tuned network is positive
-    definite, and a fresh decomposition gives its mode at Omega^2 = mu a
-    |kappa| of at most ``tol``.  The largest root is the tuning.
+    definite, and a fresh decomposition marks its mode at Omega^2 = mu
+    frozen, by the test :func:`frozen_mode_report` applies.  The largest
+    root is the tuning.
 
     Raises ValueError for any selector other than omega (a coupling is a
     rank-two, indefinite update) and NoZeroInBracket when no root is left.
@@ -225,18 +226,17 @@ def find_sync_parameter(
         except NonPositiveDefinite:
             continue
         mode = int(np.argmin(np.abs(freqs**2 - mu)))
-        residual = float(np.abs(kappa[mode]))
-        if residual <= tol:
-            found.append((value, mode, residual, modes, freqs, kappa))
+        if _frozen_mask(modes, kappa)[mode]:
+            found.append((value, mode, modes, freqs, kappa))
     if not found:
         raise NoZeroInBracket(
-            f"no frozen root of omega {d} with |kappa| <= {tol:.3g} in [{lo:.6g}, {hi:.6g}]"
+            f"no value of omega {d} in [{lo:.6g}, {hi:.6g}] leaves a mode frozen"
         )
-    value, mode, residual, modes, freqs, kappa = found[-1]
+    value, mode, modes, freqs, kappa = found[-1]
     return TuneResult(
         param=("omega", d),
         value=value,
-        residual=residual,
+        residual=float(np.abs(kappa[mode])),
         mode_index=mode,
         mode_freq=float(freqs[mode]),
         report=_frozen_report(modes, kappa),

@@ -106,7 +106,7 @@ def test_random_network_respects_ranges(er10):
 def test_random_network_exhausts_retries():
     # Enormous couplings make every draw indefinite.
     with pytest.raises(ExhaustedRetries):
-        on.random_network(6, 1.0, 0.9, 1.2, -50.0, 0.0, seed=1, max_retries=5)
+        on.random_network(6, 1.0, 0.9, 1.2, -50.0, 0.0, seed=1)
 
 
 def test_attach_pair_appends_nodes(chain3):
@@ -164,7 +164,7 @@ def test_load_network_rejects_garbage(tmp_path):
 )
 def test_random_network_always_valid(seed, n, p):
     try:
-        net = on.random_network(n, p, 0.9, 1.2, -0.1, 0.05, seed=seed, max_retries=50)
+        net = on.random_network(n, p, 0.9, 1.2, -0.1, 0.05, seed=seed)
     except ExhaustedRetries:
         return
     assert np.array_equal(net.coupling, net.coupling.T)

@@ -504,6 +504,21 @@ class TestCli:
         assert not out.exists()
         assert "omega <node>" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, old", [
+        ("tol = 1e-10", "bracket = 0.9 1.15"),
+        ("max_retries = 100", "source = inline"),
+    ], ids=["tol", "max_retries"])
+    def test_removed_key_exit_code(self, tmp_path, capsys, key, old):
+        # tuning accepts the pencil roots that frozen_mode_report calls
+        # frozen, and random_network draws a fixed number of times
+        text = TestRunTuneAndSpectrum.TUNE_INI
+        assert text.count(old) == 1
+        path = write_ini(tmp_path, text.replace(old, f"{old}\n{key}"))
+        out = tmp_path / "t"
+        assert main(["tune", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert f"unknown key {key.split()[0]!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new", [
         ("t_end = 160.0", "t_end = nan"),
         ("window = 8.0", "window = inf"),
@@ -745,7 +760,7 @@ EDGE_VALUES = ("0", "-1", "1e-300", "1e300", "fish", "", str(10**30), "all", "au
 # keys of a random network are left out: the chain is an inline network
 FUZZ_KEYS = tuple(
     (section, key) for section, keys in scenarios._SCHEMA.items() for key in keys
-    if key not in (*scenarios._SOURCE_KEYS["random"], "max_retries")
+    if key not in scenarios._SOURCE_KEYS["random"]
 )
 
 

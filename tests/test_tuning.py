@@ -112,7 +112,7 @@ class TestFindSyncFrequency:
     def test_matches_fine_grid_minimum(self, er10, common_bath):
         # independent route: brute-force the |kappa| dip location
         bracket = (0.95, 1.15)
-        res = on.find_sync_parameter(er10, ("omega", 4), bracket, common_bath, tol=1e-9)
+        res = on.find_sync_parameter(er10, ("omega", 4), bracket, common_bath)
         grid = np.linspace(*bracket, 4001)
         kmin = np.empty(grid.shape)
         for k, v in enumerate(grid):
