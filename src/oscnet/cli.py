@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Usage:
-    oscnet simulate --config fig2_cb [--out results] [--seed 7]
-    oscnet sweep    --config fig3_sweep --workers 4
-    oscnet tune     --config my_scan.ini
-    oscnet spectrum --config fig2_sb
+    oscnet simulate --config fig2_cb --out results/fig2_cb
+    oscnet sweep    --config fig3_sweep --out results/fig3 --workers 4
+    oscnet tune     --config my_scan.ini --out results/tune
+    oscnet spectrum --config fig2_sb --out results/spectrum
 
 --config takes either a path to an INI file or the name of a packaged
-preset.  Exit codes: 0 success, 2 configuration problem, 3 numeric or
-physics failure during the run.
+preset; --out is the output directory.  Exit codes: 0 success, 2
+configuration problem (an output directory that cannot be written
+included), 3 numeric or physics failure during the run.
 """
 
 from __future__ import annotations
@@ -71,13 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True,
                          help="scenario INI file or preset name")
-        cmd.add_argument("--out", default=None,
-                         help="output directory (default: from the config)")
+        cmd.add_argument("--out", required=True, help="output directory")
         if name == "sweep":
             cmd.add_argument("--workers", type=int, default=1,
                              help="worker processes (default 1)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the random-network seed")
     return parser
 
 
@@ -86,18 +84,20 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(_resolve_config(args.config))
         if args.command == "simulate":
-            out = run_simulate(cfg, out_dir=args.out, seed=args.seed)
+            out = run_simulate(cfg, args.out)
         elif args.command == "sweep":
             if args.workers < 1:
                 raise ConfigError("--workers must be at least 1")
-            out = run_sweep(cfg, out_dir=args.out, seed=args.seed,
-                            workers=args.workers)
+            out = run_sweep(cfg, args.out, workers=args.workers)
         elif args.command == "tune":
-            out = run_tune(cfg, out_dir=args.out, seed=args.seed)
+            out = run_tune(cfg, args.out)
         else:
-            out = run_spectrum(cfg, out_dir=args.out, seed=args.seed)
+            out = run_spectrum(cfg, args.out)
     except ConfigError as exc:
         print(f"oscnet: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # set-up reports a failed read as ConfigError, so this is a write
+        print(f"oscnet: cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OscnetError as exc:
         print(f"oscnet: {type(exc).__name__}: {exc}", file=sys.stderr)

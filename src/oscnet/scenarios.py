@@ -2,10 +2,11 @@
 
 A scenario file holds blocks [network], [bath], [initial], [time] and,
 when relevant, [analysis] (without it, simulate writes only the
-trajectory), [tuning], [sweep], [output].  Parsing is
-strict: unknown sections or keys, malformed values, and anything that
-would violate a module precondition are rejected with ConfigError
-before any real computation starts.
+trajectory), [tuning] and [sweep].  Parsing is strict: unknown sections
+or keys, malformed values, and anything that would violate a module
+precondition are rejected with ConfigError before any real computation
+starts.  The output directory is not part of a scenario: every pipeline
+takes it as an argument.
 
 Pipelines:
 
@@ -83,7 +84,7 @@ _MAX_SQUEEZE = np.log(2.0**52) / 4.0
 @dataclass
 class ScenarioConfig:
     """[bath] as a BathConfig; every other section as a namespace whose
-    attributes are its _SCHEMA keys, and whose [sweep] values is the grid."""
+    attributes are its _SCHEMA keys."""
 
     network: SimpleNamespace
     bath: BathConfig
@@ -92,7 +93,6 @@ class ScenarioConfig:
     analysis: SimpleNamespace | None  # None without [analysis]: trajectory only
     tuning: SimpleNamespace | None = None
     sweep: SimpleNamespace | None = None
-    out_dir: str = "out"
     base_dir: str = "."
 
 
@@ -146,7 +146,10 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...] | None:
         i, j = int(toks[0]), int(toks[1])
         if i == j:
             raise ValueError(f"pair ({i}, {j}) repeats a node")
-        pairs.append((min(i, j), max(i, j)))
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            raise ValueError(f"pair {pair} is listed twice")
+        pairs.append(pair)
     return tuple(pairs)
 
 
@@ -202,11 +205,7 @@ _SCHEMA = {
         "parameter": (_parse_param, _REQUIRED), "bracket": (_floats, _REQUIRED),
         "grid": (int, "33"),
     },
-    "sweep": {
-        "parameter": (_parse_param, _REQUIRED), "values": (_floats, None),
-        "list": (_floats, None),
-    },
-    "output": {"directory": (str, "out")},
+    "sweep": {"parameter": (_parse_param, _REQUIRED), "list": (_floats, _REQUIRED)},
 }
 #: The [network] keys each source requires.
 _SOURCE_KEYS = {
@@ -310,15 +309,8 @@ def load_config(path: str) -> ScenarioConfig:
     sweep = None
     if parser.has_section("sweep"):
         sweep = _section(parser, "sweep")
-        spec = sweep.values  # from here on, values holds the swept grid
-        if sweep.list is not None:
-            sweep.values = sweep.list
-        elif spec is not None:
-            if spec.shape != (3,) or int(spec[2]) < 2 or not spec[0] < spec[1]:
-                raise ConfigError("sweep values must be 'lo hi count' with lo < hi")
-            sweep.values = _grid(spec[0], spec[1], spec[2], "[sweep] values")
-        else:
-            raise ConfigError("[sweep] needs either 'values = lo hi count' or 'list = ...'")
+        if sweep.list.size == 0:
+            raise ConfigError("[sweep] list is empty")
 
     return ScenarioConfig(
         network=network,
@@ -328,7 +320,6 @@ def load_config(path: str) -> ScenarioConfig:
         analysis=analysis,
         tuning=tuning,
         sweep=sweep,
-        out_dir=_section(parser, "output").directory,
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
 
@@ -347,10 +338,8 @@ class PreparedScenario:
     window: float | None
 
 
-def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpec:
+def _build_network(cfg: ScenarioConfig) -> NetworkSpec:
     nb = cfg.network
-    if seed_override is not None and nb.source != "random":
-        raise ConfigError("--seed only applies to scenarios with a random network")
     try:
         if nb.source == "inline":
             return build_network(nb.omega, _coupling_from_edges(nb.omega.shape[0], nb.edges))
@@ -359,10 +348,9 @@ def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpe
             if not os.path.isabs(path):
                 path = os.path.join(cfg.base_dir, path)
             return load_network(path)
-        seed = nb.seed if seed_override is None else seed_override
         return random_network(
             nb.nodes, nb.connect_prob, nb.freq_low, nb.freq_high,
-            nb.coupling_mean, nb.coupling_sd, seed,
+            nb.coupling_mean, nb.coupling_sd, nb.seed,
         )
     except ConfigError:
         raise
@@ -372,11 +360,9 @@ def _build_network(cfg: ScenarioConfig, seed_override: int | None) -> NetworkSpe
         raise ConfigError(f"network construction failed: {exc}") from exc
 
 
-def prepare(cfg: ScenarioConfig, seed_override: int | None = None,
-            net: NetworkSpec | None = None) -> PreparedScenario:
+def prepare(cfg: ScenarioConfig) -> PreparedScenario:
     """Materialize the network and check every precondition up front."""
-    if net is None:
-        net = _build_network(cfg, seed_override)
+    net = _build_network(cfg)
     n = net.n
     if n < 2:
         raise ConfigError(f"a scenario needs at least two nodes; the network has {n}")
@@ -545,24 +531,15 @@ def _summary_text(prep: PreparedScenario, extra_lines=()) -> str:
     return "\n".join(lines)
 
 
-def _resolve_out(cfg: ScenarioConfig, out_dir: str | None) -> str:
-    target = out_dir if out_dir is not None else cfg.out_dir
-    if not os.path.isabs(target):
-        target = os.path.join(cfg.base_dir if out_dir is None else os.getcwd(), target)
-    return target
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
-                 seed: int | None = None) -> str:
+def run_simulate(cfg: ScenarioConfig, out_dir: str) -> str:
     """Trajectory, per-pair measures, and aggregate series for one scenario."""
-    prep = prepare(cfg, seed_override=seed)
-    out = _resolve_out(cfg, out_dir)
+    prep = prepare(cfg)
     traj = _run_traj(prep)
-    csvio.write_trajectory(os.path.join(out, "trajectory.csv"), traj)
+    csvio.write_trajectory(os.path.join(out_dir, "trajectory.csv"), traj)
     extra = []
     if cfg.analysis is not None:
         stride = cfg.analysis.stride
@@ -577,21 +554,21 @@ def run_simulate(cfg: ScenarioConfig, out_dir: str | None = None,
         corr = np.full(disc.values.shape, np.nan)
         corr[: pearson.values.shape[0]] = pearson.values
         csvio.write_pair_measures(
-            os.path.join(out, "measures.csv"), disc.times, disc.pairs, corr,
+            os.path.join(out_dir, "measures.csv"), disc.times, disc.pairs, corr,
             info.values, disc.values, logneg.values,
         )
         times, sync, (avg_info, avg_disc, avg_logneg) = _aggregates(
             prep, traj, (info, disc, logneg)
         )
-        csvio.write_aggregate(os.path.join(out, "aggregate.csv"),
+        csvio.write_aggregate(os.path.join(out_dir, "aggregate.csv"),
                               times, sync, avg_disc, avg_info, avg_logneg)
         # each pair's window, like S(t)'s, is the window rounded to the grid
         extra.append(f"analysis window: {csvio.fmt(pearson.window)}")
         if disc.excluded:
             listed = "; ".join(f"{i} {j}" for i, j in sorted(disc.excluded))
             extra.append(f"excluded pairs: {listed}")
-    csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep, extra))
-    return out
+    csvio.write_text(os.path.join(out_dir, "summary.txt"), _summary_text(prep, extra))
+    return out_dir
 
 
 def _sweep_point(job):
@@ -603,8 +580,7 @@ def _sweep_point(job):
     return np.column_stack([np.full(times.shape[0], value), times, sync, avg_disc])
 
 
-def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
-              seed: int | None = None, workers: int = 1) -> str:
+def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> str:
     """One simulation per sweep value, merged into a single map CSV.
 
     Every swept network is analyzed before any point runs: an unstable
@@ -616,11 +592,10 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
         raise ConfigError("run_sweep needs a [sweep] section")
     if cfg.analysis is None:
         raise ConfigError("run_sweep needs an [analysis] section: map.csv is analysis output")
-    prep = prepare(cfg, seed_override=seed)  # validates everything once
-    out = _resolve_out(cfg, out_dir)
+    prep = prepare(cfg)  # validates everything once
     jobs = []
     skipped = []
-    for v in cfg.sweep.values:
+    for v in cfg.sweep.list:
         value = float(v)
         try:
             net = _with_param(prep.net, cfg.sweep.parameter, value)
@@ -647,30 +622,28 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None,
 
     param_name = "_".join(str(p) for p in cfg.sweep.parameter)
     csvio.write_sweep_map(
-        os.path.join(out, "map.csv"), param_name,
+        os.path.join(out_dir, "map.csv"), param_name,
         np.concatenate([np.empty((0, 4)), *results]),
     )
-    extra = [f"sweep: {param_name} over {len(cfg.sweep.values)} values"]
+    extra = [f"sweep: {param_name} over {len(cfg.sweep.list)} values"]
     if skipped:
         extra.append("skipped unstable values: " + " ".join(csvio.fmt(v) for v in skipped))
-    csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep, extra))
-    return out
+    csvio.write_text(os.path.join(out_dir, "summary.txt"), _summary_text(prep, extra))
+    return out_dir
 
 
-def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
-             seed: int | None = None) -> str:
+def run_tune(cfg: ScenarioConfig, out_dir: str) -> str:
     """Bracket scan, closed-form tuned frequency and its frozen roots, with artifacts."""
     if cfg.tuning is None:
         raise ConfigError("run_tune needs a [tuning] section")
-    prep = prepare(cfg, seed_override=seed)
-    out = _resolve_out(cfg, out_dir)
+    prep = prepare(cfg)
     tb = cfg.tuning
     grid = _grid(tb.bracket[0], tb.bracket[1], tb.grid, "[tuning] grid")
     result = find_sync_parameter(prep.net, tb.parameter, tb.bracket, cfg.bath)
     scan = parameter_scan(prep.net, tb.parameter, grid, cfg.bath)
-    csvio.write_scan(os.path.join(out, "scan.csv"), scan)
+    csvio.write_scan(os.path.join(out_dir, "scan.csv"), scan)
     tuned_net = _with_param(prep.net, tb.parameter, result.value)
-    save_network(tuned_net, os.path.join(out, "tuned_network.txt"))
+    save_network(tuned_net, os.path.join(out_dir, "tuned_network.txt"))
     extra = [
         "",
         f"tuned {' '.join(str(p) for p in result.param)} = {csvio.fmt(result.value)}",
@@ -682,16 +655,14 @@ def run_tune(cfg: ScenarioConfig, out_dir: str | None = None,
         "frozen at any value: "
         + (" ".join(f"Omega = {csvio.fmt(w)}" for w in result.always_frozen) or "none"),
     ]
-    csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep, extra))
-    return out
+    csvio.write_text(os.path.join(out_dir, "summary.txt"), _summary_text(prep, extra))
+    return out_dir
 
 
-def run_spectrum(cfg: ScenarioConfig, out_dir: str | None = None,
-                 seed: int | None = None) -> str:
+def run_spectrum(cfg: ScenarioConfig, out_dir: str) -> str:
     """Mode table and transform matrix, no time evolution."""
-    prep = prepare(cfg, seed_override=seed)
-    out = _resolve_out(cfg, out_dir)
-    csvio.write_modes(os.path.join(out, "modes.csv"), prep.decomp)
-    csvio.write_transform(os.path.join(out, "transform.csv"), prep.decomp)
-    csvio.write_text(os.path.join(out, "summary.txt"), _summary_text(prep))
-    return out
+    prep = prepare(cfg)
+    csvio.write_modes(os.path.join(out_dir, "modes.csv"), prep.decomp)
+    csvio.write_transform(os.path.join(out_dir, "transform.csv"), prep.decomp)
+    csvio.write_text(os.path.join(out_dir, "summary.txt"), _summary_text(prep))
+    return out_dir

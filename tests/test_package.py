@@ -87,9 +87,6 @@ list = 1.0 1.2
 [tuning]
 parameter = omega 0
 bracket = 0.8 1.4
-
-[output]
-directory = out
 """
 
 #: Modules only ``tune``, the expm reference and a multi-worker sweep need.

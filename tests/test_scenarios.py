@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oscnet as on
 from oscnet import measures, scenarios
-from oscnet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from oscnet.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _build_parser, main
 from oscnet.errors import ConfigError, NonPositiveDefinite
 
 CHAIN_INI = """\
@@ -39,11 +39,8 @@ method = exact
 
 [analysis]
 window = 2.0
-
-[output]
-directory = out
 """
-CHAIN_INI_NO_ANALYSIS = CHAIN_INI.replace("[analysis]\nwindow = 2.0\n\n", "")
+CHAIN_INI_NO_ANALYSIS = CHAIN_INI.replace("\n[analysis]\nwindow = 2.0\n", "")
 assert "[analysis]" not in CHAIN_INI_NO_ANALYSIS
 
 
@@ -160,11 +157,6 @@ class TestLoadConfig:
             words = set(re.findall(r"\w+", body))
             assert set(scenarios._SCHEMA[name]) <= words, name
             assert set(re.findall(r"(\w+) =", body)) <= set(scenarios._SCHEMA[name]), name
-
-    def test_seed_override_only_for_random(self, tmp_path):
-        cfg = on.load_config(write_ini(tmp_path, CHAIN_INI))
-        with pytest.raises(ConfigError):
-            on.run_simulate(cfg, out_dir=str(tmp_path / "o"), seed=3)
 
 
 class TestPrepareValidation:
@@ -318,24 +310,21 @@ class TestRunSimulate:
         with open(os.path.join(out, "summary.txt")) as fh:
             assert "analysis window" not in fh.read()
 
-    def test_random_network_seed_override(self, tmp_path):
-        text = CHAIN_INI.replace(
-            "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4",
-            "source = random\nnodes = 5\nconnect_prob = 0.7\nfreq_low = 0.9\n"
-            "freq_high = 1.2\ncoupling_mean = -0.1\ncoupling_sd = 0.05\nseed = 3",
-        ).replace("mean_q = -1.0 0.0 1.0", "mean_q = 1.0")
-        cfg = on.load_config(write_ini(tmp_path, text))
-        out1 = on.run_simulate(cfg, out_dir=str(tmp_path / "s1"), seed=11)
-        out2 = on.run_simulate(cfg, out_dir=str(tmp_path / "s2"), seed=11)
-        out3 = on.run_simulate(cfg, out_dir=str(tmp_path / "s3"), seed=12)
-        with open(os.path.join(out1, "trajectory.csv"), "rb") as fh:
-            b1 = fh.read()
-        with open(os.path.join(out2, "trajectory.csv"), "rb") as fh:
-            b2 = fh.read()
-        with open(os.path.join(out3, "trajectory.csv"), "rb") as fh:
-            b3 = fh.read()
-        assert b1 == b2
-        assert b1 != b3
+    def test_random_network_seed_selects_the_network(self, tmp_path):
+        # [network] seed is the one source of a random network's draw
+        def trajectory(seed, tag):
+            text = CHAIN_INI.replace(
+                "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4",
+                "source = random\nnodes = 5\nconnect_prob = 0.7\nfreq_low = 0.9\n"
+                f"freq_high = 1.2\ncoupling_mean = -0.1\ncoupling_sd = 0.05\nseed = {seed}",
+            ).replace("mean_q = -1.0 0.0 1.0", "mean_q = 1.0")
+            cfg = on.load_config(write_ini(tmp_path, text, f"seed{seed}.ini"))
+            out = on.run_simulate(cfg, out_dir=str(tmp_path / tag))
+            with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
+                return fh.read()
+
+        assert trajectory(11, "a") == trajectory(11, "b")
+        assert trajectory(11, "c") != trajectory(12, "d")
 
 
 class TestRunSweep:
@@ -442,9 +431,6 @@ t_end = 5.0
 [tuning]
 parameter = omega 3
 bracket = 0.9 1.15
-
-[output]
-directory = out
 """
 
     def test_tune_artifacts(self, tmp_path):
@@ -485,7 +471,9 @@ class TestCli:
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = write_ini(tmp_path, CHAIN_INI.replace("[bath]", "[soup]"))
-        assert main(["simulate", "--config", path]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_rk4_method_exit_code(self, tmp_path, capsys):
         path = write_ini(tmp_path, CHAIN_INI.replace("method = exact", "method = rk4"))
@@ -579,7 +567,6 @@ class TestCli:
                      id="infinite_t_end_over_step"),
         pytest.param("tune", "bracket = 1.0 2.5", f"bracket = 1.0 2.5\ngrid = {10**30}",
                      id="tuning_grid"),
-        pytest.param("sweep", "list = 1.8", "values = 0.9 1.5 1e30", id="sweep_values"),
     ])
     def test_grid_beyond_numpy_exit_code(self, tmp_path, capsys, command, old, new):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
@@ -665,8 +652,51 @@ class TestCli:
         assert detail in err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
-        assert main(["simulate", "--config",
-                     str(tmp_path / "nope.ini")]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "tune", "spectrum"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
+        # an output directory below a regular file cannot be made: the
+        # writers' OSError is a config error that names the path
+        text = (TestRunTuneAndSpectrum.TUNE_INI if command == "tune"
+                else CHAIN_INI + TestRunSweep.SWEEP_TAIL)
+        path = write_ini(tmp_path, text)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "sub")
+        assert main([command, "--config", path, "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert out in err and "Traceback" not in err
+        assert blocker.read_text() == ""
+
+    def test_cli_options(self):
+        # the config holds the scenario and the required --out the
+        # destination; sweep alone adds --workers
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        assert sorted(sub.choices) == ["simulate", "spectrum", "sweep", "tune"]
+        for name, cmd in sub.choices.items():
+            options = {a.option_strings[-1]: a.required for a in cmd._actions
+                       if a.option_strings and a.dest != "help"}
+            expected = {"--config": True, "--out": True}
+            if name == "sweep":
+                expected["--workers"] = False
+            assert options == expected, name
+
+    @pytest.mark.parametrize("command, old, new, detail", [
+        # (1, 0) is the pair (0, 1): listing it twice would double its rows
+        # in measures.csv and its weight in every pair average
+        ("simulate", "window = 2.0", "window = 2.0\npairs = 0 1; 1 0; 0 2", "listed twice"),
+        ("sweep", "list = 0.3 1.0 1.2", "list =", "list is empty"),
+    ], ids=["repeated_pair", "empty_sweep"])
+    def test_listed_values_exit_code(self, tmp_path, capsys, command, old, new, detail):
+        path = write_ini(tmp_path, (CHAIN_INI + TestRunSweep.SWEEP_TAIL).replace(old, new))
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert detail in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # bracket grid-checked to contain no kappa zero: tune must fail
@@ -748,11 +778,11 @@ FUZZ_CONFIG = {
     "initial": {"mean_q": "-1.0 0.0 1.0"},
     "time": {"t_end": "20.0", "step": "0.05", "method": "exact"},
     "analysis": {"window": "8.0"},
-    "sweep": {"parameter": "omega 2", "values": "1.6 2.0 3"},
+    "sweep": {"parameter": "omega 2", "list": "1.6 1.8 2.0"},
     "tuning": {"parameter": "omega 2", "bracket": "1.0 2.5"},
 }
 # Edge values for any key.  From FUZZ_CONFIG, each keeps every grid (the
-# time grid, the tuning grid, the sweep values) at a few hundred points, or
+# time grid and the tuning grid) at a few hundred points, or
 # sends its size above the intp maximum, where numpy refuses it before it
 # allocates anything.  A size in between would be allocated, gigabytes of
 # it, so no value here may produce one.
@@ -779,7 +809,7 @@ def check_documented_nan(path, command, out):
     subset = slice(None) if cfg.analysis.sync_subset is None else list(cfg.analysis.sync_subset)
     if command == "sweep":
         decomps = []
-        for value in cfg.sweep.values:
+        for value in cfg.sweep.list:
             try:
                 net = scenarios._with_param(prep.net, cfg.sweep.parameter, float(value))
                 decomps.append(on.analyze(net, cfg.bath))
