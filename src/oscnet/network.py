@@ -8,19 +8,21 @@ matrix ``H[m, n] = omega_m**2 * delta_mn + coupling[m, n] * (1 - delta_mn)``,
 which must be positive definite for the network to support stable
 oscillations.
 
-Network files use a plain-text key-value format with two sections::
+A network file is an inline scenario network: one ``[network]`` section
+with ``omega`` and ``edges`` in the same syntax, read by the same
+converters, and nothing else.  :func:`save_network` writes one value a
+line, with shortest round-trip floats, so a save/load cycle is lossless::
 
-    [nodes]
-    <index> = <omega>
-    [edges]
-    <i> <j> = <coupling>
-
-Floats are written with shortest round-trip decimal representation, so a
-save/load cycle is lossless at full binary precision.
+    [network]
+    omega =
+        <omega_0>
+    edges =
+        <i> <j> <coupling>
 """
 
 from __future__ import annotations
 
+import configparser
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,61 +240,74 @@ def attach_pair(
     return build_network(omega, coupling)
 
 
+def _float(text: str) -> float:
+    """A finite float; nan and inf raise ValueError like any other non-number."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.array([_float(tok) for tok in text.split()])
+
+
+def _parse_edges(text: str) -> tuple[tuple[int, int, float], ...]:
+    edges = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        toks = line.split()
+        if len(toks) != 3:
+            raise ValueError(f"edge entry {line!r} is not 'i j lambda'")
+        edges.append((int(toks[0]), int(toks[1]), _float(toks[2])))
+    return tuple(edges)
+
+
 def _coupling_from_edges(n: int, edges) -> np.ndarray:
     """The symmetric (n, n) coupling matrix of (i, j, weight) edges."""
     coupling = np.zeros((n, n))
+    seen = set()
     for i, j, w in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) is out of range for {n} nodes")
+        if (min(i, j), max(i, j)) in seen:
+            raise ValueError(f"edge ({i}, {j}) is given twice")
+        seen.add((min(i, j), max(i, j)))
         coupling[i, j] = w
         coupling[j, i] = w
     return coupling
+
+
+def _read_ini(path) -> configparser.ConfigParser:
+    """Scenario configs and network files: no interpolation, ``#`` comments."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    with open(path, encoding="utf-8") as fh:
+        parser.read_file(fh)
+    return parser
 
 
 # --- file I/O ----------------------------------------------------------------
 
 def save_network(net: NetworkSpec, path) -> None:
     """Write a network file (lossless round trip, see module docstring)."""
-    lines = ["[nodes]"]
-    for i, w in enumerate(net.omega):
-        lines.append(f"{i} = {float(w)!r}")
-    lines.append("")
-    lines.append("[edges]")
-    n = net.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if net.coupling[i, j] != 0.0:
-                lines.append(f"{i} {j} = {float(net.coupling[i, j])!r}")
-    lines.append("")
+    rows, cols = np.nonzero(np.triu(net.coupling))  # each edge once, i < j, row by row
+    lines = ["[network]", "omega =", *(f"    {float(w)!r}" for w in net.omega), "edges =",
+             *(f"    {i} {j} {float(net.coupling[i, j])!r}" for i, j in zip(rows, cols))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_network(path) -> NetworkSpec:
-    """Read a network file written by :func:`save_network`."""
-    section = None
-    omegas: dict[int, float] = {}
-    edges: list[tuple[int, int, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in ("nodes", "edges"):
-                    raise ValueError(f"{path}:{lineno}: unknown section {section!r}")
-                continue
-            if "=" not in line or section is None:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if section == "nodes":
-                omegas[int(key)] = float(value)
-            else:
-                i_str, j_str = key.split()
-                edges.append((int(i_str), int(j_str), float(value)))
-    n = len(omegas)
-    if sorted(omegas) != list(range(n)):
-        raise ValueError(f"{path}: node indices must be 0..{n - 1}")
-    omega = np.array([omegas[i] for i in range(n)])
-    return build_network(omega, _coupling_from_edges(n, edges))
+    """Read a network file: one [network] section setting omega and edges."""
+    try:
+        parser = _read_ini(path)
+        if (parser.sections() != ["network"] or parser.defaults()
+                or sorted(parser.options("network")) != ["edges", "omega"]):
+            raise ValueError("a network file holds [network] omega and edges only")
+        omega = _floats(parser.get("network", "omega"))
+        edges = _parse_edges(parser.get("network", "edges"))
+        return build_network(omega, _coupling_from_edges(omega.shape[0], edges))
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"network file {str(path)!r}: {exc}") from exc

@@ -43,6 +43,10 @@ from .errors import (
 from .network import (
     NetworkSpec,
     _coupling_from_edges,
+    _float,
+    _floats,
+    _parse_edges,
+    _read_ini,
     build_network,
     load_network,
     random_network,
@@ -100,18 +104,6 @@ class ScenarioConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _float(text: str) -> float:
-    """A finite float; nan and inf raise ValueError like any other non-number."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
-def _floats(text: str) -> np.ndarray:
-    return np.array([_float(tok) for tok in text.split()])
-
-
 def _grid(lo, hi, count, what: str) -> np.ndarray:
     """np.linspace(lo, hi, count), with a count numpy refuses as ConfigError.
 
@@ -157,19 +149,6 @@ def _parse_subset(text: str) -> tuple[int, ...] | None:
     if text.lower() == "all":
         return None
     return tuple(int(t) for t in text.split())
-
-
-def _parse_edges(text: str) -> tuple[tuple[int, int, float], ...]:
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != 3:
-            raise ValueError(f"edge entry {line!r} is not 'i j lambda'")
-        edges.append((int(toks[0]), int(toks[1]), _float(toks[2])))
-    return tuple(edges)
 
 
 def _parse_window(text: str) -> float | None:
@@ -238,15 +217,11 @@ def _section(parser, name: str) -> SimpleNamespace:
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse and structurally validate a scenario INI file."""
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",)
-    )
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
+        parser = _read_ini(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
 
     for section in parser.sections():
@@ -584,7 +559,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> str:
     """One simulation per sweep value, merged into a single map CSV.
 
     Every swept network is analyzed before any point runs: an unstable
-    value is skipped and reported, any other rejection is a ConfigError.
+    value is skipped and reported, any other rejection, or a list of
+    unstable values only, is a ConfigError.
     Results keep grid order, so the file content does not depend on
     worker scheduling.
     """
@@ -608,6 +584,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str, workers: int = 1) -> str:
                 f"sweep value {csvio.fmt(value)} is rejected: {exc}"
             ) from exc
         jobs.append((value, replace(prep, net=net, decomp=decomp)))
+    if not jobs:  # no point to run, so no map
+        raise ConfigError(
+            "every [sweep] list value is unstable: " + " ".join(map(csvio.fmt, skipped)))
     # a pool forks all its workers at once, so it gets no more than there
     # are points, and none at all for one point
     workers = min(workers, len(jobs))

@@ -39,6 +39,10 @@ SWEEP_NODE = 6          # tuned node of the fig3 preset network
 MOTIF = (0, 1, 2)       # tuned motif of the fig4 preset (hub 1)
 TWIN = (3, 4, 5)        # its untuned comparison motif (hub 4)
 PAIR = (15, 16)         # attached oscillators of the fig5 preset
+# late C that marks a synchronized pair and late |C| that marks an
+# unsynchronized one; the measured values are in preset_claim
+WITNESS_C_HI = 0.75
+WITNESS_C_LO = 0.6
 
 
 def report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -430,6 +434,16 @@ def preset_claim(preset, out):
     fig3 discord ridge 1.235e-3 at the tuned omega_6 against at most
     2.88e-4; fig4 discord at least 1.70e-3 on the motif pairs and at most
     1.44e-4 on the twin pairs; fig5 late E_N of the pair 0.4845 to 0.5025.
+
+    On fig4 and fig5 it also scores the witness claim: every pair whose
+    late C is at least WITNESS_C_HI carries at least ten times the late
+    discord of every pair whose late |C| is at most WITNESS_C_LO, and those
+    are the frozen-mode pairs and their references.  Measured late means:
+    fig4 (t >= 1500) C 0.960 on (0, 1), 0.915 on (1, 2) and 0.792 on the
+    unlinked (0, 2), with discord 7.25e-2, 4.24e-2 and 1.70e-3; the twin
+    pairs |C| 0.269, 0.521 and 0.272, discord at most 1.44e-4 (ratio 11.8).
+    fig5 (t >= 7500) C 1.000 on (15, 16), discord 0.259; (3, 7) |C| 0.321,
+    discord 4.2e-7.
     Returns (ok, detail).
     """
     if preset.startswith("fig2"):
@@ -453,23 +467,33 @@ def preset_claim(preset, out):
         return ok, f"late discord {late[peak]:.3e} at omega {values[peak]:.6f}, else <= {rest:.3e}"
     table = read_table(out / "measures.csv")
 
-    def pair(i, j):
-        return table[(table[:, 1] == i) & (table[:, 2] == j)]
+    def pair(i, j, since=0.0):
+        return table[(table[:, 1] == i) & (table[:, 2] == j) & (table[:, 0] >= since)]
 
     if preset == "fig4_motif":
-        def late_discord(p):
-            rows = pair(*p)
-            return rows[rows[:, 0] >= 1500.0, 5].mean()
-
-        motif = min(late_discord(p) for p in combinations(MOTIF, 2))
-        twin = max(late_discord(p) for p in combinations(TWIN, 2))
-        ok = motif >= 1.5e-3 and twin <= 2e-4
-        return ok, f"late discord motif >= {motif:.3e}, twin <= {twin:.3e}"
-    entangled, apart = pair(*PAIR), pair(3, 7)
-    late = entangled[entangled[:, 0] >= 0.75 * entangled[-1, 0], 6]
-    ok = 0.47 <= late.min() and late.max() <= 0.52 and np.all(apart[:, 6] == 0.0)
-    return ok, (f"late E_N of {PAIR} in [{late.min():.4f}, {late.max():.4f}], "
-                f"(3, 7) max {apart[:, 6].max():g}")
+        t_late, synced, unsynced = 1500.0, set(combinations(MOTIF, 2)), set(combinations(TWIN, 2))
+    else:
+        t_late, synced, unsynced = 0.75 * table[-1, 0], {PAIR}, {(3, 7)}
+    measured = {(int(i), int(j)) for i, j in table[:, 1:3]}
+    late = {p: pair(*p, since=t_late) for p in measured}
+    discord = {p: rows[:, 5].mean() for p, rows in late.items()}
+    # the witness claim: the pairs that synchronize, linked or not, keep the correlations
+    high = {p for p, rows in late.items() if np.nanmean(rows[:, 3]) >= WITNESS_C_HI}
+    low = {p for p, rows in late.items() if np.nanmean(np.abs(rows[:, 3])) <= WITNESS_C_LO}
+    ratio = min(discord[p] for p in synced) / max(discord[p] for p in unsynced)
+    witness = high == synced and low == unsynced and ratio >= 10.0
+    witness_detail = (f"late C >= {WITNESS_C_HI} on {sorted(high)}, |C| <= {WITNESS_C_LO} on "
+                      f"{sorted(low)}, discord ratio {ratio:.1f}")
+    if preset == "fig4_motif":
+        motif = min(discord[p] for p in synced)
+        twin = max(discord[p] for p in unsynced)
+        ok = motif >= 1.5e-3 and twin <= 2e-4 and witness
+        return ok, f"late discord motif >= {motif:.3e}, twin <= {twin:.3e}; {witness_detail}"
+    apart, late_en = pair(3, 7), late[PAIR][:, 6]
+    ok = (0.47 <= late_en.min() and late_en.max() <= 0.52 and np.all(apart[:, 6] == 0.0)
+          and witness)
+    return ok, (f"late E_N of {PAIR} in [{late_en.min():.4f}, {late_en.max():.4f}], "
+                f"(3, 7) max {apart[:, 6].max():g}; {witness_detail}")
 
 
 @pytest.mark.parametrize("preset", ["fig2_sb", "fig2_cb", "fig3_sweep",

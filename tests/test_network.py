@@ -151,8 +151,39 @@ def test_save_load_preserves_awkward_floats(tmp_path):
 
 def test_load_network_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("[nodes]\n0 = 1.0\n[edges]\n0 0 = 0.5\n")
+    path.write_text("[network]\nomega = 1.0\nedges = 0 0 0.5\n")
     with pytest.raises(on.OscnetError):
+        on.load_network(path)
+
+
+def test_saved_file_is_an_inline_network(tmp_path, chain3):
+    # one [network] section, omega one value a line, edges "i j lambda"
+    path = tmp_path / "net.txt"
+    on.save_network(chain3, path)
+    assert path.read_text() == (
+        "[network]\nomega =\n    1.2\n    1.0\n    1.8\n"
+        "edges =\n    0 1 0.4\n    1 2 0.4\n"
+    )
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[network]\nomega = 1.0 1.1\nedges =\n    0 1 0.4\n    1 0 0.1\n", "given twice"),
+    ("[network]\nomega = 1.0 1.1\nedges =\n    0 1 0.4\n    0 1 0.4\n", "given twice"),
+    ("[network]\nomega = 1.0 1.1\nedges = 0 1 0.4\nseed = 3\n", "omega and edges only"),
+    ("[network]\nomega = 1.0 1.1\n", "omega and edges only"),
+    ("[network]\nomega = 1.0 1.1\nedges =\n[bath]\nkind = common\n", "omega and edges only"),
+    ("[nodes]\n0 = 1.0\n1 = 1.1\n[edges]\n0 1 = 0.4\n", "omega and edges only"),
+    ("[DEFAULT]\nedges =\n[network]\nomega = 1.0 1.1\n", "omega and edges only"),
+    ("[network]\nomega = 1.0\nomega = 1.1\nedges =\n", "'omega' in section 'network' already"),
+    ("omega = 1.0 1.1\n", "no section headers"),
+    ("[network]\nomega = 1.0 nan\nedges =\n", "finite"),
+], ids=["edge_reversed", "edge_repeated", "unknown_key", "missing_key", "unknown_section",
+        "old_format", "default_section", "repeated_key", "no_section", "nan_omega"])
+def test_load_network_rejects(tmp_path, text, match):
+    # a network file holds exactly the inline [network] keys, each edge once
+    path = tmp_path / "net.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         on.load_network(path)
 
 

@@ -159,6 +159,26 @@ class TestLoadConfig:
             assert set(re.findall(r"(\w+) =", body)) <= set(scenarios._SCHEMA[name]), name
 
 
+    def test_readme_network_file_is_its_inline_example(self, tmp_path):
+        # the README's network file example loads to the network of its
+        # inline [network] example, so the documented format is the parsed one
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        configs = text.split("## Scenario configs", 1)[1]
+        inline = re.search(r"^omega = .*\nedges = .*\n(?:[ \t]+\S.*\n)*",
+                           configs.split("```", 2)[1], re.M).group(0)
+        network_file = configs.split("A network file", 1)[1].split("```ini\n", 1)[1]
+        (tmp_path / "net.txt").write_text(network_file.split("```", 1)[0])
+        from_file = on.load_network(tmp_path / "net.txt")
+        rest = CHAIN_INI[CHAIN_INI.index("[bath]"):]
+        cfg = on.load_config(write_ini(tmp_path, f"[network]\nsource = inline\n{inline}\n{rest}"))
+        from_inline = scenarios._build_network(cfg)
+        assert np.array_equal(from_file.omega, from_inline.omega)
+        assert np.array_equal(from_file.coupling, from_inline.coupling)
+        assert from_file.n == 3 and np.count_nonzero(from_file.coupling) == 4
+
+
 class TestPrepareValidation:
     def base_cfg(self, tmp_path, text=CHAIN_INI):
         return on.load_config(write_ini(tmp_path, text))
@@ -628,15 +648,27 @@ class TestCli:
     @pytest.mark.parametrize("network, network_file, detail", [
         (RANDOM_NETWORK.format(nodes=3, prob=1.5), None, ""),
         (RANDOM_NETWORK.format(nodes=0, prob=0.5), None, ""),
-        ("source = file\npath = net.txt\n", "[nodes]\n0 = 1.0\n1 = abc\n2 = 1.2\n", ""),
+        ("source = file\npath = net.txt\n", "[network]\nomega = 1.0 abc 1.2\nedges =\n", ""),
         ("source = file\npath = net.txt\n",
-         "[nodes]\n0 = 1.0\n1 = 1.1\n2 = 1.2\n[edges]\n0 3 = 0.1\n", "out of range"),
+         "[network]\nomega = 1.0 1.1 1.2\nedges = 0 3 0.1\n", "out of range"),
         ("source = inline\nomega = 1.0\nedges =\n", None, ""),
         ("source = file\npath = net.txt\n",
-         "[nodes]\n0 = 1.0\n1 = 1.1\n2 = 1.2\n[edges]\n0 1 = inf\n",
-         "coupling matrix entries must be finite"),
+         "[network]\nomega = 1.0 1.1 1.2\nedges = 0 1 inf\n", "not a finite number"),
+        # 1 0 is the edge 0 1: the second weight would silently replace the first
+        ("source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 0 0.1\n", None,
+         "edge (1, 0) is given twice"),
+        ("source = file\npath = net.txt\n",
+         "[network]\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 0 0.1\n",
+         "edge (1, 0) is given twice"),
+        ("source = file\npath = net.txt\n",
+         "[network]\nomega = 1.2 1.0 1.8\nedges = 0 1 0.4\nsource = inline\n",
+         "omega and edges only"),
+        ("source = file\npath = net.txt\n",
+         "[network]\nomega = 1.2 1.0 1.8\nedges = 0 1 0.4\n[bath]\nkind = common\n",
+         "omega and edges only"),
     ], ids=["connect_prob", "zero_nodes", "file_node_value", "file_edge_range", "one_node",
-            "file_edge_inf"])
+            "file_edge_inf", "inline_repeated_edge", "file_repeated_edge", "file_unknown_key",
+            "file_unknown_section"])
     def test_network_source_exit_code(self, tmp_path, capsys, network, network_file, detail):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         inline = "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4\n"
@@ -656,6 +688,15 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        # configs and network files are read as UTF-8
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(CHAIN_INI.replace("[bath]", "# caf\xe9\n[bath]").encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "malformed config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "tune", "spectrum"])
     def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
@@ -690,7 +731,9 @@ class TestCli:
         # in measures.csv and its weight in every pair average
         ("simulate", "window = 2.0", "window = 2.0\npairs = 0 1; 1 0; 0 2", "listed twice"),
         ("sweep", "list = 0.3 1.0 1.2", "list =", "list is empty"),
-    ], ids=["repeated_pair", "empty_sweep"])
+        # omega_0 = 0.3 or 0.2 makes the chain unstable: no point would run
+        ("sweep", "list = 0.3 1.0 1.2", "list = 0.3 0.2", "list value is unstable: 0.3 0.2"),
+    ], ids=["repeated_pair", "empty_sweep", "all_unstable_sweep"])
     def test_listed_values_exit_code(self, tmp_path, capsys, command, old, new, detail):
         path = write_ini(tmp_path, (CHAIN_INI + TestRunSweep.SWEEP_TAIL).replace(old, new))
         out = tmp_path / "out"
