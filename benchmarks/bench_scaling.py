@@ -79,7 +79,6 @@ seed = 7
 kind = common
 gamma = 0.01
 temperature = 10.0
-cutoff = 50.0
 
 [initial]
 mean_q = 0.5

@@ -43,7 +43,7 @@ PRESET_DIR = os.path.join(
     "src", "oscnet", "presets",
 )
 
-BATH = on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
+BATH = on.BathConfig(kind="common", gamma=0.01, temperature=10.0)
 
 # --- ten-node sweep scenario -------------------------------------------------
 # Seed 135 survived a 30k-seed scan: after tuning node 6 every other mode

@@ -46,10 +46,6 @@ class LocalBathNodeOutOfRange(OscnetError):
     """Local-bath node index does not exist in the network."""
 
 
-class CutoffTooLow(OscnetError):
-    """Bath cutoff frequency does not exceed the largest mode frequency."""
-
-
 # --- dynamics ---------------------------------------------------------------
 
 class UnphysicalSpec(OscnetError):

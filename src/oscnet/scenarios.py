@@ -170,7 +170,7 @@ _SCHEMA = {
     },
     "bath": {
         "kind": (str, _REQUIRED), "gamma": (_float, _REQUIRED),
-        "temperature": (_float, _REQUIRED), "cutoff": (_float, _REQUIRED), "node": (int, None),
+        "temperature": (_float, _REQUIRED), "node": (int, None),
     },
     "initial": dict.fromkeys(
         ("mean_q", "mean_p", "squeeze_r", "squeeze_angle", "thermal_n"), (_floats, "0")
@@ -186,7 +186,7 @@ _SCHEMA = {
     },
     "sweep": {"parameter": (_parse_param, _REQUIRED), "list": (_floats, _REQUIRED)},
 }
-#: The [network] keys each source requires.
+#: The [network] keys each source requires; it reads no other key.
 _SOURCE_KEYS = {
     "inline": ("omega", "edges"),
     "file": ("path",),
@@ -240,11 +240,12 @@ def load_config(path: str) -> ScenarioConfig:
     for key in _SOURCE_KEYS[network.source]:
         if getattr(network, key) is None:
             raise ConfigError(f"[network] is missing required key {key!r}")
+    for key in parser.options("network"):
+        if key != "source" and key not in _SOURCE_KEYS[network.source]:
+            raise ConfigError(f"[network] {key} is not read by source = {network.source}")
 
     bath = _section(parser, "bath")
-    if bath.kind != LOCAL:
-        bath.node = None
-    try:  # BathConfig checks the kind, and that a local bath names its node
+    try:  # BathConfig checks the kind, and that only a local bath names a node
         bath = BathConfig(**vars(bath))
     except (ValueError, OscnetError) as exc:
         raise ConfigError(f"[bath] {exc}") from exc
@@ -331,7 +332,7 @@ def _build_network(cfg: ScenarioConfig) -> NetworkSpec:
         raise
     except OSError as exc:
         raise ConfigError(f"cannot read network file: {exc}") from exc
-    except (ValueError, OscnetError) as exc:
+    except (ValueError, OscnetError, MemoryError) as exc:  # a matrix numpy cannot hold
         raise ConfigError(f"network construction failed: {exc}") from exc
 
 
@@ -477,7 +478,7 @@ def _summary_text(prep: PreparedScenario, extra_lines=()) -> str:
     lines = [
         f"nodes: {prep.net.n}",
         f"bath: {cfg.bath.kind}, gamma={csvio.fmt(cfg.bath.gamma)}, "
-        f"T={csvio.fmt(cfg.bath.temperature)}, cutoff={csvio.fmt(cfg.bath.cutoff)}"
+        f"T={csvio.fmt(cfg.bath.temperature)}"
         + (f", node={cfg.bath.node}" if cfg.bath.node is not None else ""),
         "",
         "mode  Omega  kappa  Gamma  D",

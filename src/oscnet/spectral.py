@@ -12,16 +12,17 @@ that depends on how dissipation enters:
 - ``local``: a bath coupled to one node d only; mode m couples with
   ``F[d, m]``.
 
-For an Ohmic bath with cutoff above all mode frequencies the damping and
-diffusion rates are ``gamma * k**2`` and ``gamma * k**2 * W * coth(W / 2T)``
-per mode of frequency W (uniformly ``gamma`` for separate baths).  Modes
+The rates are those of an Ohmic bath in the infinite-cutoff (Markov)
+limit: damping ``gamma * k**2`` and diffusion
+``gamma * k**2 * W * coth(W / 2T)`` per mode of frequency W (uniformly
+``gamma`` for separate baths).  No cutoff frequency enters them.  Modes
 with zero effective coupling are "frozen": they evolve unitarily and never
 thermalize.
 
-:func:`analyze` is the one constructor of :class:`ModeDecomposition`: it
-returns the modes, frequencies, couplings and rates together.  The tuning
-scans read the modes and couplings alone from ``_normal_modes``, since a
-scanned network may lift a mode past the bath cutoff.
+:func:`analyze` is the one function that diagonalizes a network and the
+one constructor of :class:`ModeDecomposition`: it returns the modes,
+frequencies, couplings and rates together, for the pipelines and the
+tuning scans alike.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CutoffTooLow,
     EigensolverFailure,
     LocalBathNodeOutOfRange,
     NonPositiveEigenvalue,
@@ -70,17 +70,17 @@ _OVERLAP_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class BathConfig:
-    """Dissipation model: bath kind, coupling strength, temperature, cutoff.
+    """Dissipation model: bath kind, coupling strength, temperature, node.
 
     ``gamma`` is the system-bath coupling strength, ``temperature`` the bath
-    temperature (Boltzmann constant 1), ``cutoff`` the Ohmic cutoff
-    frequency, and ``node`` the dissipating node for the local kind.
+    temperature (Boltzmann constant 1), and ``node`` the dissipating node,
+    which the local kind requires and the other kinds do not read.  The
+    bath is Ohmic with an infinite cutoff, so no cutoff frequency is set.
     """
 
     kind: str
     gamma: float
     temperature: float
-    cutoff: float
     node: int | None = None
 
     def __post_init__(self):
@@ -92,6 +92,8 @@ class BathConfig:
             raise UnphysicalSpec("temperature must be > 0")
         if self.kind == LOCAL and self.node is None:
             raise ValueError("local bath requires a node index")
+        if self.kind != LOCAL and self.node is not None:
+            raise ValueError(f"node is read by kind = local only, not by kind = {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,8 @@ def _concentrate_group(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return block @ q
 
 
-def _normal_modes(net: NetworkSpec, bath: BathConfig):
-    """Modes, frequencies and per-mode bath couplings kappa of a network.
+def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
+    """Normal modes of a network with their bath couplings and Ohmic rates.
 
     The Hamiltonian matrix's symmetric eigendecomposition, modes sorted by
     ascending frequency, each column's sign fixed so its largest-magnitude
@@ -169,11 +171,14 @@ def _normal_modes(net: NetworkSpec, bath: BathConfig):
     rest exactly zero), and the column signs are fixed again.  A separate
     bath couples every mode with weight 1 and rotates nothing.
 
-    Returns (modes, freqs, kappa).
+    For separate baths the damping is uniformly ``gamma``; for common/local
+    baths it is weighted by the squared effective coupling.  The rates are
+    the infinite-cutoff Ohmic ones (module docstring).
 
     Raises
     ------
-    EigensolverFailure, NonPositiveEigenvalue, LocalBathNodeOutOfRange
+    EigensolverFailure, NonPositiveEigenvalue, LocalBathNodeOutOfRange,
+    UnphysicalSpec
     """
     h = hamiltonian_matrix(net)
     try:
@@ -189,23 +194,33 @@ def _normal_modes(net: NetworkSpec, bath: BathConfig):
     modes = _fix_column_signs(eigvecs[:, order])
     n = freqs.shape[0]
     if bath.kind == SEPARATE:
-        return modes, freqs, np.ones(n)
-    if bath.kind == LOCAL:
-        d = int(bath.node)
-        if not 0 <= d < n:
-            raise LocalBathNodeOutOfRange(f"node {d} outside 0..{n - 1}")
-    for group in _degenerate_groups(freqs):
-        if len(group) < 2:
-            continue
-        block = modes[:, group]
-        if bath.kind == COMMON:
-            weights = block.sum(axis=0)
-        else:
-            weights = block[d, :].copy()
-        modes[:, group] = _concentrate_group(block, weights)
-    modes = _fix_column_signs(modes)
-    kappa = modes.sum(axis=0) if bath.kind == COMMON else modes[d, :].copy()
-    return modes, freqs, kappa
+        kappa = np.ones(n)
+        damping = np.full(n, bath.gamma)
+    else:
+        if bath.kind == LOCAL:
+            d = int(bath.node)
+            if not 0 <= d < n:
+                raise LocalBathNodeOutOfRange(f"node {d} outside 0..{n - 1}")
+        for group in _degenerate_groups(freqs):
+            if len(group) < 2:
+                continue
+            block = modes[:, group]
+            if bath.kind == COMMON:
+                weights = block.sum(axis=0)
+            else:
+                weights = block[d, :].copy()
+            modes[:, group] = _concentrate_group(block, weights)
+        modes = _fix_column_signs(modes)
+        kappa = modes.sum(axis=0) if bath.kind == COMMON else modes[d, :].copy()
+        with np.errstate(over="ignore"):
+            damping = bath.gamma * kappa**2
+    if not np.all(np.isfinite(damping)):
+        raise UnphysicalSpec("a mode's damping rate Gamma = gamma kappa^2 overflows")
+    with np.errstate(over="ignore", divide="ignore"):
+        diffusion = damping * freqs / np.tanh(freqs / (2.0 * bath.temperature))
+    if not np.all(np.isfinite(diffusion)):
+        raise UnphysicalSpec("a mode's diffusion rate D = Gamma Omega coth(Omega/2T) overflows")
+    return ModeDecomposition(modes, freqs, kappa, damping, diffusion)
 
 
 def _slowest_order(decomp: ModeDecomposition) -> np.ndarray:
@@ -218,40 +233,10 @@ def _slowest_order(decomp: ModeDecomposition) -> np.ndarray:
     return np.argsort(np.abs(decomp.eff_coupling), kind="stable")
 
 
-def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
-    """Normal modes of a network with their bath couplings and Ohmic rates.
-
-    Requires the bath cutoff to exceed every mode frequency.  For separate
-    baths the damping is uniformly ``gamma``; for common/local baths it is
-    weighted by the squared effective coupling.
-
-    Raises
-    ------
-    EigensolverFailure, NonPositiveEigenvalue, LocalBathNodeOutOfRange,
-    CutoffTooLow, UnphysicalSpec
-    """
-    modes, freqs, kappa = _normal_modes(net, bath)
-    if bath.cutoff <= freqs[-1]:
-        raise CutoffTooLow(
-            f"cutoff {bath.cutoff:.6g} must exceed max mode frequency {freqs[-1]:.6g}"
-        )
-    if bath.kind == SEPARATE:
-        damping = np.full(freqs.shape[0], bath.gamma)
-    else:
-        with np.errstate(over="ignore"):
-            damping = bath.gamma * kappa**2
-    if not np.all(np.isfinite(damping)):
-        raise UnphysicalSpec("a mode's damping rate Gamma = gamma kappa^2 overflows")
-    with np.errstate(over="ignore", divide="ignore"):
-        diffusion = damping * freqs / np.tanh(freqs / (2.0 * bath.temperature))
-    if not np.all(np.isfinite(diffusion)):
-        raise UnphysicalSpec("a mode's diffusion rate D = Gamma Omega coth(Omega/2T) overflows")
-    return ModeDecomposition(modes, freqs, kappa, damping, diffusion)
-
-
-def _frozen_mask(modes: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+def _frozen_mask(decomp: ModeDecomposition) -> np.ndarray:
     """True for the frozen modes: |kappa| < _FROZEN_KAPPA_RTOL * max |F|."""
-    return np.abs(kappa) < _FROZEN_KAPPA_RTOL * float(np.max(np.abs(modes)))
+    scale = _FROZEN_KAPPA_RTOL * float(np.max(np.abs(decomp.modes)))
+    return np.abs(decomp.eff_coupling) < scale
 
 
 @dataclass(frozen=True)
@@ -269,18 +254,14 @@ class FrozenModeReport:
         return tuple(int(k) for k in np.nonzero(self.participation[:, mode])[0])
 
 
-def _frozen_report(modes: np.ndarray, kappa: np.ndarray) -> FrozenModeReport:
-    """Detect frozen modes and node participation.
+def frozen_mode_report(decomp: ModeDecomposition) -> FrozenModeReport:
+    """The frozen modes of an analyzed network and the nodes in each.
 
     A mode is frozen by ``_frozen_mask``; node k participates in mode m
     when ``|F[k, m]|`` exceeds _OVERLAP_RTOL times the largest magnitude
     entry of the transform.
     """
-    participation = np.abs(modes) > _OVERLAP_RTOL * float(np.max(np.abs(modes)))
-    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(modes, kappa)))
+    amp = np.abs(decomp.modes)
+    participation = amp > _OVERLAP_RTOL * float(np.max(amp))
+    frozen = tuple(int(m) for m in np.flatnonzero(_frozen_mask(decomp)))
     return FrozenModeReport(frozen=frozen, participation=participation)
-
-
-def frozen_mode_report(decomp: ModeDecomposition) -> FrozenModeReport:
-    """The frozen modes of an analyzed network and the nodes in each."""
-    return _frozen_report(decomp.modes, decomp.eff_coupling)

@@ -37,9 +37,9 @@ from .spectral import (
     FrozenModeReport,
     ModeDecomposition,
     _frozen_mask,
-    _frozen_report,
-    _normal_modes,
     _slowest_order,
+    analyze,
+    frozen_mode_report,
 )
 
 #: Relative roundoff scale of the pencil: imaginary parts and eigenvector
@@ -109,11 +109,12 @@ def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanRes
     stable = np.zeros(values.shape, dtype=bool)
     for k, val in enumerate(values):
         try:
-            modes, _, kap = _normal_modes(_with_param(net, param, val), bath)
+            decomp = analyze(_with_param(net, param, val), bath)
         except NonPositiveDefinite:
             continue
         stable[k] = True
-        amp = np.abs(modes)
+        kap = decomp.eff_coupling
+        amp = np.abs(decomp.modes)
         movable = np.flatnonzero(amp[nodes].max(axis=0) > _PENCIL_RTOL * amp.max())
         sigma[k] = movable[np.argmin(np.abs(kap[movable]))]
         kappa[k] = np.abs(kap[sigma[k]])
@@ -222,24 +223,24 @@ def find_sync_parameter(
         if not lo <= value <= hi:
             continue
         try:
-            modes, freqs, kappa = _normal_modes(net.with_omega(d, value), bath)
+            decomp = analyze(net.with_omega(d, value), bath)
         except NonPositiveDefinite:
             continue
-        mode = int(np.argmin(np.abs(freqs**2 - mu)))
-        if _frozen_mask(modes, kappa)[mode]:
-            found.append((value, mode, modes, freqs, kappa))
+        mode = int(np.argmin(np.abs(decomp.freqs**2 - mu)))
+        if _frozen_mask(decomp)[mode]:
+            found.append((value, mode, decomp))
     if not found:
         raise NoZeroInBracket(
             f"no value of omega {d} in [{lo:.6g}, {hi:.6g}] leaves a mode frozen"
         )
-    value, mode, modes, freqs, kappa = found[-1]
+    value, mode, decomp = found[-1]
     return TuneResult(
         param=("omega", d),
         value=value,
-        residual=float(np.abs(kappa[mode])),
+        residual=float(np.abs(decomp.eff_coupling[mode])),
         mode_index=mode,
-        mode_freq=float(freqs[mode]),
-        report=_frozen_report(modes, kappa),
+        mode_freq=float(decomp.freqs[mode]),
+        report=frozen_mode_report(decomp),
         roots=tuple(root[0] for root in found),
         always_frozen=tuple(sorted(float(np.sqrt(mu)) for mu in always)),
     )

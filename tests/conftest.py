@@ -61,9 +61,9 @@ def er10():
 
 @pytest.fixture
 def common_bath():
-    return on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
+    return on.BathConfig(kind="common", gamma=0.01, temperature=10.0)
 
 
 @pytest.fixture
 def separate_bath():
-    return on.BathConfig(kind="separate", gamma=0.07, temperature=10.0, cutoff=50.0)
+    return on.BathConfig(kind="separate", gamma=0.07, temperature=10.0)

@@ -60,7 +60,7 @@ def asymptotic_state(state, dec, t: float) -> GaussianState:
     propagation code with ``evolve``.
     """
     w = dec.freqs
-    frozen = _frozen_mask(dec.modes, dec.eff_coupling) | (dec.damping == 0.0)
+    frozen = _frozen_mask(dec) | (dec.damping == 0.0)
     cos = np.where(frozen, np.cos(w * t), 0.0)
     sin = np.where(frozen, np.sin(w * t), 0.0)
     rot = np.block([[np.diag(cos), np.diag(sin / w)], [np.diag(-w * sin), np.diag(cos)]])

@@ -31,9 +31,9 @@ from oscnet.scenarios import load_config, run_simulate, run_sweep
 
 PRESETS = resources.files("oscnet") / "presets"
 
-NETWORK_BATH = on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
-CHAIN_BATH_CB = on.BathConfig(kind="common", gamma=0.07, temperature=10.0, cutoff=50.0)
-CHAIN_BATH_SB = on.BathConfig(kind="separate", gamma=0.07, temperature=10.0, cutoff=50.0)
+NETWORK_BATH = on.BathConfig(kind="common", gamma=0.01, temperature=10.0)
+CHAIN_BATH_CB = on.BathConfig(kind="common", gamma=0.07, temperature=10.0)
+CHAIN_BATH_SB = on.BathConfig(kind="separate", gamma=0.07, temperature=10.0)
 
 SWEEP_NODE = 6          # tuned node of the fig3 preset network
 MOTIF = (0, 1, 2)       # tuned motif of the fig4 preset (hub 1)
@@ -69,7 +69,7 @@ def test_01_effective_coupling_exactness(capsys):
     t0 = time.perf_counter()
     net = on.random_network(6, 0.7, 0.8, 1.3, -0.08, 0.04, seed=7)
     sep = on.analyze(net, on.BathConfig(kind="separate", gamma=0.05,
-                                        temperature=5.0, cutoff=50.0))
+                                        temperature=5.0))
     sb_exact = bool(np.all(sep.eff_coupling == 1.0))
 
     pair = on.build_network(np.array([1.0, 1.0]),
@@ -159,7 +159,7 @@ def test_04_node_vs_mode_integration(capsys):
         n = 5 + seed % 6
         net = on.random_network(n, 0.7, 0.8, 1.3, -0.08, 0.04, seed=seed)
         kind = kinds[seed % 3]
-        bath = on.BathConfig(kind=kind, gamma=0.03, temperature=4.0, cutoff=40.0,
+        bath = on.BathConfig(kind=kind, gamma=0.03, temperature=4.0,
                              node=(seed % n) if kind == "local" else None)
         dec = on.analyze(net, bath)
         state = on.initial_state(net, mean_q=alternating(n), squeeze_r=0.3)

@@ -156,7 +156,7 @@ class TestThermalFixedPoint:
 
     def test_steady_state_without_damping_keeps_every_mode_frozen(self, chain3):
         # with gamma = 0 the asymptote is the whole evolution, at any t
-        closed = BathConfig(kind="common", gamma=0.0, temperature=10.0, cutoff=50.0)
+        closed = BathConfig(kind="common", gamma=0.0, temperature=10.0)
         dec = on.analyze(chain3, closed)
         st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0], squeeze_r=[0.3, 0.0, 0.6],
                               squeeze_angle=0.4)
@@ -199,7 +199,7 @@ class TestExactPropagator:
         assert np.allclose(mode_means[:, frozen], expected, atol=1e-10)
 
     def test_closed_system_conserves_energy(self, chain3):
-        bath = BathConfig(kind="common", gamma=0.0, temperature=10.0, cutoff=50.0)
+        bath = BathConfig(kind="common", gamma=0.0, temperature=10.0)
         dec = on.analyze(chain3, bath)
         st = on.initial_state(chain3, mean_q=[1.0, 0.0, -1.0], squeeze_r=0.1)
         traj = on.evolve(st, dec, np.linspace(0.0, 100.0, 51), method="exact")
@@ -238,7 +238,7 @@ class TestGuards:
     def test_indefinite_initial_state_rejected(self, chain3, common_bath):
         # -0.6 I has symplectic eigenvalues 0.6 but is no covariance at all;
         # with gamma = 0 nothing would ever relax it towards a physical state
-        closed = BathConfig(kind="common", gamma=0.0, temperature=10.0, cutoff=50.0)
+        closed = BathConfig(kind="common", gamma=0.0, temperature=10.0)
         bad = on.GaussianState(np.zeros(6), -0.6 * np.eye(6))
         for bath in (closed, common_bath):
             with pytest.raises(PhysicalityViolation, match="positive definite"):
@@ -452,7 +452,7 @@ class TestSquareRootMoments:
 
     @staticmethod
     def _subset_case(net, state):
-        dec = on.analyze(net, BathConfig(kind="common", gamma=0.02, temperature=2.0, cutoff=50.0))
+        dec = on.analyze(net, BathConfig(kind="common", gamma=0.02, temperature=2.0))
         traj = on.evolve(state, dec, np.linspace(0.0, 60.0, 121))
         return traj, np.asarray(traj.covs), (state, net, dec)
 
@@ -575,8 +575,7 @@ class TestPhysicalityOracle:
         net = on.random_network(n, 0.6, 0.8, 1.5, -0.1, 0.05, seed=seed)
         rng = np.random.default_rng(seed)
         node = int(rng.integers(n)) if kind == "local" else None
-        bath = BathConfig(kind=kind, gamma=gamma, temperature=temperature,
-                          cutoff=50.0, node=node)
+        bath = BathConfig(kind=kind, gamma=gamma, temperature=temperature, node=node)
         if squeezed:
             state = on.initial_state(net, mean_q=rng.normal(size=n),
                                      squeeze_r=rng.uniform(0.0, 1.2, size=n),

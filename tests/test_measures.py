@@ -543,7 +543,7 @@ class TestCollectiveSync:
         # correlation and its |C| copy peaked at 24.7 MB here (T = 2001);
         # reduced block by block, 6.2 MB.
         net = on.random_network(40, 0.3, 0.9, 1.2, 0.0, 0.05, seed=7)
-        bath = on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
+        bath = on.BathConfig(kind="common", gamma=0.01, temperature=10.0)
         traj = on.evolve(on.initial_state(net, mean_q=0.5, squeeze_r=0.5),
                          on.analyze(net, bath), np.linspace(0.0, 1000.0, 2001))
         tracemalloc.start()
@@ -938,7 +938,7 @@ class TestPairSeries:
         # n = 40 gives 780 pairs; their (T, P, 4, 4) stack over 501 times
         # would take 50 MB, and the kernel's temporaries as much again
         net = on.random_network(40, 0.3, 0.9, 1.2, 0.0, 0.05, seed=7)
-        bath = on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0)
+        bath = on.BathConfig(kind="common", gamma=0.01, temperature=10.0)
         traj = on.evolve(on.initial_state(net, mean_q=0.5, squeeze_r=0.5),
                          on.analyze(net, bath), np.linspace(0.0, 1000.0, 2001))
         tracemalloc.start()

@@ -60,7 +60,7 @@ def test_nan_eigenvalue_is_not_positive():
         network._check_positive_definite(coupling + np.eye(2))
     with pytest.raises(NonPositiveEigenvalue):
         on.analyze(on.NetworkSpec(omega=np.ones(2), coupling=coupling),
-                   on.BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=50.0))
+                   on.BathConfig(kind="common", gamma=0.01, temperature=10.0))
 
 
 def test_build_rejects_bad_frequencies():

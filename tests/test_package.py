@@ -69,7 +69,6 @@ edges =
 kind = common
 gamma = 0.01
 temperature = 10.0
-cutoff = 50.0
 
 [initial]
 mean_q = -1.0 0.0 1.0

@@ -28,7 +28,6 @@ edges =
 kind = common
 gamma = 0.01
 temperature = 10.0
-cutoff = 50.0
 
 [initial]
 mean_q = -1.0 0.0 1.0
@@ -107,7 +106,6 @@ class TestLoadConfig:
             kind = common
             gamma = 0.01
             temperature = 10.0
-            cutoff = 50.0
 
             [time]
             t_end = 5.0
@@ -138,9 +136,11 @@ class TestLoadConfig:
             on.load_config(str(tmp_path / "absent.ini"))
 
     def test_unused_source_key_is_still_parsed(self, tmp_path):
-        # every key of a section is converted, used by its source or not
+        # every key of a section is converted before the source is checked,
+        # so a malformed value is reported as such; a well-formed key of
+        # another source is rejected too (TestCli::test_unread_key_exit_code)
         text = CHAIN_INI.replace("source = inline", "source = inline\nseed = seven")
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ConfigError, match="seed = 'seven' is invalid"):
             on.load_config(write_ini(tmp_path, text))
 
     def test_readme_lists_every_schema_key(self):
@@ -443,7 +443,6 @@ edges =
 kind = common
 gamma = 0.01
 temperature = 10.0
-cutoff = 50.0
 
 [time]
 t_end = 5.0
@@ -515,10 +514,12 @@ class TestCli:
     @pytest.mark.parametrize("key, old", [
         ("tol = 1e-10", "bracket = 0.9 1.15"),
         ("max_retries = 100", "source = inline"),
-    ], ids=["tol", "max_retries"])
+        ("cutoff = 50.0", "temperature = 10.0"),
+    ], ids=["tol", "max_retries", "cutoff"])
     def test_removed_key_exit_code(self, tmp_path, capsys, key, old):
         # tuning accepts the pencil roots that frozen_mode_report calls
-        # frozen, and random_network draws a fixed number of times
+        # frozen, random_network draws a fixed number of times, and the
+        # Ohmic rates are those of an infinite cutoff
         text = TestRunTuneAndSpectrum.TUNE_INI
         assert text.count(old) == 1
         path = write_ini(tmp_path, text.replace(old, f"{old}\n{key}"))
@@ -533,7 +534,6 @@ class TestCli:
         ("mean_q = -1.0 0.0 1.0", "mean_q = nan 0 1"),
         ("gamma = 0.07", "gamma = nan"),
         ("temperature = 10.0", "temperature = inf"),
-        ("cutoff = 50.0", "cutoff = nan"),
         ("0 1 0.4", "0 1 -inf"),
         ("window = 8.0", "window = 8.0\nsync_subset = a b"),
         ("mean_q = -1.0 0.0 1.0", "mean_q = -1.0 0.0 1.0\nthermal_n = -1"),
@@ -543,7 +543,7 @@ class TestCli:
         ("mean_q = -1.0 0.0 1.0", "mean_q = 1e300 0.0 1.0"),
         ("temperature = 10.0", "temperature = 1e300"),
         ("temperature = 10.0", "temperature = 1e33"),
-    ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "cutoff", "edge",
+    ], ids=["t_end", "window", "mean_q", "gamma", "temperature", "edge",
             "sync_subset", "thermal_n", "squeeze_r", "squeeze_r_precision", "huge_thermal_n",
             "huge_mean_q", "huge_temperature", "discord_temperature"])
     def test_non_finite_number_exit_code(self, tmp_path, capsys, old, new):
@@ -648,6 +648,9 @@ class TestCli:
     @pytest.mark.parametrize("network, network_file, detail", [
         (RANDOM_NETWORK.format(nodes=3, prob=1.5), None, ""),
         (RANDOM_NETWORK.format(nodes=0, prob=0.5), None, ""),
+        # np.zeros((n, n)) asks for 728 TiB, which numpy refuses before it
+        # allocates anything
+        (RANDOM_NETWORK.format(nodes=10**7, prob=0.5), None, "Unable to allocate"),
         ("source = file\npath = net.txt\n", "[network]\nomega = 1.0 abc 1.2\nedges =\n", ""),
         ("source = file\npath = net.txt\n",
          "[network]\nomega = 1.0 1.1 1.2\nedges = 0 3 0.1\n", "out of range"),
@@ -666,9 +669,9 @@ class TestCli:
         ("source = file\npath = net.txt\n",
          "[network]\nomega = 1.2 1.0 1.8\nedges = 0 1 0.4\n[bath]\nkind = common\n",
          "omega and edges only"),
-    ], ids=["connect_prob", "zero_nodes", "file_node_value", "file_edge_range", "one_node",
-            "file_edge_inf", "inline_repeated_edge", "file_repeated_edge", "file_unknown_key",
-            "file_unknown_section"])
+    ], ids=["connect_prob", "zero_nodes", "huge_random", "file_node_value", "file_edge_range",
+            "one_node", "file_edge_inf", "inline_repeated_edge", "file_repeated_edge",
+            "file_unknown_key", "file_unknown_section"])
     def test_network_source_exit_code(self, tmp_path, capsys, network, network_file, detail):
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
         inline = "source = inline\nomega = 1.2 1.0 1.8\nedges =\n    0 1 0.4\n    1 2 0.4\n"
@@ -682,6 +685,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
         assert detail in err
+
+    @pytest.mark.parametrize("old, new, detail", [
+        ("kind = common", "kind = common\nnode = 99", "node is read by kind = local only"),
+        ("kind = common", "kind = separate\nnode = 1", "node is read by kind = local only"),
+        ("source = inline", "source = inline\nseed = 5", "seed is not read by source = inline"),
+        ("source = inline", "source = inline\npath = nowhere.txt",
+         "path is not read by source = inline"),
+    ], ids=["common_bath_node", "separate_bath_node", "inline_seed", "inline_path"])
+    def test_unread_key_exit_code(self, tmp_path, capsys, old, new, detail):
+        # a key that its section's selector (the bath kind, the network
+        # source) does not read would change nothing, so it is rejected
+        preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
+        assert preset.count(old) == 1
+        path = write_ini(tmp_path, preset.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert detail in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -752,9 +773,9 @@ class TestCli:
                      "--out", str(tmp_path / "t")]) == EXIT_NUMERIC
 
     def test_sweep_value_rejected_before_any_point(self, tmp_path, capsys, monkeypatch):
-        # omega 60 puts a mode above the bath cutoff of 50; omega 1.8 is fine
+        # omega -1.0 is not a frequency, a set-up rejection; omega 1.8 is fine
         preset = (resources.files("oscnet") / "presets" / "fig2_cb.ini").read_text()
-        path = write_ini(tmp_path, preset + "\n[sweep]\nparameter = omega 2\nlist = 1.8 60\n")
+        path = write_ini(tmp_path, preset + "\n[sweep]\nparameter = omega 2\nlist = 1.8 -1.0\n")
 
         def no_evolve(*args, **kwargs):
             raise AssertionError("a sweep point ran before every value was checked")
@@ -783,7 +804,6 @@ class TestCli:
             kind = common
             gamma = 0.01
             temperature = 10.0
-            cutoff = 50.0
 
             [time]
             t_end = 5.0
@@ -817,7 +837,7 @@ class TestCli:
 # a fig2_cb-like chain, cut to t_end = 20, with [sweep] and [tuning]
 FUZZ_CONFIG = {
     "network": {"source": "inline", "omega": "1.2 1.0 1.8", "edges": "\n 0 1 0.4\n 1 2 0.4"},
-    "bath": {"kind": "common", "gamma": "0.07", "temperature": "10.0", "cutoff": "50.0"},
+    "bath": {"kind": "common", "gamma": "0.07", "temperature": "10.0"},
     "initial": {"mean_q": "-1.0 0.0 1.0"},
     "time": {"t_end": "20.0", "step": "0.05", "method": "exact"},
     "analysis": {"window": "8.0"},

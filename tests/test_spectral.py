@@ -3,7 +3,7 @@ import pytest
 
 import oscnet as on
 from oscnet import spectral
-from oscnet.errors import CutoffTooLow, LocalBathNodeOutOfRange, UnphysicalSpec
+from oscnet.errors import LocalBathNodeOutOfRange, UnphysicalSpec
 from oscnet.spectral import BathConfig
 
 
@@ -52,13 +52,13 @@ class TestDiagonalize:
 class TestBathConfig:
     def test_validation(self):
         with pytest.raises(UnphysicalSpec):
-            BathConfig(kind="common", gamma=-0.1, temperature=10.0, cutoff=50.0)
+            BathConfig(kind="common", gamma=-0.1, temperature=10.0)
         with pytest.raises(UnphysicalSpec):
-            BathConfig(kind="common", gamma=0.1, temperature=-1.0, cutoff=50.0)
+            BathConfig(kind="common", gamma=0.1, temperature=-1.0)
         with pytest.raises(ValueError):
-            BathConfig(kind="magma", gamma=0.1, temperature=1.0, cutoff=50.0)
+            BathConfig(kind="magma", gamma=0.1, temperature=1.0)
         with pytest.raises(ValueError):
-            BathConfig(kind="local", gamma=0.1, temperature=1.0, cutoff=50.0)
+            BathConfig(kind="local", gamma=0.1, temperature=1.0)
 
 
 class TestEffectiveCouplings:
@@ -74,13 +74,13 @@ class TestEffectiveCouplings:
         assert np.isclose(np.sum(dec.eff_coupling**2), 10.0, atol=1e-10)
 
     def test_local_row(self, er10):
-        bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, cutoff=50.0, node=3)
+        bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, node=3)
         dec = on.analyze(er10, bath)
         assert np.allclose(dec.eff_coupling, dec.modes[3, :], atol=1e-12)
         assert np.isclose(np.sum(dec.eff_coupling**2), 1.0, atol=1e-12)
 
     def test_local_node_out_of_range(self, er10):
-        bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, cutoff=50.0, node=10)
+        bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, node=10)
         with pytest.raises(LocalBathNodeOutOfRange):
             on.analyze(er10, bath)
 
@@ -124,11 +124,6 @@ class TestModeRates:
     def test_separate_uniform_rates(self, er10, separate_bath):
         dec = on.analyze(er10, separate_bath)
         assert np.allclose(dec.damping, separate_bath.gamma)
-
-    def test_cutoff_guard(self, er10):
-        bath = BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=1.0)
-        with pytest.raises(CutoffTooLow):
-            on.analyze(er10, bath)
 
     def test_diffusion_positive_when_damped(self, er10, common_bath):
         dec = on.analyze(er10, common_bath)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oscnet as on
-from oscnet.errors import CutoffTooLow, NoDominantMode, NoZeroInBracket
+from oscnet.errors import NoDominantMode, NoZeroInBracket
 from oscnet.spectral import BathConfig
 
 
@@ -54,17 +54,14 @@ class TestParameterScan:
         changes = np.flatnonzero(np.diff(out.sigma_index) != 0) + 1
         assert set(changes) == set(np.flatnonzero(out.swapped))
 
-    def test_scan_reads_no_rates(self):
-        # the grid lifts fig3's top mode past the cutoff (1.3); the scan and
-        # the tuning read modes and couplings only, so neither rejects it
+    def test_scan_reads_no_rates(self, common_bath):
+        # the grid lifts node 6 well past fig3's other frequencies; every
+        # point is scanned, and the tuning still lands on fig3's largest root
         net = preset_network("fig3_network.txt")
-        bath = BathConfig(kind="common", gamma=0.01, temperature=10.0, cutoff=1.3)
         values = np.linspace(0.8, 2.0, 13)
-        out = on.parameter_scan(net, ("omega", 6), values, bath)
+        out = on.parameter_scan(net, ("omega", 6), values, common_bath)
         assert np.all(out.stable) and np.all(np.isfinite(out.kappa_sigma))
-        with pytest.raises(CutoffTooLow):
-            on.analyze(net.with_omega(6, 2.0), bath)
-        res = on.find_sync_parameter(net, ("omega", 6), (0.8, 2.0), bath)
+        res = on.find_sync_parameter(net, ("omega", 6), (0.8, 2.0), common_bath)
         assert res.value == pytest.approx(TestClosedFormRoots.FIG3_ROOTS[-1], rel=1e-12)
 
     def test_separate_bath_rejected(self, chain3, separate_bath):
@@ -122,8 +119,7 @@ class TestFindSyncFrequency:
 
     def test_local_bath(self, common_bath):
         net = detuned_pair_network()
-        bath = BathConfig(kind="local", gamma=0.01, temperature=10.0,
-                          cutoff=50.0, node=0)
+        bath = BathConfig(kind="local", gamma=0.01, temperature=10.0, node=0)
         res = on.find_sync_parameter(net, ("omega", 3), (0.9, 1.15), bath)
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -164,7 +160,7 @@ class TestClosedFormRoots:
         ini = tmp_path / "tune.ini"
         ini.write_text(
             f"[network]\nsource = file\npath = {net_path}\n\n"
-            "[bath]\nkind = common\ngamma = 0.01\ntemperature = 10.0\ncutoff = 50.0\n\n"
+            "[bath]\nkind = common\ngamma = 0.01\ntemperature = 10.0\n\n"
             "[time]\nt_end = 5.0\n\n"
             "[tuning]\nparameter = omega 6\nbracket = 0.8 1.4\n"
         )
