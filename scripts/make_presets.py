@@ -96,7 +96,7 @@ def build_fig4():
     lam[TWIN_D, TWIN_F] = lam[TWIN_F, TWIN_D] = LAM_AC
     lam[TWIN_E, TWIN_F] = lam[TWIN_F, TWIN_E] = LAM_BC
     lam[TWIN_D, TWIN_E] = lam[TWIN_E, TWIN_D] = 0.0
-    return on.build_network(om, lam)
+    return on.NetworkSpec(om, lam)
 
 
 def build_fig5(perturb: bool = False):

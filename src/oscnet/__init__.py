@@ -28,7 +28,6 @@ from .measures import (
 from .network import (
     NetworkSpec,
     attach_pair,
-    build_network,
     hamiltonian_matrix,
     load_network,
     random_network,
@@ -68,7 +67,6 @@ __all__ = [
     "UnphysicalSpec",
     "analyze",
     "attach_pair",
-    "build_network",
     "collective_sync",
     "estimate_sync_times",
     "evolve",

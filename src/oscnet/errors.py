@@ -38,10 +38,6 @@ class EigensolverFailure(OscnetError):
     """The symmetric eigensolver did not converge."""
 
 
-class NonPositiveEigenvalue(OscnetError):
-    """Diagonalization produced a non-positive squared mode frequency."""
-
-
 class LocalBathNodeOutOfRange(OscnetError):
     """Local-bath node index does not exist in the network."""
 

@@ -6,7 +6,8 @@ symmetric coupling matrix ``coupling`` (units of reference frequency
 squared, zero diagonal).  The network is summarized by the Hamiltonian
 matrix ``H[m, n] = omega_m**2 * delta_mn + coupling[m, n] * (1 - delta_mn)``,
 which must be positive definite for the network to support stable
-oscillations.
+oscillations.  :class:`NetworkSpec` is the one constructor: it checks all
+of this and raises rather than hold an invalid or unstable network.
 
 A network file is an inline scenario network: one ``[network]`` section
 with ``omega`` and ``edges`` in the same syntax, read by the same
@@ -38,7 +39,6 @@ from .errors import (
 
 __all__ = [
     "NetworkSpec",
-    "build_network",
     "random_network",
     "attach_pair",
     "hamiltonian_matrix",
@@ -57,24 +57,65 @@ _MAX_RETRIES = 100
 class NetworkSpec:
     """Validated, immutable description of an oscillator network.
 
+    ``NetworkSpec(omega, coupling)`` copies both inputs, checks them, and
+    raises unless they make a stable network, so every spec is valid.
+
     Attributes
     ----------
     omega : ndarray, shape (n,)
-        Node natural frequencies, all strictly positive.
+        Node natural frequencies, each > 0 and below ``_MAX_OMEGA``.
     coupling : ndarray, shape (n, n)
-        Symmetric coupling matrix with zero diagonal.
+        Finite, exactly symmetric coupling matrix with zero diagonal.
+
+    Raises
+    ------
+    DimensionMismatch
+        If omega is not 1-d, has no node, or coupling is not (n, n).
+    NonPositiveFrequency
+        If a frequency is not > 0 or its square overflows.
+    NonSymmetricCoupling
+        If a coupling is not finite, the matrix is not exactly symmetric,
+        or its diagonal is not zero.
+    NonPositiveDefinite
+        If the Hamiltonian matrix is not positive definite.
     """
 
     omega: np.ndarray
     coupling: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        coupling = np.asarray(self.coupling, dtype=float)
+        omega = np.array(self.omega, dtype=float)
+        # + 0.0 copies, and turns a -0.0 coupling, which save_network omits
+        # as no edge, into the 0.0 that load_network reads back
+        coupling = np.asarray(self.coupling, dtype=float) + 0.0
+        if omega.ndim != 1:
+            raise DimensionMismatch("omega must be a 1-d array")
+        n = omega.shape[0]
+        if n == 0:
+            raise DimensionMismatch("a network needs at least one node")
+        if coupling.shape != (n, n):
+            raise DimensionMismatch(
+                f"coupling shape {coupling.shape} does not match {n} nodes"
+            )
+        if not np.all((omega > 0.0) & (omega < _MAX_OMEGA)):
+            raise NonPositiveFrequency(
+                f"all node frequencies must be > 0 and below {_MAX_OMEGA:.3g}, where omega^2 overflows"
+            )
+        if not np.all(np.isfinite(coupling)):
+            raise NonSymmetricCoupling("coupling matrix entries must be finite")
+        if not np.array_equal(coupling, coupling.T):
+            raise NonSymmetricCoupling("coupling matrix must be exactly symmetric")
+        if np.any(np.diag(coupling) != 0.0):
+            raise NonSymmetricCoupling("coupling matrix must have zero diagonal")
         omega.setflags(write=False)
         coupling.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "coupling", coupling)
+        min_eigval = np.linalg.eigvalsh(hamiltonian_matrix(self))[0]
+        if not min_eigval > 0.0:  # NaN fails too
+            raise NonPositiveDefinite(
+                f"network has unstable modes (min eigenvalue {min_eigval:.6g})"
+            )
 
     @property
     def n(self) -> int:
@@ -84,7 +125,7 @@ class NetworkSpec:
         """Copy of the spec with one node frequency replaced (revalidated)."""
         omega = self.omega.copy()
         omega[node] = value
-        return build_network(omega, self.coupling)
+        return NetworkSpec(omega, self.coupling)
 
     def with_coupling(self, i: int, j: int, value: float) -> "NetworkSpec":
         """Copy of the spec with one coupling replaced symmetrically."""
@@ -93,7 +134,7 @@ class NetworkSpec:
         coupling = self.coupling.copy()
         coupling[i, j] = value
         coupling[j, i] = value
-        return build_network(self.omega, coupling)
+        return NetworkSpec(self.omega, coupling)
 
 
 def hamiltonian_matrix(net: NetworkSpec) -> np.ndarray:
@@ -104,55 +145,6 @@ def hamiltonian_matrix(net: NetworkSpec) -> np.ndarray:
     h = net.coupling.copy()
     np.fill_diagonal(h, net.omega**2)
     return h
-
-
-def _check_positive_definite(h: np.ndarray) -> None:
-    eigvals = np.linalg.eigvalsh(h)
-    if not eigvals[0] > 0.0:  # NaN fails too
-        raise NonPositiveDefinite(
-            f"network has unstable modes (min eigenvalue {eigvals[0]:.6g})"
-        )
-
-
-def build_network(omega, coupling) -> NetworkSpec:
-    """Validate frequencies and couplings and return a NetworkSpec.
-
-    Parameters
-    ----------
-    omega : array_like, shape (n,)
-        Strictly positive node frequencies.
-    coupling : array_like, shape (n, n)
-        Finite, exactly symmetric coupling matrix with zero diagonal.
-
-    Raises
-    ------
-    NonPositiveFrequency, NonSymmetricCoupling, DimensionMismatch,
-    NonPositiveDefinite
-    """
-    omega = np.asarray(omega, dtype=float)
-    coupling = np.asarray(coupling, dtype=float)
-    if omega.ndim != 1:
-        raise DimensionMismatch("omega must be a 1-d array")
-    n = omega.shape[0]
-    if n == 0:
-        raise DimensionMismatch("a network needs at least one node")
-    if coupling.shape != (n, n):
-        raise DimensionMismatch(
-            f"coupling shape {coupling.shape} does not match {n} nodes"
-        )
-    if not np.all((omega > 0.0) & (omega < _MAX_OMEGA)):
-        raise NonPositiveFrequency(
-            f"all node frequencies must be > 0 and below {_MAX_OMEGA:.3g}, where omega^2 overflows"
-        )
-    if not np.all(np.isfinite(coupling)):
-        raise NonSymmetricCoupling("coupling matrix entries must be finite")
-    if not np.array_equal(coupling, coupling.T):
-        raise NonSymmetricCoupling("coupling matrix must be exactly symmetric")
-    if np.any(np.diag(coupling) != 0.0):
-        raise NonSymmetricCoupling("coupling matrix must have zero diagonal")
-    spec = NetworkSpec(omega=omega.copy(), coupling=coupling.copy())
-    _check_positive_definite(hamiltonian_matrix(spec))
-    return spec
 
 
 def random_network(
@@ -194,7 +186,7 @@ def random_network(
                     coupling[i, j] = w
                     coupling[j, i] = w
         try:
-            return build_network(omega, coupling)
+            return NetworkSpec(omega, coupling)
         except NonPositiveDefinite:
             continue
     raise ExhaustedRetries(
@@ -237,7 +229,7 @@ def attach_pair(
                 raise DimensionMismatch(f"link target {node} outside network")
             coupling[new, node] = weight
             coupling[node, new] = weight
-    return build_network(omega, coupling)
+    return NetworkSpec(omega, coupling)
 
 
 def _float(text: str) -> float:
@@ -308,6 +300,6 @@ def load_network(path) -> NetworkSpec:
             raise ValueError("a network file holds [network] omega and edges only")
         omega = _floats(parser.get("network", "omega"))
         edges = _parse_edges(parser.get("network", "edges"))
-        return build_network(omega, _coupling_from_edges(omega.shape[0], edges))
+        return NetworkSpec(omega, _coupling_from_edges(omega.shape[0], edges))
     except (configparser.Error, ValueError) as exc:
         raise ValueError(f"network file {str(path)!r}: {exc}") from exc

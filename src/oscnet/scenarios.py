@@ -47,7 +47,6 @@ from .network import (
     _floats,
     _parse_edges,
     _read_ini,
-    build_network,
     load_network,
     random_network,
     save_network,
@@ -318,7 +317,7 @@ def _build_network(cfg: ScenarioConfig) -> NetworkSpec:
     nb = cfg.network
     try:
         if nb.source == "inline":
-            return build_network(nb.omega, _coupling_from_edges(nb.omega.shape[0], nb.edges))
+            return NetworkSpec(nb.omega, _coupling_from_edges(nb.omega.shape[0], nb.edges))
         if nb.source == "file":
             path = nb.path
             if not os.path.isabs(path):

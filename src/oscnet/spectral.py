@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (
     EigensolverFailure,
     LocalBathNodeOutOfRange,
-    NonPositiveEigenvalue,
+    NonPositiveDefinite,
     UnphysicalSpec,
 )
 from .network import NetworkSpec, hamiltonian_matrix
@@ -177,8 +177,11 @@ def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
 
     Raises
     ------
-    EigensolverFailure, NonPositiveEigenvalue, LocalBathNodeOutOfRange,
-    UnphysicalSpec
+    EigensolverFailure, LocalBathNodeOutOfRange, UnphysicalSpec
+    NonPositiveDefinite
+        If a squared mode frequency is not positive.  ``NetworkSpec``
+        checks this too, so only a network stable to within roundoff of
+        its own check can fail here.
     """
     h = hamiltonian_matrix(net)
     try:
@@ -186,7 +189,7 @@ def analyze(net: NetworkSpec, bath: BathConfig) -> ModeDecomposition:
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
     if not eigvals[0] > 0.0:  # NaN fails too
-        raise NonPositiveEigenvalue(
+        raise NonPositiveDefinite(
             f"squared mode frequency {eigvals[0]:.6g} is not positive"
         )
     order = np.argsort(eigvals, kind="stable")

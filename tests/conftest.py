@@ -50,7 +50,7 @@ def chain3():
     coupling = np.zeros((3, 3))
     coupling[0, 1] = coupling[1, 0] = 0.4
     coupling[1, 2] = coupling[2, 1] = 0.4
-    return on.build_network(omega, coupling)
+    return on.NetworkSpec(omega, coupling)
 
 
 @pytest.fixture

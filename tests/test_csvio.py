@@ -178,7 +178,7 @@ def test_transform(tmp_path, er10, common_bath):
 
 class TestScan:
     def test_unstable_points_and_swaps(self, tmp_path, common_bath):
-        net = on.build_network(
+        net = on.NetworkSpec(
             np.array([1.0, 1.0]), np.array([[0.0, -0.9], [-0.9, 0.0]])
         )
         scan = on.parameter_scan(net, ("omega", 0), np.linspace(0.05, 1.5, 12),

@@ -181,7 +181,7 @@ class TestExactPropagator:
         assert np.max(np.abs(fast.energy - ref.energy)) < 1e-10
 
     def test_frozen_mode_rotates_without_decay(self, common_bath):
-        base = on.build_network(np.array([1.3]), np.zeros((1, 1)))
+        base = on.NetworkSpec(np.array([1.3]), np.zeros((1, 1)))
         net = on.attach_pair(base, 1.0, 1.0, links_a={0: -0.1}, links_b={0: -0.1})
         dec = on.analyze(net, common_bath)
         frozen = int(np.argmin(np.abs(dec.eff_coupling)))

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from oscnet.errors import (
     DirectLinkForbidden,
     ExhaustedRetries,
     NonPositiveDefinite,
-    NonPositiveEigenvalue,
     NonPositiveFrequency,
     NonSymmetricCoupling,
 )
@@ -32,49 +33,86 @@ def test_network_arrays_are_frozen(chain3):
         chain3.coupling[0, 1] = 0.0
 
 
+FREQUENCY_MESSAGE = ("all node frequencies must be > 0 and below 1.34e+154, "
+                     "where omega^2 overflows")
+
+
+@pytest.mark.parametrize("omega, coupling, error, message", [
+    ([1.0, -1.0], np.zeros((2, 2)), NonPositiveFrequency, FREQUENCY_MESSAGE),
+    ([1.0, 0.0], np.zeros((2, 2)), NonPositiveFrequency, FREQUENCY_MESSAGE),
+    ([1.0, network._MAX_OMEGA], np.zeros((2, 2)), NonPositiveFrequency, FREQUENCY_MESSAGE),
+    ([1.0, 1.0], [[0.0, np.inf], [np.inf, 0.0]], NonSymmetricCoupling,
+     "coupling matrix entries must be finite"),
+    ([1.0, 1.0], [[0.0, np.nan], [np.nan, 0.0]], NonSymmetricCoupling,
+     "coupling matrix entries must be finite"),
+    ([1.0, 1.0], [[0.0, 0.1], [0.3, 0.0]], NonSymmetricCoupling,
+     "coupling matrix must be exactly symmetric"),
+    ([1.0, 1.0], [[0.1, 0.0], [0.0, 0.0]], NonSymmetricCoupling,
+     "coupling matrix must have zero diagonal"),
+    ([[1.0, 1.0]], np.zeros((2, 2)), DimensionMismatch, "omega must be a 1-d array"),
+    ([], np.zeros((0, 0)), DimensionMismatch, "a network needs at least one node"),
+    ([1.0, 1.0], np.zeros((3, 3)), DimensionMismatch,
+     "coupling shape (3, 3) does not match 2 nodes"),
+    ([1.0, 1.0], [[0.0, -2.0], [-2.0, 0.0]], NonPositiveDefinite,
+     "network has unstable modes (min eigenvalue -1)"),
+], ids=["negative_omega", "zero_omega", "overflowing_omega", "inf_coupling",
+        "nan_coupling", "asymmetric", "nonzero_diagonal", "omega_2d", "no_nodes",
+        "shape_mismatch", "indefinite"])
+def test_network_spec_rejects(omega, coupling, error, message):
+    # the constructor itself refuses every invalid or unstable network
+    with pytest.raises(error) as info:
+        on.NetworkSpec(omega, coupling)
+    assert str(info.value) == message
+
+
+def test_network_spec_copies_its_inputs():
+    # the spec freezes its own copies, never the caller's arrays
+    omega = np.array([1.0, 1.1])
+    coupling = np.array([[0.0, 0.1], [0.1, 0.0]])
+    net = on.NetworkSpec(omega, coupling)
+    assert omega.flags.writeable and coupling.flags.writeable
+    omega[0] = 2.0
+    coupling[0, 1] = coupling[1, 0] = 0.3
+    assert net.omega[0] == 1.0 and net.coupling[0, 1] == 0.1
+
+
 def test_build_rejects_nonsymmetric():
-    coupling = np.array([[0.0, 0.1], [0.2, 0.0]])
-    with pytest.raises(NonSymmetricCoupling):
-        on.build_network(np.array([1.0, 1.0]), coupling)
+    # read from one triangle, this coupling would give modes 0.837 and 1.140
+    coupling = np.array([[0.0, 0.1], [0.3, 0.0]])
+    with pytest.raises(NonSymmetricCoupling, match="exactly symmetric"):
+        on.NetworkSpec(np.array([1.0, 1.0]), coupling)
 
 
-def test_build_rejects_nonzero_diagonal():
-    coupling = np.array([[0.1, 0.0], [0.0, 0.0]])
-    with pytest.raises(NonSymmetricCoupling):
-        on.build_network(np.array([1.0, 1.0]), coupling)
+def test_build_rejects_nonzero_diagonal(chain3):
+    with pytest.raises(NonSymmetricCoupling, match="diagonal"):
+        chain3.with_coupling(1, 1, 0.1)
 
 
 @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
-def test_build_rejects_non_finite_coupling(weight):
-    coupling = np.array([[0.0, weight], [weight, 0.0]])
+def test_build_rejects_non_finite_coupling(chain3, weight):
     with pytest.raises(NonSymmetricCoupling, match="finite"):
-        on.build_network(np.array([1.0, 1.0]), coupling)
+        chain3.with_coupling(0, 2, weight)
 
 
 def test_nan_eigenvalue_is_not_positive():
-    # an infinite coupling makes every eigenvalue NaN; both definiteness
-    # tests reject it, including on a spec that build_network never saw,
-    # and analyze raises before it computes any coupling
+    # an infinite coupling would make every eigenvalue NaN; the constructor
+    # refuses it by name first, so analyze never sees such a network
     coupling = np.array([[0.0, np.inf], [np.inf, 0.0]])
-    with pytest.raises(NonPositiveDefinite):
-        network._check_positive_definite(coupling + np.eye(2))
-    with pytest.raises(NonPositiveEigenvalue):
-        on.analyze(on.NetworkSpec(omega=np.ones(2), coupling=coupling),
-                   on.BathConfig(kind="common", gamma=0.01, temperature=10.0))
+    with pytest.raises(NonSymmetricCoupling, match="finite"):
+        on.NetworkSpec(np.ones(2), coupling)
 
 
-def test_build_rejects_bad_frequencies():
+def test_build_rejects_bad_frequencies(chain3):
     with pytest.raises(NonPositiveFrequency):
-        on.build_network(np.array([1.0, -1.0]), np.zeros((2, 2)))
+        chain3.with_omega(1, -1.0)
     with pytest.raises(NonPositiveFrequency):
-        on.build_network(np.array([1.0, 0.0]), np.zeros((2, 2)))
+        on.attach_pair(chain3, 1.0, 0.0, links_a={}, links_b={})
 
 
-def test_build_rejects_indefinite_hamiltonian():
+def test_build_rejects_indefinite_hamiltonian(chain3):
     # Coupling strong enough to push an eigenvalue of H below zero.
-    coupling = np.array([[0.0, -2.0], [-2.0, 0.0]])
     with pytest.raises(NonPositiveDefinite):
-        on.build_network(np.array([1.0, 1.0]), coupling)
+        chain3.with_coupling(0, 1, -2.0)
 
 
 def test_with_omega_and_with_coupling(chain3):
@@ -141,12 +179,33 @@ def test_save_load_preserves_awkward_floats(tmp_path):
     omega = np.array([1.0 / 3.0, np.pi / 3.0])
     coupling = np.zeros((2, 2))
     coupling[0, 1] = coupling[1, 0] = -1.0 / 7.0
-    net = on.build_network(omega, coupling)
+    net = on.NetworkSpec(omega, coupling)
     path = tmp_path / "net.txt"
     on.save_network(net, path)
     loaded = on.load_network(path)
     assert np.array_equal(loaded.omega, net.omega)
     assert np.array_equal(loaded.coupling, net.coupling)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_save_load_round_trip_is_bitwise(tmp_path_factory, data, n):
+    # any accepted spec, awkward floats and -0.0 couplings included, comes
+    # back bit for bit; omega^2 >= 9 tops every row's |coupling| sum <= 4,
+    # and omega^2 <= 1e8 keeps eigvalsh's roundoff far below that margin,
+    # so every draw is stable and accepted
+    omega = data.draw(st.lists(st.floats(min_value=3.0, max_value=1e4),
+                               min_size=n, max_size=n))
+    weights = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from([0.0, -0.0])
+    coupling = np.zeros((n, n))
+    for i, j in combinations(range(n), 2):
+        coupling[i, j] = coupling[j, i] = data.draw(weights)
+    net = on.NetworkSpec(omega, coupling)
+    path = tmp_path_factory.mktemp("net") / "net.txt"
+    on.save_network(net, path)
+    loaded = on.load_network(path)
+    assert loaded.omega.tobytes() == net.omega.tobytes()
+    assert loaded.coupling.tobytes() == net.coupling.tobytes()
 
 
 def test_load_network_rejects_garbage(tmp_path):

@@ -57,6 +57,19 @@ def test_analyze_is_the_only_constructor():
     assert defaults == []
 
 
+#: The validating factory and the second instability error that
+#: ``NetworkSpec`` and ``NonPositiveDefinite`` replaced.
+FOLDED_NETWORK = ("build_network", "_check_positive_definite", "NonPositiveEigenvalue")
+
+
+def test_network_spec_is_the_only_constructor():
+    # no module brings back a way to build a network around the
+    # constructor's checks, or a second error class for an unstable one
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "oscnet" if path.stem == "__init__" else f"oscnet.{path.stem}"
+        assert not set(FOLDED_NETWORK) & set(vars(importlib.import_module(name))), name
+
+
 GUARD_INI = """\
 [network]
 source = inline

@@ -245,7 +245,7 @@ class TestRunSimulate:
         assert data[0, iq] == -1.0
 
         # trajectory matches a direct evolve on the default stored grid
-        net = on.build_network(
+        net = on.NetworkSpec(
             np.array([1.2, 1.0, 1.8]),
             np.array([[0.0, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, 0.0]]),
         )

@@ -96,7 +96,7 @@ class TestEffectiveCouplings:
         assert np.all(np.diff(kappa[order]) >= 0.0)
 
     def test_one_node_network(self, common_bath, separate_bath):
-        net = on.build_network(np.array([1.3]), np.zeros((1, 1)))
+        net = on.NetworkSpec(np.array([1.3]), np.zeros((1, 1)))
         for bath in (common_bath, separate_bath):
             dec = on.analyze(net, bath)
             assert dec.n == 1 and dec.freqs[0] == pytest.approx(1.3)
@@ -106,7 +106,7 @@ class TestEffectiveCouplings:
     def test_degenerate_pair_concentration(self, common_bath):
         # identical attached pair: exactly one combination in the degenerate
         # eigenspace must decouple even though eigh returns arbitrary vectors
-        base = on.build_network(np.array([1.3]), np.zeros((1, 1)))
+        base = on.NetworkSpec(np.array([1.3]), np.zeros((1, 1)))
         net = on.attach_pair(base, 1.0, 1.0, links_a={0: -0.1}, links_b={0: -0.1})
         dec = on.analyze(net, common_bath)
         kappa = np.abs(dec.eff_coupling)
@@ -140,8 +140,8 @@ class TestFrozenModeReport:
         assert rep.frozen == ()
 
     def test_pair_cluster(self, common_bath):
-        base = on.build_network(np.array([1.3, 1.5]),
-                                np.array([[0.0, -0.05], [-0.05, 0.0]]))
+        base = on.NetworkSpec(np.array([1.3, 1.5]),
+                              np.array([[0.0, -0.05], [-0.05, 0.0]]))
         net = on.attach_pair(base, 1.0, 1.0,
                              links_a={0: -0.15, 1: -0.12},
                              links_b={0: -0.15, 1: -0.12})

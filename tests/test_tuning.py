@@ -10,7 +10,7 @@ from oscnet.spectral import BathConfig
 
 def detuned_pair_network(omega_b=1.05):
     """Two-node base with an attached pair; equal links, pair detuned."""
-    base = on.build_network(
+    base = on.NetworkSpec(
         np.array([1.3, 1.5]), np.array([[0.0, -0.05], [-0.05, 0.0]])
     )
     return on.attach_pair(
@@ -36,7 +36,7 @@ class TestParameterScan:
 
     def test_unstable_points_are_nan_not_raised(self, common_bath):
         # strong couplings push the quadratic form indefinite at small omega
-        net = on.build_network(
+        net = on.NetworkSpec(
             np.array([1.0, 1.0]), np.array([[0.0, -0.9], [-0.9, 0.0]])
         )
         values = np.linspace(0.05, 1.5, 12)
@@ -243,7 +243,7 @@ class TestMotifFormulas:
         coupling = np.zeros((3, 3))
         coupling[0, 2] = coupling[2, 0] = self.LAM_AC
         coupling[1, 2] = coupling[2, 1] = self.LAM_BC
-        net = on.build_network(np.array([self.OMEGA_A, self.OMEGA_B, 1.5]), coupling)
+        net = on.NetworkSpec(np.array([self.OMEGA_A, self.OMEGA_B, 1.5]), coupling)
         res = on.find_sync_parameter(net, ("omega", 2), (1.2, 1.4), bath)
         return net.with_omega(2, res.value), res.mode_freq
 
@@ -291,7 +291,7 @@ class TestEmbeddingResiduals:
             for j in (3, 4):
                 lam[2, j] = lam[j, 2] = -(u_a * lam[0, j] + u_b * lam[1, j])
         residuals = u_a * lam[0, 3:] + u_b * lam[1, 3:] + lam[2, 3:]
-        return on.build_network(omega, lam), target, np.array([u_a, u_b, 1.0]), residuals
+        return on.NetworkSpec(omega, lam), target, np.array([u_a, u_b, 1.0]), residuals
 
     def test_residual_values(self, common_bath):
         # the residuals are the external rows of (H - W^2) acting on the
