@@ -46,7 +46,7 @@ import numpy as np
 from . import measures
 from .errors import (
     DimensionMismatch,
-    IntegratorStepFailure,
+    NonFiniteMoments,
     PhysicalityViolation,
     UnphysicalCovariance,
     UnphysicalSpec,
@@ -60,7 +60,7 @@ from .spectral import ModeDecomposition
 _CHUNK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First and second moments of n oscillators in the node basis.
 
@@ -156,7 +156,7 @@ def _node_blocks(covs) -> np.ndarray:
     return np.stack([covs[:, idx, idx], covs[:, n + idx, n + idx], covs[:, idx, n + idx]], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Stored moments along a simulation, in the node basis.
 
@@ -317,11 +317,14 @@ class _CovarianceView:
 
     The first index picks times (an int, a slice, or an int or bool
     array).  When the row and column indices after it are both integers or
-    integer arrays, only the entries among the quadrature rows they read
-    are evaluated, so ``covs[::s, r[:, None], r[None, :]]`` computes
-    len(r)^2 entries per time instead of (2n)^2; any other key evaluates
-    every row.  Every entry comes from :meth:`_entries`, so a read holds
-    bit for bit the same entries as ``np.asarray(view)``.  They go into a
+    integer arrays, only the entries they name are evaluated, each
+    distinct unordered entry {a, b} once, and gathered into the shape the
+    indices broadcast to: ``covs[::s, r[:, None], r[None, :]]`` computes
+    len(r)(len(r) + 1)/2 entries per time instead of (2n)^2, and a pair's
+    4 x 4 block 10.  Any other key evaluates every entry of the chosen
+    times.  Every entry comes from :meth:`_entries`, whose products all
+    commute, so (a, b) and (b, a) hold the same bits and a read holds bit
+    for bit the same entries as ``np.asarray(view)``.  They go into a
     fresh array, and nothing is cached.
     """
 
@@ -371,7 +374,7 @@ class _CovarianceView:
             [fr * self._dev[:n].T, fr * self._dev[n:].T], axis=2).reshape(-1, 2 * n))
         split = np.searchsorted(rows, n) * lam.shape[0]
         out = np.empty((dphi.shape[0], a.shape[0]))
-        step = max(1, _CHUNK_ELEMENTS // (a.shape[0] * (lam.shape[0] + 1)))
+        step = max(1, _CHUNK_ELEMENTS // max(1, a.shape[0] * (lam.shape[0] + 1)))
         for chunk in (slice(t, t + step) for t in range(0, out.shape[0], step)):
             rot = np.ascontiguousarray(coef[:, :, chunk].transpose(1, 3, 2, 0))
             weights = _weights(decomp, self._sigma, rot, dphi[chunk])
@@ -379,6 +382,10 @@ class _CovarianceView:
                 entries = np.einsum("tm,pm->tp", w, pair)
                 entries += offset
                 out[chunk, kind] = entries
+            if not lam.shape[0]:
+                # what adding the empty sum over k does: -0.0 becomes +0.0
+                out[chunk] += 0.0
+                continue
             e_q, e_p = rot.transpose(0, 2, 1, 3).reshape(2, -1, 2 * n)
             z = np.concatenate([np.einsum("tm,pm->tp", e_q, factor[:split]),
                                 np.einsum("tm,pm->tp", e_p, factor[split:])], axis=1)
@@ -389,19 +396,26 @@ class _CovarianceView:
     def __getitem__(self, key) -> np.ndarray:
         first, rest = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
         picked = np.arange(self.shape[0])[first]
-        rows = np.arange(self.shape[-1])
-        if len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest):
-            row, col = rows[rest[0]], rows[rest[1]]
-            rows = np.union1d(row, col)
-            rest = (np.searchsorted(rows, row), np.searchsorted(rows, col))
-        width = rows.shape[0]
-        rel = self._rel[picked.ravel()]
-        out = self._entries(_rotation(self._decomp, rel), _driven(self._decomp, rel),
-                            np.repeat(rows, width), np.tile(rows, width)).reshape(-1, width, width)
         # An index array for the times broadcasts with the trailing ones, as
         # it would on an array.
-        lead = np.arange(picked.size).reshape(picked.shape)
-        return out[(slice(None) if isinstance(first, slice) else lead,) + rest]
+        lead = (slice(None) if isinstance(first, slice)
+                else np.arange(picked.size).reshape(picked.shape))
+        width = self.shape[-1]
+        flat = np.arange(width * width).reshape(width, width)
+        pair = len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest)
+        if pair:
+            # (a, b) and (b, a) both name the flat index of the entry with
+            # a <= b, so each unordered entry the key reads is evaluated once
+            named = np.minimum(flat, flat.T)[rest]
+            entries, inverse = np.unique(named, return_inverse=True)
+        else:
+            entries = flat.ravel()
+        rel = self._rel[picked.ravel()]
+        out = self._entries(_rotation(self._decomp, rel), _driven(self._decomp, rel),
+                            *np.divmod(entries, width))
+        if pair:
+            return out[lead, inverse.reshape(named.shape)]
+        return out.reshape(-1, width, width)[(lead,) + rest]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = self[:]
@@ -446,7 +460,7 @@ def evolve(
     energy comes from each mode's own 2x2 moments.  Only the initial state
     and the mode channel are checked, once (PhysicalityViolation);
     complete positivity then keeps every stored covariance physical.  A
-    non-finite moment raises IntegratorStepFailure.
+    non-finite moment raises NonFiniteMoments.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}; only 'exact' is available")
@@ -477,7 +491,7 @@ def evolve(
     rows, cols = (np.arange(n)[:, None, None] + [[0, 0], [n, n], [0, n]]).reshape(-1, 2).T
     blocks = covs._entries(coef, dphi, rows, cols).reshape(times.shape[0], n, 3)
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(blocks))):
-        raise IntegratorStepFailure("non-finite moments produced during integration")
+        raise NonFiniteMoments("evolve produced non-finite moments")
 
     return Trajectory(times=times.copy(), means=means, covs=covs, energy=energy, blocks=blocks)
 
@@ -555,7 +569,7 @@ def evolve_node_reference(
         covs[i + 1] = cov
 
     if not np.all(np.isfinite(covs)):
-        raise IntegratorStepFailure("non-finite moments produced during integration")
+        raise NonFiniteMoments("the node-basis reference produced non-finite moments")
 
     ham = hamiltonian_matrix(net)
     n = net.n

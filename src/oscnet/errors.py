@@ -57,8 +57,8 @@ class DimensionMismatch(OscnetError):
     """Array shapes are inconsistent with the network size."""
 
 
-class IntegratorStepFailure(OscnetError):
-    """Time integration produced a non-finite state."""
+class NonFiniteMoments(OscnetError):
+    """Propagation produced a non-finite mean, covariance entry or energy."""
 
 
 class PhysicalityViolation(OscnetError):

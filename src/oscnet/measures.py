@@ -108,7 +108,7 @@ def _entropy_term(nu: np.ndarray) -> np.ndarray:
 # Windowed correlation and the collective factor
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowedSeries:
     """A sliding-window statistic: value[k] covers [times[k], times[k] + window).
 
@@ -165,14 +165,16 @@ def _pearson_blocks(series, window, pairs, step=1):
     # the norm of a window's centred samples is sqrt(window) times its std
     flat_scale = _FLAT_WINDOW_ULPS * np.finfo(float).eps * np.sqrt(window)
     for start in range(0, n_win, block):
-        win = windows[:, start : start + block]
+        # (windows, series, samples): each window's centred samples come
+        # out as one contiguous (K, window) matrix
+        win = np.swapaxes(windows[:, start : start + block], 0, 1)
         mean = win.mean(axis=2, keepdims=True)
-        dev = np.swapaxes(win - mean, 0, 1)
+        dev = np.subtract(win, mean, order="C")
         # One Gram matrix per window over every series; the pairs are
         # gathered from it.  A flat window leaves NaN in its scale.
         gram = (dev @ np.swapaxes(dev, 1, 2)).reshape(-1, k * k)
         norm = np.sqrt(gram[:, :: k + 1])
-        live = norm > flat_scale * np.abs(mean[..., 0].T)
+        live = norm > flat_scale * np.abs(mean[..., 0])
         scale = np.divide(1.0, norm, out=np.full(norm.shape, np.nan), where=live)
         rows = gram[:, i * k + j] * scale[:, i] * scale[:, j]
         yield np.clip(rows, -1.0, 1.0, out=rows)
@@ -533,7 +535,7 @@ def gaussian_discord(cov4) -> float | np.ndarray:
 # Trajectory-level aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSeries:
     """One measure evaluated per stored time and node pair."""
 
@@ -573,8 +575,9 @@ def pair_measure_series(traj, measure: str, pairs=None, stride: int = 1) -> Pair
     block = max(1, _PEARSON_BLOCK_ELEMENTS // (16 * max(1, len(pair_list))))
     for start in range(0, times.shape[0], block):
         stop = min(start + block, times.shape[0])
-        # One read per chunk: an evolved trajectory computes only the union
-        # of the pairs' quadrature rows, an array is indexed.
+        # One read per chunk: an evolved trajectory computes each distinct
+        # entry of the pairs' 4 x 4 blocks once, at most 10 per pair and
+        # time; an array is indexed.
         cov4 = traj.covs[start * stride : (stop - 1) * stride + 1 : stride,
                          quads[:, :, None], quads[:, None, :]]
         values[start:stop], nu_minus = _pair_kernel(cov4, measure)

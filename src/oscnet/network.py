@@ -53,7 +53,7 @@ _MAX_OMEGA = np.sqrt(np.finfo(float).max)
 _MAX_RETRIES = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Validated, immutable description of an oscillator network.
 

@@ -84,7 +84,7 @@ _MAX_SECOND_MOMENT = 1e-5 * (np.finfo(float).max / 1024.0) ** 0.1
 _MAX_SQUEEZE = np.log(2.0**52) / 4.0
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioConfig:
     """[bath] as a BathConfig; every other section as a namespace whose
     attributes are its _SCHEMA keys."""
@@ -303,7 +303,7 @@ def load_config(path: str) -> ScenarioConfig:
 # Preparation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PreparedScenario:
     cfg: ScenarioConfig
     net: NetworkSpec

@@ -96,7 +96,7 @@ class BathConfig:
             raise ValueError(f"node is read by kind = local only, not by kind = {self.kind}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeDecomposition:
     """Normal modes of a network under one bath, as :func:`analyze` builds them.
 
@@ -242,7 +242,7 @@ def _frozen_mask(decomp: ModeDecomposition) -> np.ndarray:
     return np.abs(decomp.eff_coupling) < scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrozenModeReport:
     """Which modes are dissipation-free and which nodes take part in them.
 

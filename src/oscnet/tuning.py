@@ -68,7 +68,7 @@ def _with_param(net: NetworkSpec, param, value: float) -> NetworkSpec:
 # Scanning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
     """|kappa| of the least-coupled mode the parameter can move, along a grid.
 
@@ -135,7 +135,7 @@ def parameter_scan(net: NetworkSpec, param, values, bath: BathConfig) -> ScanRes
 # Closed-form frequency tuning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuneResult:
     """Frozen points of one node frequency inside a bracket.
 
@@ -250,7 +250,7 @@ def find_sync_parameter(
 # Synchronization-time estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyncTimeEstimate:
     """Per-node onset times for slow-mode dominance, from rate gaps.
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oscnet as on
 from oscnet import dynamics
 from oscnet.cli import preset_names
-from oscnet.errors import DimensionMismatch, IntegratorStepFailure, PhysicalityViolation
+from oscnet.errors import DimensionMismatch, NonFiniteMoments, PhysicalityViolation
 from oscnet.measures import DISCORD, LOG_NEGATIVITY, MUTUAL_INFORMATION
 from oscnet.scenarios import _run_traj, load_config, prepare, run_simulate
 from oscnet.spectral import BathConfig
@@ -382,11 +382,11 @@ class TestMomentsOnDemand:
             assert np.all(means == 0.0) and not np.any(np.signbit(means))
 
     def test_non_finite_mean_raises(self, chain3, common_bath, monkeypatch):
-        # the exit-3 path of the CLI: IntegratorStepFailure from the chunked pass
+        # the exit-3 path of the CLI: NonFiniteMoments from the chunked pass
         monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", self.CHUNK * 36)
         dec = on.analyze(chain3, common_bath)
         st = on.initial_state(chain3, mean_q=[0.0, np.nan, 0.0])
-        with pytest.raises(IntegratorStepFailure, match="non-finite"):
+        with pytest.raises(NonFiniteMoments, match="non-finite"):
             on.evolve(st, dec, self.TIMES)
 
     def test_fig5_evolve_memory(self):
@@ -459,8 +459,8 @@ class TestSquareRootMoments:
     @pytest.fixture(scope="class")
     def subset_trajs(self):
         """(trajectory, its whole stack, its inputs) at n = 6 and n = 17 from
-        product states, and at n = 17 from a correlated state, whose
-        deviation has rank 2n."""
+        product states, at n = 17 from a correlated state, whose deviation
+        has rank 2n, and at n = 6 from a state with no deviation (rank 0)."""
         small = on.random_network(6, 0.6, 0.8, 1.5, -0.1, 0.05, seed=3)
         large = on.random_network(17, 0.6, 0.8, 1.5, -0.1, 0.05, seed=5)
         squeeze = np.zeros(17)
@@ -470,11 +470,14 @@ class TestSquareRootMoments:
         mix = np.kron(np.eye(2), np.linalg.qr(np.random.default_rng(17).normal(size=(17, 17)))[0])
         correlated = on.GaussianState(mix @ product.mean, mix @ product.cov @ mix.T)
         assert dynamics._deviation(correlated.cov)[1].shape[0] == 34
+        displaced = on.initial_state(small, mean_q=0.4)
+        assert dynamics._deviation(displaced.cov)[1].shape[0] == 0
         return [
             self._subset_case(small, on.initial_state(
                 small, mean_q=0.4, squeeze_r=[0.0, 0.9, 0.0, 0.3, 0.0, 0.6], squeeze_angle=0.2)),
             self._subset_case(large, product),
             self._subset_case(large, correlated),
+            self._subset_case(small, displaced),
         ]
 
     @pytest.fixture
@@ -528,6 +531,14 @@ class TestSquareRootMoments:
         with pytest.raises(IndexError):
             traj.covs[:, np.array([0, 12]), np.array([0, 1])]
 
+    def test_empty_key_reads_nothing(self, pair_trajs):
+        # no entry named, no entry evaluated: an empty result, as on an array
+        traj, stack, _ = pair_trajs
+        none = np.array([], dtype=np.int64)
+        assert traj.covs[:, none, none].shape == stack[:, none, none].shape == (121, 0)
+        series = on.pair_measure_series(traj, DISCORD, [], stride=4)
+        assert series.values.shape == (31, 0) and series.excluded == ()
+
     def test_pair_series_same_on_view_and_array(self, pair_trajs):
         traj, _, plain = pair_trajs
         for measure in (MUTUAL_INFORMATION, DISCORD, LOG_NEGATIVITY):
@@ -539,8 +550,9 @@ class TestSquareRootMoments:
     def test_fig5_simulate_reads_pair_rows_only(self, tmp_path, monkeypatch):
         # evolve asks the entry kernel for each node's three block entries;
         # then each of the three pair series makes one read, of the 8
-        # quadrature rows of the pairs (15, 16) and (3, 7), 8 x 8 entries
-        # per time, and no read evaluates all 2n = 34 rows.
+        # quadrature rows of the pairs (15, 16) and (3, 7): each pair's 4 x 4
+        # block holds 10 distinct entries, so 20 per time rather than the
+        # 8 x 8 among those rows, and no read evaluates all 2n = 34 rows.
         calls = []
         real = dynamics._CovarianceView._entries
 
@@ -550,7 +562,7 @@ class TestSquareRootMoments:
 
         monkeypatch.setattr(dynamics._CovarianceView, "_entries", spy)
         run_simulate(load_config(str(PRESETS / "fig5_entangle.ini")), out_dir=str(tmp_path))
-        assert calls == [(34, 3 * 17), (8, 64), (8, 64), (8, 64)]
+        assert calls == [(34, 3 * 17), (8, 20), (8, 20), (8, 20)]
 
 
 class TestPhysicalityOracle:

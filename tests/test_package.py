@@ -1,5 +1,6 @@
 """Guards on the shape of the package itself."""
 
+import copy
 import dataclasses
 import importlib
 import os
@@ -11,8 +12,18 @@ import pytest
 
 import oscnet
 from oscnet import network, spectral
+from oscnet.measures import DISCORD
+from oscnet.scenarios import load_config, prepare
 
 PACKAGE_DIR = pathlib.Path(oscnet.__file__).parent
+PRESETS = PACKAGE_DIR / "presets"
+
+
+def _package_modules():
+    """Every module of the package, by its import name."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        name = "oscnet" if path.stem == "__init__" else f"oscnet.{path.stem}"
+        yield name, importlib.import_module(name)
 
 
 def _run_fresh(code, cwd=None):
@@ -48,9 +59,8 @@ STAGED_SPECTRAL = ("diagonalize", "effective_couplings", "mode_rates")
 def test_analyze_is_the_only_constructor():
     # no module brings back a stage that builds a partial decomposition,
     # and every field of one is required
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        name = "oscnet" if path.stem == "__init__" else f"oscnet.{path.stem}"
-        assert not set(STAGED_SPECTRAL) & set(vars(importlib.import_module(name))), name
+    for name, module in _package_modules():
+        assert not set(STAGED_SPECTRAL) & set(vars(module)), name
     defaults = [f.name for f in dataclasses.fields(spectral.ModeDecomposition)
                 if f.default is not dataclasses.MISSING
                 or f.default_factory is not dataclasses.MISSING]
@@ -65,9 +75,60 @@ FOLDED_NETWORK = ("build_network", "_check_positive_definite", "NonPositiveEigen
 def test_network_spec_is_the_only_constructor():
     # no module brings back a way to build a network around the
     # constructor's checks, or a second error class for an unstable one
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        name = "oscnet" if path.stem == "__init__" else f"oscnet.{path.stem}"
-        assert not set(FOLDED_NETWORK) & set(vars(importlib.import_module(name))), name
+    for name, module in _package_modules():
+        assert not set(FOLDED_NETWORK) & set(vars(module)), name
+
+
+#: Every dataclass the package defines, by name.
+DATACLASSES = {
+    obj.__name__: obj
+    for name, module in _package_modules()
+    for obj in vars(module).values()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == name
+}
+
+
+@pytest.fixture(scope="module")
+def dataclass_cases():
+    """One instance of each dataclass, by class name, from the fig2_cb and
+    fig3 pipelines."""
+    cfg = load_config(str(PRESETS / "fig2_cb.ini"))
+    prep = prepare(cfg)
+    traj = oscnet.evolve(prep.state0, prep.decomp, prep.times[:200])
+    fig3 = prepare(load_config(str(PRESETS / "fig3_sweep.ini")))
+    param = ("omega", 6)
+    made = [
+        cfg, cfg.bath, prep, prep.net, prep.decomp, prep.state0, traj,
+        spectral.frozen_mode_report(prep.decomp),
+        oscnet.collective_sync(traj, prep.window),
+        oscnet.pair_measure_series(traj, DISCORD, [(0, 1)], stride=10),
+        oscnet.parameter_scan(fig3.net, param, [1.2, 1.25], fig3.cfg.bath),
+        oscnet.find_sync_parameter(fig3.net, param, (0.8, 1.4), fig3.cfg.bath),
+        oscnet.estimate_sync_times(fig3.decomp),
+    ]
+    return {type(x).__name__: x for x in made}
+
+
+@pytest.mark.parametrize("name", sorted(DATACLASSES))
+def test_dataclass_compares_and_hashes(name, dataclass_cases):
+    # a generated __eq__ compares array fields with ==, whose truth value
+    # raises, and a generated __hash__ hashes them, so the result types
+    # compare and hash by identity (eq=False); a dataclass added without a
+    # case here fails, so one with array fields cannot miss that
+    assert name in dataclass_cases, f"no case for the dataclass {name}"
+    x = dataclass_cases[name]
+    assert type(x) is DATACLASSES[name]
+    assert x == x
+    assert isinstance(x == copy.deepcopy(x), bool)
+    assert isinstance(hash(x), int)
+
+
+def test_bath_config_compares_by_value():
+    # four scalar fields: its generated __eq__ and __hash__ work
+    made = [spectral.BathConfig(kind="local", gamma=0.01, temperature=10.0, node=2)
+            for _ in range(2)]
+    assert made[0] == made[1] and hash(made[0]) == hash(made[1])
+    assert made[0] != spectral.BathConfig(kind="local", gamma=0.01, temperature=10.0, node=1)
 
 
 GUARD_INI = """\
