@@ -321,8 +321,8 @@ class _CovarianceView:
     distinct unordered entry {a, b} once, and gathered into the shape the
     indices broadcast to: ``covs[::s, r[:, None], r[None, :]]`` computes
     len(r)(len(r) + 1)/2 entries per time instead of (2n)^2, and a pair's
-    4 x 4 block 10.  Any other key evaluates every entry of the chosen
-    times.  Every entry comes from :meth:`_entries`, whose products all
+    4 x 4 block 10; picking out the P entries a key names costs O(P).
+    Any other key evaluates every entry of the chosen times.  Every entry comes from :meth:`_entries`, whose products all
     commute, so (a, b) and (b, a) hold the same bits and a read holds bit
     for bit the same entries as ``np.asarray(view)``.  They go into a
     fresh array, and nothing is cached.
@@ -382,10 +382,6 @@ class _CovarianceView:
                 entries = np.einsum("tm,pm->tp", w, pair)
                 entries += offset
                 out[chunk, kind] = entries
-            if not lam.shape[0]:
-                # what adding the empty sum over k does: -0.0 becomes +0.0
-                out[chunk] += 0.0
-                continue
             e_q, e_p = rot.transpose(0, 2, 1, 3).reshape(2, -1, 2 * n)
             z = np.concatenate([np.einsum("tm,pm->tp", e_q, factor[:split]),
                                 np.einsum("tm,pm->tp", e_p, factor[split:])], axis=1)
@@ -401,15 +397,18 @@ class _CovarianceView:
         lead = (slice(None) if isinstance(first, slice)
                 else np.arange(picked.size).reshape(picked.shape))
         width = self.shape[-1]
-        flat = np.arange(width * width).reshape(width, width)
         pair = len(rest) == 2 and all(np.asarray(k).dtype.kind in "iu" for k in rest)
         if pair:
-            # (a, b) and (b, a) both name the flat index of the entry with
-            # a <= b, so each unordered entry the key reads is evaluated once
-            named = np.minimum(flat, flat.T)[rest]
+            # a and b of each entry named, read off stride-0 (width, width)
+            # views: the key costs what it names and fails as on an array.
+            # (a, b) and (b, a) share the flat index of the entry with
+            # a <= b, so each unordered entry is evaluated once
+            cols = np.broadcast_to(np.arange(width), (width, width))
+            a, b = cols.T[rest], cols[rest]
+            named = np.minimum(a, b) * width + np.maximum(a, b)
             entries, inverse = np.unique(named, return_inverse=True)
         else:
-            entries = flat.ravel()
+            entries = np.arange(width * width)
         rel = self._rel[picked.ravel()]
         out = self._entries(_rotation(self._decomp, rel), _driven(self._decomp, rel),
                             *np.divmod(entries, width))

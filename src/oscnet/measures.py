@@ -165,16 +165,14 @@ def _pearson_blocks(series, window, pairs, step=1):
     # the norm of a window's centred samples is sqrt(window) times its std
     flat_scale = _FLAT_WINDOW_ULPS * np.finfo(float).eps * np.sqrt(window)
     for start in range(0, n_win, block):
-        # (windows, series, samples): each window's centred samples come
-        # out as one contiguous (K, window) matrix
-        win = np.swapaxes(windows[:, start : start + block], 0, 1)
+        win = windows[:, start : start + block]
         mean = win.mean(axis=2, keepdims=True)
-        dev = np.subtract(win, mean, order="C")
+        dev = np.swapaxes(win - mean, 0, 1)
         # One Gram matrix per window over every series; the pairs are
         # gathered from it.  A flat window leaves NaN in its scale.
         gram = (dev @ np.swapaxes(dev, 1, 2)).reshape(-1, k * k)
         norm = np.sqrt(gram[:, :: k + 1])
-        live = norm > flat_scale * np.abs(mean[..., 0])
+        live = norm > flat_scale * np.abs(mean[..., 0].T)
         scale = np.divide(1.0, norm, out=np.full(norm.shape, np.nan), where=live)
         rows = gram[:, i * k + j] * scale[:, i] * scale[:, j]
         yield np.clip(rows, -1.0, 1.0, out=rows)
